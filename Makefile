@@ -104,16 +104,13 @@ policylab-determinism:
 serve-smoke:
 	$(GO) test -run '^TestServeSmoke$$' -count=1 -timeout 5m ./cmd/anthill-serve
 
-# The full seed-1 report must match the checked-in digest byte-for-byte
-# (scripts/exp_all_seed1.sha256). Regenerate the digest only for intentional
-# model changes; a mismatch after a refactor means determinism broke.
+# The seed-1 reports (-exp all, serving, policylab), the serving capture
+# artifacts and the live engine's golden replay must match the digests and
+# golden files checked in (scripts/*.sha256, internal/serve/testdata).
+# Regenerate them only for intentional model changes; a mismatch after a
+# refactor means determinism broke.
 byte-identity:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/anthill-sim -exp all -seed 1 -parallel=false -o "$$dir/exp_all_seed1.md"; \
-	want=$$(cut -d' ' -f1 scripts/exp_all_seed1.sha256); \
-	got=$$(sha256sum "$$dir/exp_all_seed1.md" | cut -d' ' -f1); \
-	if [ "$$got" = "$$want" ]; then echo "byte-identity: exp all seed 1 matches digest"; \
-	else echo "byte-identity: digest mismatch (want $$want, got $$got)"; exit 1; fi
+	./scripts/byte-identity.sh
 
 # Mid-weight verification: vet + tier-1 tests + fuzz smoke + the chaos
 # fault-injection determinism check (serial vs 4 workers, seeds 1-3) + the

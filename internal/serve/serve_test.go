@@ -4,11 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/arrival"
 	"repro/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // uniformTimes builds n arrival instants spaced gap apart, starting at 0.
 func uniformTimes(n int, gap sim.Time) []sim.Time {
@@ -238,5 +244,68 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty schedule accepted")
+	}
+}
+
+// goldenSpec is the fixed arrival schedule of the golden replay: a Poisson
+// stream plus a burst that overloads every pipeline at its crests, so the
+// pinned output covers sheds, SLO violations and a worst-violator lineage.
+const goldenSpec = "poisson:rate=3000,n=300;burst:rate=3000,n=300,peak=3,period=40ms"
+
+// TestGoldenReplay pins the engine's external output byte-for-byte against
+// checked-in files: a fixed schedule replayed on a ManualClock at 100x with
+// 1 ms wall ticks, /metrics rendered at frame 40 and after the drain, and
+// the final Frame as indented JSON. Regenerate with
+// `go test ./internal/serve -run TestGoldenReplay -update` only for an
+// intentional change of what the engine reports.
+func TestGoldenReplay(t *testing.T) {
+	sched, err := arrival.Parse(goldenSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Seed: 11, Times: sched.Times(11)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mid bytes.Buffer
+	frames := 0
+	err = e.Pace(&sim.ManualClock{}, 100, sim.Millisecond, func(Frame) bool {
+		if frames++; frames == 40 {
+			if err := e.WritePromText(&mid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final bytes.Buffer
+	if err := e.WritePromText(&final); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := json.MarshalIndent(e.Frame(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{
+		"replay_mid.prom":   mid.Bytes(),
+		"replay_final.prom": final.Bytes(),
+		"replay_frame.json": append(frame, '\n'),
+	} {
+		path := filepath.Join("testdata", name)
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the golden file (%d vs %d bytes)", path, len(got), len(want))
+		}
 	}
 }

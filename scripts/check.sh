@@ -94,19 +94,8 @@ go run ./cmd/anthill-sim -exp fig10 -seed 1 -o /dev/null \
     -parallel -workers 4 -explain-out "$tracedir/b.explain.json"
 cmp "$tracedir/a.explain.json" "$tracedir/b.explain.json"
 
-echo "== report byte-identity  (-exp all -seed 1 against the checked-in digest)"
-go run ./cmd/anthill-sim -exp all -seed 1 -parallel=false -o "$tracedir/exp_all_seed1.md"
-want=$(cut -d' ' -f1 scripts/exp_all_seed1.sha256)
-got=$(sha256sum "$tracedir/exp_all_seed1.md" | cut -d' ' -f1)
-if [ "$got" != "$want" ]; then
-    echo "exp_all_seed1.md digest mismatch:" >&2
-    echo "  want $want (scripts/exp_all_seed1.sha256)" >&2
-    echo "  got  $got" >&2
-    echo "The full seed-1 report changed. If the change is an intentional model" >&2
-    echo "update, regenerate the digest; if this is a refactor, it broke" >&2
-    echo "byte-for-byte determinism." >&2
-    exit 1
-fi
+echo "== byte-identity  (seed-1 reports and serving capture against checked-in digests, serve golden replay)"
+./scripts/byte-identity.sh
 
 if [ -z "${SKIP_BENCH:-}" ]; then
     echo "== benchsweep  (regenerates BENCH_sweep.json)"
