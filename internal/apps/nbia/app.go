@@ -338,12 +338,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Cluster: cfg.Cluster}
-	if cfg.RecordProcs {
-		rt.OnProcess = func(r core.ProcRecord) { res.Records = append(res.Records, r) }
-	}
-	if cfg.RecordTargets {
-		rt.OnTarget = func(r core.TargetRecord) { res.Targets = append(res.Targets, r) }
-	}
 
 	// Tiles are partitioned round-robin across reader instances, matching
 	// Anthill's transparent-copy data distribution. Readers are lazy
@@ -408,6 +402,25 @@ func Run(cfg Config) (*Result, error) {
 
 	if cfg.Hooks != nil {
 		cfg.Hooks(rt)
+	}
+	// The record subscribers chain in front of cfg.Hooks' subscribers.
+	if cfg.RecordProcs {
+		prev := rt.Hooks.Process
+		rt.Hooks.Process = func(r core.ProcRecord) {
+			res.Records = append(res.Records, r)
+			if prev != nil {
+				prev(r)
+			}
+		}
+	}
+	if cfg.RecordTargets {
+		prev := rt.Hooks.Target
+		rt.Hooks.Target = func(r core.TargetRecord) {
+			res.Targets = append(res.Targets, r)
+			if prev != nil {
+				prev(r)
+			}
+		}
 	}
 	if cfg.Faults != nil {
 		if err := fault.Apply(rt, cfg.Faults); err != nil {

@@ -271,14 +271,6 @@ type Runtime struct {
 	idgen   uint64
 	ran     bool
 
-	// OnProcess, if set, is called after every processed event. It predates
-	// the hook bus and is kept for compatibility; new subscribers should
-	// use Hooks.Process.
-	OnProcess func(ProcRecord)
-	// OnTarget, if set, is called whenever DQAA changes a worker's target
-	// request size. Kept for compatibility; new subscribers should use
-	// Hooks.Target.
-	OnTarget func(TargetRecord)
 	// Hooks is the runtime's hook bus (see Bus). All hooks are nil by
 	// default; set them before Run.
 	Hooks Bus

@@ -285,7 +285,7 @@ func TestODDSAdaptsTargets(t *testing.T) {
 	})
 	rt.Connect(src, wf, policy.ODDS())
 	var targets []TargetRecord
-	rt.OnTarget = func(rec TargetRecord) { targets = append(targets, rec) }
+	rt.Hooks.Target = func(rec TargetRecord) { targets = append(targets, rec) }
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestOnProcessRecords(t *testing.T) {
 	rt, _, _ := buildSimple(c, 7, fixedCost(sim.Millisecond),
 		FilterSpec{Placement: []int{0}, CPUWorkers: 1}, policy.DDFCFS(2))
 	var recs []ProcRecord
-	rt.OnProcess = func(r ProcRecord) { recs = append(recs, r) }
+	rt.Hooks.Process = func(r ProcRecord) { recs = append(recs, r) }
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the runtime's hook bus: a set of optional callbacks that the
-// runtime fires at well-defined points of a run. It generalizes the two
-// original ad-hoc hooks (OnProcess/OnTarget) into a uniform observability
-// surface that the metrics registry (internal/obs) and the trace-event
-// exporter (internal/trace) subscribe to.
+// runtime fires at well-defined points of a run — the one observability
+// surface that the metrics registry (internal/obs), the trace exporters
+// (internal/trace), the span collector (internal/span) and the serving
+// sink (internal/serve) subscribe to.
 //
 // Every hook is nil by default and every emission site is guarded by a nil
 // check, so a run with no subscribers pays nothing beyond the branch — the
@@ -247,21 +247,15 @@ func (rt *Runtime) noteAdmit(f *Filter, inst int, id uint64, at sim.Time, depth,
 	})
 }
 
-// emitProcess fires the Process hook (and the legacy OnProcess field).
+// emitProcess fires the Process hook.
 func (rt *Runtime) emitProcess(r ProcRecord) {
-	if rt.OnProcess != nil {
-		rt.OnProcess(r)
-	}
 	if rt.Hooks.Process != nil {
 		rt.Hooks.Process(r)
 	}
 }
 
-// emitTarget fires the Target hook (and the legacy OnTarget field).
+// emitTarget fires the Target hook.
 func (rt *Runtime) emitTarget(r TargetRecord) {
-	if rt.OnTarget != nil {
-		rt.OnTarget(r)
-	}
 	if rt.Hooks.Target != nil {
 		rt.Hooks.Target(r)
 	}
@@ -269,14 +263,10 @@ func (rt *Runtime) emitTarget(r TargetRecord) {
 
 // wantProcess reports whether any process subscriber is attached, so the
 // worker can skip assembling the record entirely.
-func (rt *Runtime) wantProcess() bool {
-	return rt.OnProcess != nil || rt.Hooks.Process != nil
-}
+func (rt *Runtime) wantProcess() bool { return rt.Hooks.Process != nil }
 
 // wantTarget reports whether any target subscriber is attached.
-func (rt *Runtime) wantTarget() bool {
-	return rt.OnTarget != nil || rt.Hooks.Target != nil
-}
+func (rt *Runtime) wantTarget() bool { return rt.Hooks.Target != nil }
 
 // noteInputDepth publishes the current depth of input queue qi.
 func (inst *Instance) noteInputDepth(qi int) {

@@ -18,8 +18,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Collector accumulates processing and target records from a runtime via
-// its hooks. Attach before Run.
+// Collector accumulates processing and target records from a runtime's hook
+// bus. Attach before Run.
 type Collector struct {
 	Procs   []core.ProcRecord
 	Targets []core.TargetRecord
@@ -28,15 +28,15 @@ type Collector struct {
 // Attach registers the collector's hooks on a runtime (chaining any hooks
 // already installed).
 func (c *Collector) Attach(rt *core.Runtime) {
-	prevP := rt.OnProcess
-	rt.OnProcess = func(r core.ProcRecord) {
+	prevP := rt.Hooks.Process
+	rt.Hooks.Process = func(r core.ProcRecord) {
 		c.Procs = append(c.Procs, r)
 		if prevP != nil {
 			prevP(r)
 		}
 	}
-	prevT := rt.OnTarget
-	rt.OnTarget = func(r core.TargetRecord) {
+	prevT := rt.Hooks.Target
+	rt.Hooks.Target = func(r core.TargetRecord) {
 		c.Targets = append(c.Targets, r)
 		if prevT != nil {
 			prevT(r)

@@ -53,7 +53,7 @@ func TestCollectorChainsExistingHooks(t *testing.T) {
 	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 1}}, nil)
 	rt := core.New(c, nil)
 	direct := 0
-	rt.OnProcess = func(core.ProcRecord) { direct++ }
+	rt.Hooks.Process = func(core.ProcRecord) { direct++ }
 	col := &Collector{}
 	col.Attach(rt)
 	src := rt.AddFilter(core.FilterSpec{
