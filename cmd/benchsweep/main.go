@@ -90,7 +90,7 @@ type summary struct {
 	// explain_overhead_pct's price of the batch capture artifacts.
 	LiveSinkOverheadPct float64       `json:"live_sink_overhead_pct"`
 	SimAllocs           []allocResult `json:"sim_kernel_allocs"`
-	KernelBench        []kernelBench `json:"kernel_vs_oracle"`
+	KernelBench         []kernelBench `json:"kernel_vs_oracle"`
 }
 
 // timedRunAll regenerates the full report with the given pool size and
@@ -386,7 +386,7 @@ func messagePathOracle() {
 // everything else is identical, so the wall-time ratio prices the sink.
 func serveDrain(sink bool) {
 	const n = 4000
-	gap := sim.Time(1.0 / (0.9 * serve.Capacity))
+	gap := sim.Time(1.0 / (0.9 * serve.Capacity(2, 1)))
 	times := make([]sim.Time, n)
 	for i := range times {
 		times[i] = sim.Time(i) * gap

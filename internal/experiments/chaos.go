@@ -36,16 +36,9 @@ func chaosTiles(cfg Config) int {
 	return 1000
 }
 
-// chaosPols are the policies under test, as constructors so every sweep
-// point gets a fresh policy value.
-var chaosPols = []struct {
-	name string
-	pol  func() policy.StreamPolicy
-}{
-	{"DDFCFS", func() policy.StreamPolicy { return policy.DDFCFS(ddfcfsReq) }},
-	{"DDWRR", func() policy.StreamPolicy { return policy.DDWRR(ddwrrReq) }},
-	{"ODDS", func() policy.StreamPolicy { return policy.ODDS() }},
-}
+// paperPols are the paper's three stream policies (policy.Paper), the
+// policies under test in the chaos, serving and Table 6 sweeps.
+var paperPols = policy.Paper()
 
 // chaosIntensities is the fault-intensity grid of the random sweep.
 var chaosIntensities = []float64{0, 0.33, 0.66, 1}
@@ -128,14 +121,14 @@ func runChaos(cfg Config) *Report {
 	if cfg.FaultSpec != "" {
 		return runChaosScripted(cfg)
 	}
-	np := len(chaosPols)
+	np := len(paperPols)
 	// Point grid: (intensity, policy), policies contiguous per intensity.
 	// Each point draws its own schedule from (seed, point index), so the
 	// sweep is deterministic on any worker count.
 	points := SweepMap(len(chaosIntensities)*np, func(i int) chaosPoint {
 		intensity := chaosIntensities[i/np]
 		seed := PointSeed(cfg.Seed, i)
-		return runChaosPoint(cfg, chaosPols[i%np].pol, func(horizon sim.Time) *fault.Schedule {
+		return runChaosPoint(cfg, paperPols[i%np].New, func(horizon sim.Time) *fault.Schedule {
 			return fault.Random(seed, intensity, fault.Shape{
 				Nodes:     chaosNodes,
 				GPUNodes:  gpuNodes(chaosNodes),
@@ -152,25 +145,25 @@ func runChaos(cfg Config) *Report {
 		Header: []string{"Intensity", "Policy", "healthy ms", "faulted ms", "degradation %", "lineages (got/want)", "conserved"},
 	}
 	series := make([]metrics.Series, np)
-	for pi, p := range chaosPols {
-		series[pi] = metrics.Series{Label: p.name}
+	for pi, p := range paperPols {
+		series[pi] = metrics.Series{Label: p.Name}
 	}
 	series[0].XLabel = "fault intensity"
 	allConserved, zeroIdentical, maxDegrades := true, true, true
 	var failDetail string
 	for ii, intensity := range chaosIntensities {
-		for pi, p := range chaosPols {
+		for pi, p := range paperPols {
 			pt := points[ii*np+pi]
 			if pt.err != nil {
 				allConserved = false
-				failDetail = fmt.Sprintf("%s @ %g: %v", p.name, intensity, pt.err)
-				tb.AddRow(fmt.Sprintf("%g", intensity), p.name, "-", "-", "-", "-", "ERROR")
+				failDetail = fmt.Sprintf("%s @ %g: %v", p.Name, intensity, pt.err)
+				tb.AddRow(fmt.Sprintf("%g", intensity), p.Name, "-", "-", "-", "-", "ERROR")
 				continue
 			}
 			if !pt.conserved() {
 				allConserved = false
 				failDetail = fmt.Sprintf("%s @ %g: %d/%d lineages, %d duplicated",
-					p.name, intensity, pt.unique, pt.expected, pt.dupes)
+					p.Name, intensity, pt.unique, pt.expected, pt.dupes)
 			}
 			if intensity == 0 && pt.m != pt.m0 {
 				zeroIdentical = false
@@ -179,7 +172,7 @@ func runChaos(cfg Config) *Report {
 				maxDegrades = false
 			}
 			series[pi].Add(intensity, pt.degradation())
-			tb.AddRow(fmt.Sprintf("%g", intensity), p.name,
+			tb.AddRow(fmt.Sprintf("%g", intensity), p.Name,
 				fmt.Sprintf("%.1f", float64(pt.m0)/float64(sim.Millisecond)),
 				fmt.Sprintf("%.1f", float64(pt.m)/float64(sim.Millisecond)),
 				fmt.Sprintf("%.1f", pt.degradation()),
@@ -222,8 +215,8 @@ func runChaosScripted(cfg Config) *Report {
 		rep.Checks = []Check{check("fault spec parses", false, "%v", perr)}
 		return rep
 	}
-	points := SweepMap(len(chaosPols), func(i int) chaosPoint {
-		return runChaosPoint(cfg, chaosPols[i].pol,
+	points := SweepMap(len(paperPols), func(i int) chaosPoint {
+		return runChaosPoint(cfg, paperPols[i].New,
 			func(sim.Time) *fault.Schedule { return sched })
 	})
 	tb := metrics.Table{
@@ -233,20 +226,20 @@ func runChaosScripted(cfg Config) *Report {
 	}
 	allConserved := true
 	var errs []string
-	for pi, p := range chaosPols {
+	for pi, p := range paperPols {
 		pt := points[pi]
 		if pt.err != nil {
 			allConserved = false
-			errs = append(errs, fmt.Sprintf("%s: %v", p.name, pt.err))
-			tb.AddRow(p.name, "-", "-", "-", "-", "ERROR")
+			errs = append(errs, fmt.Sprintf("%s: %v", p.Name, pt.err))
+			tb.AddRow(p.Name, "-", "-", "-", "-", "ERROR")
 			continue
 		}
 		if !pt.conserved() {
 			allConserved = false
 			errs = append(errs, fmt.Sprintf("%s: %d/%d lineages, %d duplicated",
-				p.name, pt.unique, pt.expected, pt.dupes))
+				p.Name, pt.unique, pt.expected, pt.dupes))
 		}
-		tb.AddRow(p.name,
+		tb.AddRow(p.Name,
 			fmt.Sprintf("%.1f", float64(pt.m0)/float64(sim.Millisecond)),
 			fmt.Sprintf("%.1f", float64(pt.m)/float64(sim.Millisecond)),
 			fmt.Sprintf("%.1f", pt.degradation()),

@@ -115,7 +115,7 @@ func TestRunAllDeterminism(t *testing.T) {
 // breakdown line captured on a 4-worker pool are byte-identical to the
 // serial ones, across seeds 1-3, for the cheap capture-bearing experiments
 // (fig7 exercises the VI capture, fig12 the heterogeneous NBIA one). The
-// expensive fig10 CLI path is pinned by `make explain-determinism`, and
+// expensive fig10 CLI path is pinned by `make determinism`, and
 // TestExplainCaptureRepeatable covers the chaos/fig10 capture workloads
 // directly.
 func TestExplainDeterminism(t *testing.T) {

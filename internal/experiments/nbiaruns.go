@@ -48,6 +48,7 @@ func gpuOnlyPol() policy.StreamPolicy { return policy.DDFCFS(8) }
 // Static request sizes for the baseline policies, matching the regime the
 // paper's Figure 11 search lands in: DDFCFS prefers small requests (less
 // imbalance), DDWRR needs a deep queue for intra-filter sorting to act.
+// policy.Paper runs the two policies at the same sizes.
 const (
 	ddfcfsReq = 4
 	ddwrrReq  = 32

@@ -28,6 +28,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/task"
@@ -119,10 +120,7 @@ func captureServing(cfg Config) *ObsCapture {
 		times = sched.Times(cfg.Seed)
 	}
 	k := sim.NewKernel(cfg.Seed)
-	cl := hw.NewCluster(k, []hw.NodeSpec{
-		{CPUCores: 2},
-		{CPUCores: 2, HasGPU: true},
-	}, nil)
+	cl := hw.NewCluster(k, serve.Pool(), nil)
 	rt := core.New(cl, nil)
 	log := trace.NewChromeLog()
 	reg := obs.NewRegistry()
@@ -130,26 +128,9 @@ func captureServing(cfg Config) *ObsCapture {
 	log.Attach(rt)
 	reg.Attach(rt)
 	col.Attach(rt)
-	gw := rt.AddFilter(core.FilterSpec{
-		Name: "gateway", Placement: []int{0},
-		Open: true, QueueLimit: servingQueueLimit,
-	})
-	srv := rt.AddFilter(core.FilterSpec{
-		Name: "serve", Placement: []int{0, 1},
-		CPUWorkers: 1, UseGPU: true, GPUWorkers: 1,
-		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-	})
-	rt.Connect(gw, srv, policy.ODDS())
-	arrival.Drive(rt, gw, times, func(int) *task.Task {
-		return &task.Task{
-			Size: 8 << 10, OutSize: 1 << 10,
-			Cost: func(kw hw.Kind) sim.Time {
-				if kw == hw.GPU {
-					return servingGPUCost
-				}
-				return servingCPUCost
-			},
-		}
+	serve.Build(rt, serve.Pipeline{
+		Placement: []int{0, 1}, QueueLimit: serve.DefaultQueueLimit,
+		Policy: policy.ODDS(), Times: times,
 	})
 	res, err := rt.Run()
 	if err != nil {

@@ -80,8 +80,8 @@ func TestChaosCaptureHasFaultEvents(t *testing.T) {
 }
 
 // TestCaptureDeterministic re-runs representative captures and requires
-// byte-identical artifacts — the contract behind scripts/check.sh's
-// trace-determinism gate.
+// byte-identical artifacts — the contract behind the capture rows of
+// scripts/determinism.sh.
 func TestCaptureDeterministic(t *testing.T) {
 	for _, id := range []string{"fig7", "fig8", "serving", "policylab"} {
 		a := RunCapture(Config{Seed: 1}, id)

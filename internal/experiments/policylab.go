@@ -24,11 +24,10 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/task"
 )
 
 func init() {
@@ -48,16 +47,10 @@ const (
 	labIntensity = 0.66
 	// labReq is the static request size every demand policy runs with.
 	labReq = 4
-	// labCPUCost / labGPUCost are the open-system per-request service
-	// times (the serving experiment's pair).
-	labCPUCost = sim.Millisecond
-	labGPUCost = 300 * sim.Microsecond
 	// labLoad is the open-system offered load as a fraction of the
 	// shape's aggregate service capacity: high enough to build queues
 	// (tails differ between policies) without tipping into overload.
 	labLoad = 0.9
-	// labQueueLimit bounds the open-system gateway queue.
-	labQueueLimit = 32
 )
 
 func labTiles(cfg Config) int {
@@ -109,12 +102,6 @@ func (s labShape) cluster(k *sim.Kernel) *hw.Cluster {
 		specs = append(specs, hw.NodeSpec{CPUCores: 2})
 	}
 	return hw.NewCluster(k, specs, nil)
-}
-
-// capacity is the shape's aggregate open-system service rate in requests/s:
-// one CPU worker per node plus one GPU worker per GPU node.
-func (s labShape) capacity() float64 {
-	return float64(s.nodes())/labCPUCost.Seconds() + float64(s.gpus)/labGPUCost.Seconds()
 }
 
 // labPolicyDef is one raced policy: a name and a fresh-per-run constructor
@@ -239,31 +226,11 @@ func runLabBatch(cfg Config, s labShape, def labPolicyDef, seed int64,
 // stage replicated on every node. Tasks carry the CPU/GPU speedup weights,
 // so weighted and scheduler-driven policies see real relative advantage.
 func runLabOpen(cfg Config, s labShape, def labPolicyDef, seed int64, pt *labPoint) {
-	k := sim.NewKernel(seed)
-	rt := core.New(s.cluster(k), nil)
+	rt := core.New(s.cluster(sim.NewKernel(seed)), nil)
 	pol := def.mk()
-	hooks := labHooks(pol)
-
-	sketch := obs.NewSketch(obs.DefaultEps)
-	admitAt := map[uint64]sim.Time{}
-	served := map[uint64]int{}
-	rt.Hooks = core.Bus{
-		Admit: func(r core.AdmitRecord) {
-			if r.Accepted {
-				admitAt[r.TaskID] = r.At
-			}
-		},
-		Process: func(r core.ProcRecord) {
-			if r.Filter != "serve" {
-				return
-			}
-			served[r.TaskID]++
-			if at, ok := admitAt[r.TaskID]; ok {
-				sketch.Add(float64(r.End - at))
-			}
-		},
-	}
-	if hooks != nil {
+	sink := serve.NewSink("", serve.DefaultSLO, nil)
+	sink.Attach(rt)
+	if hooks := labHooks(pol); hooks != nil {
 		hooks(rt)
 	}
 
@@ -271,36 +238,13 @@ func runLabOpen(cfg Config, s labShape, def labPolicyDef, seed int64, pt *labPoi
 	for i := range placement {
 		placement[i] = i
 	}
-	gw := rt.AddFilter(core.FilterSpec{
-		Name: "gateway", Placement: []int{0},
-		Open: true, QueueLimit: labQueueLimit,
-	})
-	srv := rt.AddFilter(core.FilterSpec{
-		Name: "serve", Placement: placement,
-		CPUWorkers: 1, UseGPU: true, GPUWorkers: 1,
-		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-	})
-	rt.Connect(gw, srv, pol)
-
-	horizon := labHorizon(cfg)
-	rate := labLoad * s.capacity()
+	rate := labLoad * serve.Capacity(s.nodes(), s.gpus)
 	sched := &arrival.Schedule{Procs: []arrival.Proc{{
-		Kind: arrival.Poisson, Rate: rate, N: int(rate * horizon.Seconds()),
+		Kind: arrival.Poisson, Rate: rate, N: int(rate * labHorizon(cfg).Seconds()),
 	}}}
-	st := arrival.Drive(rt, gw, sched.Times(seed), func(int) *task.Task {
-		t := &task.Task{
-			Size: 8 << 10, OutSize: 1 << 10,
-			Cost: func(kw hw.Kind) sim.Time {
-				if kw == hw.GPU {
-					return labGPUCost
-				}
-				return labCPUCost
-			},
-		}
-		t.Weight[hw.CPU] = 1
-		t.Weight[hw.GPU] = float64(labCPUCost) / float64(labGPUCost)
-		t.ComputeKeys()
-		return t
+	st := serve.Build(rt, serve.Pipeline{
+		Placement: placement, QueueLimit: serve.DefaultQueueLimit,
+		Policy: pol, Times: sched.Times(seed), Weighted: true,
 	})
 	if _, err := rt.Run(); err != nil {
 		pt.err = fmt.Errorf("open: %w", err)
@@ -310,17 +254,10 @@ func runLabOpen(cfg Config, s labShape, def labPolicyDef, seed int64, pt *labPoi
 		pt.err = fmt.Errorf("open: %w", err)
 		return
 	}
-	dupes := 0
-	for _, n := range served {
-		if n > 1 {
-			dupes++
-		}
-	}
-	pt.p99 = sim.Time(sketch.Quantile(0.99))
+	pt.p99 = sim.Time(sink.Latency.Quantile(0.99))
 	pt.shed = st.Rejected
 	pt.offered = st.Offered
-	pt.reqOK = dupes == 0 && len(served) == st.Accepted &&
-		st.Accepted+st.Rejected == st.Offered
+	pt.reqOK = sink.Conserved(st)
 }
 
 // runPolicylabPoint runs all three legs of one (shape, policy) cell.

@@ -24,9 +24,9 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/task"
 )
 
 func init() {
@@ -38,26 +38,18 @@ func init() {
 	})
 }
 
-const (
-	// servingCPUCost and servingGPUCost are the per-request service times.
-	servingCPUCost = sim.Millisecond
-	servingGPUCost = 300 * sim.Microsecond
-	// servingCapacity is the pool's aggregate service rate in requests/s:
-	// three CPU workers (two nodes, one worker each... see the spec below:
-	// node 0 contributes one CPU worker, node 1 one CPU worker plus one GPU
-	// worker) => 2/1ms + 1/300us.
-	servingCapacity = 2.0/0.001 + 1.0/0.0003
-	// servingQueueLimit bounds the gateway's send queue; past it the
-	// gateway sheds instead of queueing unboundedly.
-	servingQueueLimit = 32
-	// servingSLO is the end-to-end latency objective requests are audited
-	// against.
-	servingSLO = 5 * sim.Millisecond
-)
-
-// servingLoads are the offered-load multiples of servingCapacity; the last
-// point is deliberate overload.
+// servingLoads are the offered-load multiples of the pool's capacity; the
+// last point is deliberate overload.
 var servingLoads = []float64{0.3, 0.7, 1.5}
+
+// servingCapacity is the two-node pool's aggregate service rate in
+// requests/s, serve.Capacity(2, 1): node 0 contributes one CPU worker, node
+// 1 one CPU worker plus one GPU worker, at serve.CPUCost = 1 ms and
+// serve.GPUCost = 300 us. It is evaluated in exact untyped-constant
+// arithmetic, which rounds 16000/3 once; Capacity's float64 evaluation
+// lands one ulp higher, enough to move the 0.3x point from 399 requests to
+// 400 and with it the pinned report (scripts/exp_serving_seed1.sha256).
+const servingCapacity = 2/1e-3 + 1/300e-6
 
 func servingHorizon(cfg Config) sim.Time {
 	if cfg.Full {
@@ -66,146 +58,69 @@ func servingHorizon(cfg Config) sim.Time {
 	return 250 * sim.Millisecond
 }
 
-// servingBreakdown is the stage attribution of one request: admitted at the
-// gateway, delivered to a serve replica, serviced start..end.
-type servingBreakdown struct {
-	taskID                    uint64
-	node                      int
-	kind                      hw.Kind
-	admit, deliver, start, end sim.Time
-}
-
-func (b servingBreakdown) latency() sim.Time { return b.end - b.admit }
-
-func (b servingBreakdown) String() string {
-	ms := func(t sim.Time) string { return fmt.Sprintf("%.3f", float64(t)/float64(sim.Millisecond)) }
-	return fmt.Sprintf("task %d via serve/%d (%s): total %s ms = gateway %s + wait %s + service %s",
-		b.taskID, b.node, b.kind, ms(b.latency()),
-		ms(b.deliver-b.admit), ms(b.start-b.deliver), ms(b.end-b.start))
-}
-
 // servingPoint is the outcome of one (load, policy) cell.
 type servingPoint struct {
-	offered, accepted, rejected int
-	served, dupes               int
-	maxDepth                    int
-	violations                  int
-	sketch                      *obs.Sketch
-	worst                       servingBreakdown
-	worstSpan                   string
-	err                         error
+	stats *arrival.Stats
+	sink  *serve.Sink
+	err   error
 }
 
-func (p servingPoint) conserved() bool {
-	return p.err == nil && p.dupes == 0 &&
-		p.accepted+p.rejected == p.offered && p.served == p.accepted
-}
+func (p servingPoint) conserved() bool { return p.err == nil && p.sink.Conserved(p.stats) }
 
 // runServingPoint executes one open-system run: Poisson (or scripted)
-// arrivals at an admission-controlled gateway, a two-node heterogeneous
-// serve pool, one stream policy.
+// arrivals at an admission-controlled gateway, the two-node heterogeneous
+// serve pool, one stream policy. A span collector chains in front of the
+// sink, so the worst violator's lineage can be built after the run.
 func runServingPoint(seed int64, pol func() policy.StreamPolicy, times []sim.Time) servingPoint {
-	k := sim.NewKernel(seed)
-	c := hw.NewCluster(k, []hw.NodeSpec{
-		{CPUCores: 2},
-		{CPUCores: 2, HasGPU: true},
-	}, nil)
-	rt := core.New(c, nil)
-
-	pt := servingPoint{sketch: obs.NewSketch(obs.DefaultEps)}
-	admitAt := make(map[uint64]sim.Time, len(times))
-	deliverAt := make(map[uint64]sim.Time, len(times))
-	served := make(map[uint64]int, len(times))
-	rt.Hooks = core.Bus{
-		Admit: func(r core.AdmitRecord) {
-			if r.Accepted {
-				admitAt[r.TaskID] = r.At
-			}
-		},
-		QueueDepth: func(r core.QueueDepthRecord) {
-			if r.Filter == "gateway" && r.Queue == "send" && r.Depth > pt.maxDepth {
-				pt.maxDepth = r.Depth
-			}
-		},
-		Deliver: func(r core.DeliverRecord) {
-			if r.Filter == "serve" {
-				deliverAt[r.TaskID] = r.At
-			}
-		},
-		Process: func(r core.ProcRecord) {
-			if r.Filter != "serve" {
-				return
-			}
-			served[r.TaskID]++
-			at, ok := admitAt[r.TaskID]
-			if !ok {
-				pt.err = fmt.Errorf("task %d processed without an admit record", r.TaskID)
-				return
-			}
-			lat := r.End - at
-			pt.sketch.Add(float64(lat))
-			if lat > servingSLO {
-				pt.violations++
-			}
-			if lat > pt.worst.latency() || pt.worst.taskID == 0 {
-				pt.worst = servingBreakdown{
-					taskID: r.TaskID, node: r.NodeID, kind: r.Kind,
-					admit: at, deliver: deliverAt[r.TaskID],
-					start: r.Start, end: r.End,
-				}
-			}
-		},
-	}
-	// The span collector chains behind the measurement hooks above; its
-	// Admit subscription records each accepted request as a lineage root so
-	// the worst violator's per-request breakdown can be built after the run.
+	rt := core.New(hw.NewCluster(sim.NewKernel(seed), serve.Pool(), nil), nil)
 	col := span.NewCollector()
+	pt := servingPoint{sink: serve.NewSink("", serve.DefaultSLO, col)}
+	pt.sink.Attach(rt)
 	col.Attach(rt)
-
-	gw := rt.AddFilter(core.FilterSpec{
-		Name: "gateway", Placement: []int{0},
-		Open: true, QueueLimit: servingQueueLimit,
+	pt.stats = serve.Build(rt, serve.Pipeline{
+		Placement: []int{0, 1}, QueueLimit: serve.DefaultQueueLimit, Policy: pol(), Times: times,
 	})
-	srv := rt.AddFilter(core.FilterSpec{
-		Name: "serve", Placement: []int{0, 1},
-		CPUWorkers: 1, UseGPU: true, GPUWorkers: 1,
-		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-	})
-	rt.Connect(gw, srv, pol())
-
-	st := arrival.Drive(rt, gw, times, func(int) *task.Task {
-		return &task.Task{
-			Size: 8 << 10, OutSize: 1 << 10,
-			Cost: func(kw hw.Kind) sim.Time {
-				if kw == hw.GPU {
-					return servingGPUCost
-				}
-				return servingCPUCost
-			},
-		}
-	})
-
 	if _, err := rt.Run(); err != nil {
 		pt.err = err
-		return pt
-	}
-	if err := rt.Validate(); err != nil {
-		pt.err = err
-		return pt
-	}
-	pt.offered, pt.accepted, pt.rejected = st.Offered, st.Accepted, st.Rejected
-	pt.served = len(served)
-	for _, n := range served {
-		if n > 1 {
-			pt.dupes++
-		}
-	}
-	if pt.worst.taskID != 0 {
-		if a, err := col.BuildRequest(pt.worst.taskID); err == nil {
-			pt.worstSpan = a.Breakdown()
-		}
+	} else {
+		pt.err = rt.Validate()
 	}
 	return pt
+}
+
+// servingCell renders one point's table cells (offered onward) and checks
+// its conservation and queue bound; fail describes the first failure.
+func servingCell(pt servingPoint) (cells []string, bounded bool, fail string) {
+	if pt.err != nil {
+		return []string{"-", "-", "-", "-", "-", "-", "ERROR"}, true, pt.err.Error()
+	}
+	st, sk := pt.stats, pt.sink
+	if !pt.conserved() {
+		fail = fmt.Sprintf("offered %d, accepted %d, rejected %d, served %d, %d duplicated or unadmitted",
+			st.Offered, st.Accepted, st.Rejected, sk.Served, sk.Orphans)
+	}
+	return []string{
+		fmt.Sprintf("%d", st.Offered),
+		fmt.Sprintf("%d", st.Rejected),
+		servingMS(sk.Latency, 0.50),
+		servingMS(sk.Latency, 0.99),
+		servingMS(sk.Latency, 0.999),
+		fmt.Sprintf("%d", sk.MaxDepth),
+		fmt.Sprintf("%d", sk.Violations),
+	}, sk.MaxDepth <= serve.DefaultQueueLimit, fail
+}
+
+// servingWorst renders the worst SLO violator's breakdown and lineage.
+func servingWorst(name string, sk *serve.Sink) []string {
+	w, ok := sk.Worst()
+	if !ok {
+		return nil
+	}
+	lines := []string{fmt.Sprintf("- %s: %s", name, w.Breakdown)}
+	if w.Lineage != "" {
+		lines = append(lines, fmt.Sprintf("  - lineage: %s", w.Lineage))
+	}
+	return lines
 }
 
 // servingMS formats a sketch quantile (stored in seconds of virtual time)
@@ -218,7 +133,7 @@ func runServing(cfg Config) *Report {
 	if cfg.ArrivalSpec != "" {
 		return runServingScripted(cfg)
 	}
-	np := len(chaosPols)
+	np := len(paperPols)
 	horizon := servingHorizon(cfg)
 	// Point grid: (load, policy), policies contiguous per load. Each point
 	// draws its arrival instants from (seed, point index), so the sweep is
@@ -230,18 +145,18 @@ func runServing(cfg Config) *Report {
 		sched := &arrival.Schedule{Procs: []arrival.Proc{{
 			Kind: arrival.Poisson, Rate: rate, N: int(rate * float64(horizon)),
 		}}}
-		return runServingPoint(seed, chaosPols[i%np].pol, sched.Times(seed))
+		return runServingPoint(seed, paperPols[i%np].New, sched.Times(seed))
 	})
 
 	tb := metrics.Table{
 		Title: fmt.Sprintf("Open-system serving, 2-node heterogeneous pool (capacity %.0f req/s), Poisson arrivals over %.0f ms, gateway queue limit %d, SLO %.0f ms",
 			servingCapacity, float64(horizon)/float64(sim.Millisecond),
-			servingQueueLimit, float64(servingSLO)/float64(sim.Millisecond)),
+			serve.DefaultQueueLimit, float64(serve.DefaultSLO)/float64(sim.Millisecond)),
 		Header: []string{"Load", "Policy", "offered", "shed", "p50 ms", "p99 ms", "p999 ms", "max queue", "SLO viol"},
 	}
 	series := make([]metrics.Series, np)
-	for pi, p := range chaosPols {
-		series[pi] = metrics.Series{Label: p.name}
+	for pi, p := range paperPols {
+		series[pi] = metrics.Series{Label: p.Name}
 	}
 	series[0].XLabel = "offered load (x capacity)"
 
@@ -250,51 +165,32 @@ func runServing(cfg Config) *Report {
 	last := len(servingLoads) - 1
 	var worstLines []string
 	for li, load := range servingLoads {
-		for pi, p := range chaosPols {
+		for pi, p := range paperPols {
 			pt := points[li*np+pi]
-			if pt.err != nil {
+			cells, ok, fail := servingCell(pt)
+			tb.AddRow(append([]string{fmt.Sprintf("%gx", load), p.Name}, cells...)...)
+			if fail != "" {
 				allConserved = false
-				failDetail = fmt.Sprintf("%s @ %gx: %v", p.name, load, pt.err)
-				tb.AddRow(fmt.Sprintf("%gx", load), p.name, "-", "-", "-", "-", "-", "-", "ERROR")
+				failDetail = fmt.Sprintf("%s @ %gx: %s", p.Name, load, fail)
+			}
+			if pt.err != nil {
 				continue
 			}
-			if !pt.conserved() {
-				allConserved = false
-				failDetail = fmt.Sprintf("%s @ %gx: offered %d, accepted %d, rejected %d, served %d, %d duplicated",
-					p.name, load, pt.offered, pt.accepted, pt.rejected, pt.served, pt.dupes)
-			}
-			if pt.maxDepth > servingQueueLimit {
-				bounded = false
-			}
+			bounded = bounded && ok
 			if li == last {
-				if pt.rejected == 0 {
+				if pt.stats.Rejected == 0 {
 					overloadSheds = false
 				}
 				low := points[0*np+pi]
-				if low.err == nil && pt.sketch.Quantile(0.99) <= low.sketch.Quantile(0.99) {
+				if low.err == nil && pt.sink.Latency.Quantile(0.99) <= low.sink.Latency.Quantile(0.99) {
 					latencyRises = false
 				}
-				if low.err == nil && pt.violations <= low.violations {
+				if low.err == nil && pt.sink.Violations <= low.sink.Violations {
 					violRise = false
 				}
-				if pt.violations > 0 {
-					worstLines = append(worstLines,
-						fmt.Sprintf("- %s: %s", p.name, pt.worst))
-					if pt.worstSpan != "" {
-						worstLines = append(worstLines,
-							fmt.Sprintf("  - lineage: %s", pt.worstSpan))
-					}
-				}
+				worstLines = append(worstLines, servingWorst(p.Name, pt.sink)...)
 			}
-			series[pi].Add(load, pt.sketch.Quantile(0.99)/float64(sim.Millisecond))
-			tb.AddRow(fmt.Sprintf("%gx", load), p.name,
-				fmt.Sprintf("%d", pt.offered),
-				fmt.Sprintf("%d", pt.rejected),
-				servingMS(pt.sketch, 0.50),
-				servingMS(pt.sketch, 0.99),
-				servingMS(pt.sketch, 0.999),
-				fmt.Sprintf("%d", pt.maxDepth),
-				fmt.Sprintf("%d", pt.violations))
+			series[pi].Add(load, pt.sink.Latency.Quantile(0.99)/float64(sim.Millisecond))
 		}
 	}
 	if failDetail == "" {
@@ -316,7 +212,7 @@ func runServing(cfg Config) *Report {
 		Checks: []Check{
 			check("requests conserved at every load", allConserved, "%s", failDetail),
 			check("gateway queue bounded by the admission limit", bounded,
-				"peak depth <= %d at every (load, policy) cell", servingQueueLimit),
+				"peak depth <= %d at every (load, policy) cell", serve.DefaultQueueLimit),
 			check("overload sheds for every policy", overloadSheds,
 				"rejected > 0 at %gx load", servingLoads[last]),
 			check("p99 latency rises with offered load", latencyRises,
@@ -341,50 +237,32 @@ func runServingScripted(cfg Config) *Report {
 		rep.Checks = []Check{check("arrival spec parses", false, "%v", perr)}
 		return rep
 	}
-	np := len(chaosPols)
-	points := SweepMap(np, func(i int) servingPoint {
+	points := SweepMap(len(paperPols), func(i int) servingPoint {
 		seed := PointSeed(cfg.Seed, i)
-		return runServingPoint(seed, chaosPols[i].pol, sched.Times(seed))
+		return runServingPoint(seed, paperPols[i].New, sched.Times(seed))
 	})
 	tb := metrics.Table{
 		Title: fmt.Sprintf("Scripted arrivals `%s` (%d requests), 2-node heterogeneous pool, gateway queue limit %d, SLO %.0f ms",
-			sched.String(), sched.Count(), servingQueueLimit,
-			float64(servingSLO)/float64(sim.Millisecond)),
+			sched.String(), sched.Count(), serve.DefaultQueueLimit,
+			float64(serve.DefaultSLO)/float64(sim.Millisecond)),
 		Header: []string{"Policy", "offered", "shed", "p50 ms", "p99 ms", "p999 ms", "max queue", "SLO viol"},
 	}
 	allConserved, bounded := true, true
 	var failDetail string
 	var worstLines []string
-	for pi, p := range chaosPols {
+	for pi, p := range paperPols {
 		pt := points[pi]
-		if pt.err != nil {
+		cells, ok, fail := servingCell(pt)
+		tb.AddRow(append([]string{p.Name}, cells...)...)
+		if fail != "" {
 			allConserved = false
-			failDetail = fmt.Sprintf("%s: %v", p.name, pt.err)
-			tb.AddRow(p.name, "-", "-", "-", "-", "-", "-", "ERROR")
+			failDetail = fmt.Sprintf("%s: %s", p.Name, fail)
+		}
+		if pt.err != nil {
 			continue
 		}
-		if !pt.conserved() {
-			allConserved = false
-			failDetail = fmt.Sprintf("%s: offered %d, accepted %d, rejected %d, served %d, %d duplicated",
-				p.name, pt.offered, pt.accepted, pt.rejected, pt.served, pt.dupes)
-		}
-		if pt.maxDepth > servingQueueLimit {
-			bounded = false
-		}
-		if pt.violations > 0 {
-			worstLines = append(worstLines, fmt.Sprintf("- %s: %s", p.name, pt.worst))
-			if pt.worstSpan != "" {
-				worstLines = append(worstLines, fmt.Sprintf("  - lineage: %s", pt.worstSpan))
-			}
-		}
-		tb.AddRow(p.name,
-			fmt.Sprintf("%d", pt.offered),
-			fmt.Sprintf("%d", pt.rejected),
-			servingMS(pt.sketch, 0.50),
-			servingMS(pt.sketch, 0.99),
-			servingMS(pt.sketch, 0.999),
-			fmt.Sprintf("%d", pt.maxDepth),
-			fmt.Sprintf("%d", pt.violations))
+		bounded = bounded && ok
+		worstLines = append(worstLines, servingWorst(p.Name, pt.sink)...)
 	}
 	if failDetail == "" {
 		failDetail = "every policy served each admitted request exactly once"
@@ -398,7 +276,7 @@ func runServingScripted(cfg Config) *Report {
 	rep.Checks = []Check{
 		check("requests conserved under the scripted schedule", allConserved, "%s", failDetail),
 		check("gateway queue bounded by the admission limit", bounded,
-			"peak depth <= %d for every policy", servingQueueLimit),
+			"peak depth <= %d for every policy", serve.DefaultQueueLimit),
 	}
 	return rep
 }

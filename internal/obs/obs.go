@@ -8,7 +8,7 @@
 // Every aggregate is computed from the deterministic hook stream and
 // rendered with sorted keys and fixed formatting, so for a fixed seed the
 // summary and the JSON are byte-identical across repeated runs — the
-// property the trace-determinism CI check pins down.
+// property the determinism CI check (scripts/determinism.sh) pins down.
 package obs
 
 import (

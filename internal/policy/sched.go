@@ -407,6 +407,18 @@ func Constructors() []Constructor {
 	}
 }
 
+// Paper returns the paper's three demand-driven stream policies with the
+// static request sizes its experiments run them at (the sizes the Figure 11
+// search lands in): DDFCFS with 4 buffers per request, DDWRR with 32, and
+// ODDS, whose DQAA adapts the size itself.
+func Paper() []Constructor {
+	return []Constructor{
+		{"DDFCFS", func() StreamPolicy { return DDFCFS(4) }},
+		{"DDWRR", func() StreamPolicy { return DDWRR(32) }},
+		{"ODDS", func() StreamPolicy { return ODDS() }},
+	}
+}
+
 // Affinity is the XKaapi-style data-locality policy: FIFO queues (the
 // scheduler's score replaces the per-kind heaps) with a fresh
 // AffinitySched and a static request size.

@@ -1,7 +1,11 @@
-// Package serve is the live-observability engine behind cmd/anthill-serve.
-// It builds one shared simulation holding an independent open-system
-// serving pipeline per stream policy (arrivals -> admission-controlled
-// gateway -> heterogeneous CPU/GPU serve pool), then advances the virtual
+// Package serve is the open-system serving pipeline (arrivals ->
+// admission-controlled gateway -> heterogeneous CPU/GPU serve pool) and the
+// live-observability engine behind cmd/anthill-serve. Build and Sink
+// (pipeline.go) construct and measure one pipeline; the serving and
+// policylab experiments use them directly.
+//
+// The Engine builds one shared simulation holding an independent pipeline
+// per stream policy, each on a private two-node pool, then advances the virtual
 // clock in step with an external clock at a configurable time-dilation
 // factor. While the simulation runs, the engine exposes thread-safe views:
 // registry snapshots rendered as Prometheus text for /metrics, JSON frames
@@ -32,19 +36,11 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/task"
 )
 
-// Per-request service costs and pool shape, mirroring the serving
-// experiment: each policy pipeline gets a private two-node pool (one
-// CPU-only node, one GPU node) so the policies compete on identical,
-// isolated hardware.
 const (
-	cpuCost = sim.Millisecond
-	gpuCost = 300 * sim.Microsecond
-
-	// DefaultSLO is the end-to-end latency objective, as in the serving
-	// experiment.
+	// DefaultSLO is the end-to-end latency objective requests are audited
+	// against.
 	DefaultSLO = 5 * sim.Millisecond
 	// DefaultQueueLimit bounds each gateway's send queue.
 	DefaultQueueLimit = 32
@@ -56,31 +52,21 @@ const (
 	DefaultEventCap = 4096
 )
 
-// Capacity is one pipeline's aggregate service rate in requests per second
-// (two CPU workers plus one GPU worker).
-const Capacity = 2.0/0.001 + 1.0/0.0003
-
-// PolicyNames are the recognized -policies values, in canonical order.
-var PolicyNames = []string{"ddfcfs", "ddwrr", "odds"}
-
-// ctor returns the constructor for a policy name (case-insensitive).
-func ctor(name string) (func() policy.StreamPolicy, error) {
-	switch strings.ToLower(name) {
-	case "ddfcfs":
-		return func() policy.StreamPolicy { return policy.DDFCFS(4) }, nil
-	case "ddwrr":
-		return func() policy.StreamPolicy { return policy.DDWRR(32) }, nil
-	case "odds":
-		return func() policy.StreamPolicy { return policy.ODDS() }, nil
+// PolicyNames are the recognized -policies values, in canonical order: the
+// paper's stream policies (policy.Paper), lower-cased.
+var PolicyNames = func() []string {
+	var names []string
+	for _, c := range policy.Paper() {
+		names = append(names, strings.ToLower(c.Name))
 	}
-	return nil, fmt.Errorf("serve: unknown policy %q (have %s)", name, strings.Join(PolicyNames, ", "))
-}
+	return names
+}()
 
 // Config parameterizes an Engine. Zero values take the defaults above;
 // Times is required.
 type Config struct {
 	Seed       int64
-	Policies   []string   // subset of PolicyNames; nil = all
+	Policies   []string   // subset of PolicyNames, case-insensitive; nil = all
 	Times      []sim.Time // arrival instants, shared by every pipeline
 	SLO        sim.Time
 	QueueLimit int
@@ -95,7 +81,23 @@ type Config struct {
 	DisableSink bool
 }
 
-func (c *Config) defaults() {
+// validate rejects malformed values and fills in the defaults.
+func (c *Config) validate() error {
+	if len(c.Times) == 0 {
+		return fmt.Errorf("serve: no arrival instants")
+	}
+	switch {
+	case c.SLO < 0:
+		return fmt.Errorf("serve: negative SLO %v", c.SLO)
+	case c.QueueLimit < 0:
+		return fmt.Errorf("serve: negative queue limit %d", c.QueueLimit)
+	case c.Window < 0:
+		return fmt.Errorf("serve: negative window %v", c.Window)
+	case c.Windows < 0:
+		return fmt.Errorf("serve: negative window count %d", c.Windows)
+	case c.EventCap < 0:
+		return fmt.Errorf("serve: negative event cap %d", c.EventCap)
+	}
 	if len(c.Policies) == 0 {
 		c.Policies = PolicyNames
 	}
@@ -114,34 +116,16 @@ func (c *Config) defaults() {
 	if c.EventCap == 0 {
 		c.EventCap = DefaultEventCap
 	}
+	return nil
 }
 
-// worst is the stage breakdown of a pipe's worst SLO violator so far.
-type worst struct {
-	taskID                     uint64
-	node                       int
-	kind                       hw.Kind
-	admit, deliver, start, end sim.Time
-}
-
-func (w worst) latency() sim.Time { return w.end - w.admit }
-
-// pipe is the live state of one policy's pipeline.
+// pipe is the live state of one policy's pipeline: its sink plus the
+// engine's sliding-window sketch.
 type pipe struct {
-	name       string
-	stats      *arrival.Stats
-	admitAt    map[uint64]sim.Time
-	deliverAt  map[uint64]sim.Time
-	win        *obs.WindowedSketch
-	cum        *obs.Sketch
-	served     int
-	violations int
-	curDepth   int
-	maxDepth   int
-	worst      worst
-	worstDirty bool   // a new worst arrived since the lineage was last built
-	lineage    string // rendered span breakdown of the worst violator
-	breakdown  string // rendered stage breakdown of the worst violator
+	name  string
+	stats *arrival.Stats
+	sink  *Sink
+	win   *obs.WindowedSketch
 }
 
 // Event is one entry of the bounded JSONL stream: an admission shed or an
@@ -178,143 +162,88 @@ type Engine struct {
 }
 
 // New builds the engine: one kernel, one runtime, an isolated two-node
-// pool and gateway->serve pipeline per policy, hooks feeding the engine's
-// live state, a span collector for lineage, and an obs registry for
-// /metrics. The runtime is started; call Advance to make progress.
+// pool and gateway->serve pipeline per policy, a sink per pipeline feeding
+// the engine's live state, a span collector for lineage, and an obs
+// registry for /metrics. The runtime is started; call Advance to make
+// progress.
 func New(cfg Config) (*Engine, error) {
-	cfg.defaults()
-	if len(cfg.Times) == 0 {
-		return nil, fmt.Errorf("serve: no arrival instants")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	ctors := make([]func() policy.StreamPolicy, len(cfg.Policies))
+	ctors := make([]policy.Constructor, len(cfg.Policies))
 	for i, name := range cfg.Policies {
-		c, err := ctor(name)
+		c, err := lookup(name)
 		if err != nil {
 			return nil, err
+		}
+		for _, prev := range ctors[:i] {
+			if prev.Name == c.Name {
+				return nil, fmt.Errorf("serve: policy %q listed twice", name)
+			}
 		}
 		ctors[i] = c
 	}
 
 	e := &Engine{cfg: cfg, k: sim.NewKernel(cfg.Seed), ring: make([]Event, 0, cfg.EventCap)}
-	specs := make([]hw.NodeSpec, 0, 2*len(cfg.Policies))
-	for range cfg.Policies {
-		specs = append(specs, hw.NodeSpec{CPUCores: 2}, hw.NodeSpec{CPUCores: 2, HasGPU: true})
+	var specs []hw.NodeSpec
+	for range ctors {
+		specs = append(specs, Pool()...)
 	}
 	e.rt = core.New(hw.NewCluster(e.k, specs, nil), nil)
-
-	byFilter := make(map[string]*pipe, 2*len(cfg.Policies))
-	for _, name := range cfg.Policies {
+	if !cfg.DisableSink {
+		e.col = span.NewCollector()
+	}
+	for _, c := range ctors {
 		p := &pipe{
-			name:      strings.ToLower(name),
-			admitAt:   make(map[uint64]sim.Time, len(cfg.Times)),
-			deliverAt: make(map[uint64]sim.Time, len(cfg.Times)),
-			win:       obs.NewWindowedSketch(obs.DefaultEps, cfg.Window, cfg.Windows),
-			cum:       obs.NewSketch(obs.DefaultEps),
+			name: strings.ToLower(c.Name),
+			win:  obs.NewWindowedSketch(obs.DefaultEps, cfg.Window, cfg.Windows),
+		}
+		p.sink = NewSink(p.name, cfg.SLO, e.col)
+		p.sink.OnShed = func(r core.AdmitRecord) {
+			e.record(Event{At: float64(r.At), Policy: p.name, Type: "shed", Task: r.TaskID})
+		}
+		p.sink.OnServed = func(r Request) {
+			lat := r.Latency()
+			p.win.Add(r.End, float64(lat))
+			if lat > cfg.SLO {
+				e.record(Event{At: float64(r.End), Policy: p.name, Type: "slo_violation",
+					Task: r.Task, LatencyMS: float64(lat) / float64(sim.Millisecond)})
+			}
 		}
 		e.pipes = append(e.pipes, p)
-		byFilter["gateway-"+p.name] = p
-		byFilter["serve-"+p.name] = p
 	}
 
-	// Engine hooks are installed first, then the span collector and the
-	// registry chain in front (later-attached subscribers fire first), so by
-	// the time the engine sees a record the collector has already recorded
-	// the lineage it would need for BuildRequest. Every hook runs inside
-	// Advance, which holds e.mu — pipe state needs no extra lock.
+	// The sinks are attached first, then the span collector and the
+	// registry chain in front (later-attached subscribers fire first). Every
+	// hook runs inside Advance, which holds e.mu — pipe state needs no
+	// extra lock.
 	if !cfg.DisableSink {
-		e.installSink(byFilter)
+		for _, p := range e.pipes {
+			p.sink.Attach(e.rt)
+		}
+		e.col.Attach(e.rt)
+		e.reg = obs.NewRegistry()
+		e.reg.Attach(e.rt)
 	}
 
-	for i := range cfg.Policies {
-		p := e.pipes[i]
-		gw := e.rt.AddFilter(core.FilterSpec{
-			Name: "gateway-" + p.name, Placement: []int{2 * i},
-			Open: true, QueueLimit: cfg.QueueLimit,
-		})
-		srv := e.rt.AddFilter(core.FilterSpec{
-			Name: "serve-" + p.name, Placement: []int{2 * i, 2*i + 1},
-			CPUWorkers: 1, UseGPU: true, GPUWorkers: 1,
-			Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-		})
-		e.rt.Connect(gw, srv, ctors[i]())
-		p.stats = arrival.Drive(e.rt, gw, cfg.Times, func(int) *task.Task {
-			return &task.Task{
-				Size: 8 << 10, OutSize: 1 << 10,
-				Cost: func(kw hw.Kind) sim.Time {
-					if kw == hw.GPU {
-						return gpuCost
-					}
-					return cpuCost
-				},
-			}
+	for i, p := range e.pipes {
+		p.stats = Build(e.rt, Pipeline{
+			Suffix: p.name, Gateway: 2 * i, Placement: []int{2 * i, 2*i + 1},
+			QueueLimit: cfg.QueueLimit, Policy: ctors[i].New(), Times: cfg.Times,
 		})
 	}
 	e.rt.Start()
 	return e, nil
 }
 
-// installSink wires the engine's hook bus, the span collector, and the obs
-// registry onto the runtime (see the ordering note at the call site).
-func (e *Engine) installSink(byFilter map[string]*pipe) {
-	e.rt.Hooks = core.Bus{
-		Admit: func(r core.AdmitRecord) {
-			p := byFilter[r.Filter]
-			if p == nil {
-				return
-			}
-			if r.Accepted {
-				p.admitAt[r.TaskID] = r.At
-				return
-			}
-			e.record(Event{At: float64(r.At), Policy: p.name, Type: "shed", Task: r.TaskID})
-		},
-		QueueDepth: func(r core.QueueDepthRecord) {
-			p := byFilter[r.Filter]
-			if p == nil || !strings.HasPrefix(r.Filter, "gateway-") || r.Queue != "send" {
-				return
-			}
-			p.curDepth = r.Depth
-			if r.Depth > p.maxDepth {
-				p.maxDepth = r.Depth
-			}
-		},
-		Deliver: func(r core.DeliverRecord) {
-			p := byFilter[r.Filter]
-			if p == nil || !strings.HasPrefix(r.Filter, "serve-") {
-				return
-			}
-			p.deliverAt[r.TaskID] = r.At
-		},
-		Process: func(r core.ProcRecord) {
-			p := byFilter[r.Filter]
-			if p == nil || !strings.HasPrefix(r.Filter, "serve-") {
-				return
-			}
-			at, ok := p.admitAt[r.TaskID]
-			if !ok {
-				return // defensive: processed without an admit record
-			}
-			lat := r.End - at
-			p.served++
-			p.win.Add(r.End, float64(lat))
-			p.cum.Add(float64(lat))
-			if lat <= e.cfg.SLO {
-				return
-			}
-			p.violations++
-			e.record(Event{At: float64(r.End), Policy: p.name, Type: "slo_violation",
-				Task: r.TaskID, LatencyMS: float64(lat) / float64(sim.Millisecond)})
-			if lat > p.worst.latency() || p.worst.taskID == 0 {
-				p.worst = worst{taskID: r.TaskID, node: r.NodeID, kind: r.Kind,
-					admit: at, deliver: p.deliverAt[r.TaskID], start: r.Start, end: r.End}
-				p.worstDirty = true
-			}
-		},
+// lookup returns the paper policy named name (case-insensitive).
+func lookup(name string) (policy.Constructor, error) {
+	for _, c := range policy.Paper() {
+		if strings.EqualFold(c.Name, name) {
+			return c, nil
+		}
 	}
-	e.col = span.NewCollector()
-	e.col.Attach(e.rt)
-	e.reg = obs.NewRegistry()
-	e.reg.Attach(e.rt)
+	return policy.Constructor{}, fmt.Errorf("serve: unknown policy %q (have %s)", name, strings.Join(PolicyNames, ", "))
 }
 
 // record appends to the bounded event ring, overwriting the oldest entry
@@ -401,15 +330,6 @@ func (e *Engine) Done() (bool, error) {
 	return e.done, e.err
 }
 
-// WorstInfo is the live makespan attribution of a pipe's worst SLO
-// violator: the stage breakdown plus the span-collector lineage.
-type WorstInfo struct {
-	Task      uint64  `json:"task"`
-	LatencyMS float64 `json:"latency_ms"`
-	Breakdown string  `json:"breakdown"`
-	Lineage   string  `json:"lineage,omitempty"`
-}
-
 // PipeFrame is one policy's slice of a frame.
 type PipeFrame struct {
 	Policy        string     `json:"policy"`
@@ -438,8 +358,7 @@ type Frame struct {
 }
 
 // Frame assembles the current frame. The worst violator's span lineage is
-// built lazily — only when a new worst appeared since the last frame — so
-// steady-state frames cost no graph walks.
+// built lazily (Sink.Worst), so steady-state frames cost no graph walks.
 func (e *Engine) Frame() Frame {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -447,17 +366,6 @@ func (e *Engine) Frame() Frame {
 	f := Frame{VirtualS: float64(now), Done: e.done, Pipes: make([]PipeFrame, 0, len(e.pipes))}
 	ms := func(t float64) float64 { return t / float64(sim.Millisecond) }
 	for _, p := range e.pipes {
-		if p.worstDirty {
-			p.worstDirty = false
-			p.breakdown = fmt.Sprintf("task %d via serve/%d (%s): total %.3f ms = gateway %.3f + wait %.3f + service %.3f",
-				p.worst.taskID, p.worst.node, p.worst.kind,
-				ms(float64(p.worst.latency())), ms(float64(p.worst.deliver-p.worst.admit)),
-				ms(float64(p.worst.start-p.worst.deliver)), ms(float64(p.worst.end-p.worst.start)))
-			p.lineage = ""
-			if a, err := e.col.BuildRequest(p.worst.taskID); err == nil {
-				p.lineage = a.Breakdown()
-			}
-		}
 		winSpan := float64(e.cfg.Window) * float64(e.cfg.Windows)
 		if el := float64(now); el > 0 && el < winSpan {
 			winSpan = el
@@ -470,19 +378,17 @@ func (e *Engine) Frame() Frame {
 		pf := PipeFrame{
 			Policy:  p.name,
 			Offered: p.stats.Offered, Accepted: p.stats.Accepted, Shed: p.stats.Rejected,
-			Served: p.served, Violations: p.violations,
-			QueueDepth: p.curDepth, MaxQueueDepth: p.maxDepth,
+			Served: p.sink.Served, Violations: p.sink.Violations,
+			QueueDepth: p.sink.Depth, MaxQueueDepth: p.sink.MaxDepth,
 			WindowCount:   count,
 			P50ms:         ms(p.win.Quantile(now, 0.50)),
 			P99ms:         ms(p.win.Quantile(now, 0.99)),
 			P999ms:        ms(p.win.Quantile(now, 0.999)),
-			CumP99ms:      ms(p.cum.Quantile(0.99)),
+			CumP99ms:      ms(p.sink.Latency.Quantile(0.99)),
 			ThroughputRPS: rps,
 		}
-		if p.worst.taskID != 0 {
-			pf.Worst = &WorstInfo{Task: p.worst.taskID,
-				LatencyMS: ms(float64(p.worst.latency())),
-				Breakdown: p.breakdown, Lineage: p.lineage}
+		if w, ok := p.sink.Worst(); ok {
+			pf.Worst = &w
 		}
 		f.Pipes = append(f.Pipes, pf)
 	}

@@ -77,7 +77,7 @@ func TestManualClockDilationPacing(t *testing.T) {
 
 // overloadTimes offers 1.5x one pipeline's capacity for the given span.
 func overloadTimes(span sim.Time) []sim.Time {
-	rate := 1.5 * Capacity
+	rate := 1.5 * Capacity(2, 1)
 	gap := sim.Time(1.0 / rate)
 	return uniformTimes(int(float64(span)*rate), gap)
 }
@@ -237,13 +237,28 @@ func TestDisableSink(t *testing.T) {
 	}
 }
 
-// TestUnknownPolicyRejected checks config validation.
+// TestUnknownPolicyRejected checks config validation: malformed configs
+// return an error from New instead of building a broken engine or
+// panicking.
 func TestUnknownPolicyRejected(t *testing.T) {
-	if _, err := New(Config{Policies: []string{"lifo"}, Times: uniformTimes(1, 0)}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("empty schedule accepted")
+	times := uniformTimes(1, 0)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unknown policy", Config{Policies: []string{"lifo"}, Times: times}},
+		{"empty schedule", Config{}},
+		{"duplicate policy", Config{Policies: []string{"odds", "odds"}, Times: times}},
+		{"duplicate policy, mixed case", Config{Policies: []string{"ODDS", "odds"}, Times: times}},
+		{"negative event cap", Config{EventCap: -1, Times: times}},
+		{"negative window count", Config{Windows: -1, Times: times}},
+		{"negative window", Config{Window: -sim.Millisecond, Times: times}},
+		{"negative queue limit", Config{QueueLimit: -1, Times: times}},
+		{"negative SLO", Config{SLO: -sim.Millisecond, Times: times}},
+	} {
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

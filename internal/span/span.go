@@ -13,7 +13,7 @@
 // Everything is computed from the deterministic hook stream and rendered
 // with sorted keys and fixed formatting, so for a fixed seed the Summary()
 // text and the Encode() JSON artifact are byte-identical across repeated
-// runs, serial or parallel — the property `make explain-determinism` pins
+// runs, serial or parallel — the property `make determinism` pins
 // down. Like every bus subscriber, an unattached collector costs the hot
 // path nothing: all hooks stay nil.
 package span
