@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race fuzz-smoke bench-sweep trace-determinism explain-determinism serving-determinism policylab-determinism serve-smoke byte-identity check verify
+.PHONY: all build vet test test-short test-race fuzz-smoke bench-sweep determinism serve-smoke byte-identity check verify
 
 all: build
 
@@ -40,63 +40,13 @@ fuzz-smoke:
 bench-sweep:
 	$(GO) run ./cmd/benchsweep -o BENCH_sweep.json
 
-# Same-seed observability captures must be byte-identical: run the fig7
-# capture twice through the CLI and compare the trace + metrics artifacts.
-trace-determinism:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/anthill-sim -exp fig7 -seed 1 -o /dev/null \
-	    -trace "$$dir/a.trace.json" -metrics-out "$$dir/a.metrics.json"; \
-	$(GO) run ./cmd/anthill-sim -exp fig7 -seed 1 -o /dev/null \
-	    -trace "$$dir/b.trace.json" -metrics-out "$$dir/b.metrics.json"; \
-	cmp "$$dir/a.trace.json" "$$dir/b.trace.json" && \
-	cmp "$$dir/a.metrics.json" "$$dir/b.metrics.json" && \
-	echo "trace-determinism: byte-identical"
-
-# The makespan-attribution artifacts must be deterministic: pooled capture
-# runs under the race detector, plus the fig10 explain JSON byte-identity
-# between a serial and a 4-worker CLI invocation.
-explain-determinism:
-	$(GO) test -race -run '^TestExplain' -timeout 20m ./internal/experiments
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/anthill-sim -exp fig10 -seed 1 -o /dev/null \
-	    -parallel=false -explain-out "$$dir/a.explain.json"; \
-	$(GO) run ./cmd/anthill-sim -exp fig10 -seed 1 -o /dev/null \
-	    -parallel -workers 4 -explain-out "$$dir/b.explain.json"; \
-	cmp "$$dir/a.explain.json" "$$dir/b.explain.json" && \
-	echo "explain-determinism: byte-identical"
-
-# The open-system serving report must be byte-identical serial vs 4-worker:
-# the in-process sweep across seeds 1-3 (under the race detector), plus one
-# CLI-level comparison with a scripted arrival schedule.
-serving-determinism:
-	$(GO) test -race -run '^TestServing' -timeout 20m ./internal/experiments
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	for seed in 1 2 3; do \
-	  $(GO) run ./cmd/anthill-sim -exp serving -seed $$seed -parallel=false \
-	      -arrivals 'poisson:rate=4000,n=600;burst:rate=1000,n=200,peak=4,period=50ms' \
-	      -o "$$dir/a.md"; \
-	  $(GO) run ./cmd/anthill-sim -exp serving -seed $$seed -parallel -workers 4 \
-	      -arrivals 'poisson:rate=4000,n=600;burst:rate=1000,n=200,peak=4,period=50ms' \
-	      -o "$$dir/b.md"; \
-	  cmp "$$dir/a.md" "$$dir/b.md" || exit 1; \
-	done; \
-	echo "serving-determinism: byte-identical (seeds 1-3)"
-
-# The policy-lab matrix (six policies x three cluster shapes, with stateful
-# rival schedulers) must be byte-identical serial vs 4-worker: the
-# in-process sweep across seeds 1-3 (under the race detector), plus one
-# CLI-level comparison per seed.
-policylab-determinism:
-	$(GO) test -race -run '^TestPolicylab' -timeout 20m ./internal/experiments
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	for seed in 1 2 3; do \
-	  $(GO) run ./cmd/anthill-sim -exp policylab -seed $$seed -parallel=false \
-	      -o "$$dir/a.md"; \
-	  $(GO) run ./cmd/anthill-sim -exp policylab -seed $$seed -parallel -workers 4 \
-	      -o "$$dir/b.md"; \
-	  cmp "$$dir/a.md" "$$dir/b.md" || exit 1; \
-	done; \
-	echo "policylab-determinism: byte-identical (seeds 1-3)"
+# Determinism: the explain, serving and policy-lab sweeps in-process under
+# the race detector, then scripts/determinism.sh, which runs its table of
+# (experiment, flags) rows for seeds 1-3 serially and on 4 workers and
+# requires every report and capture file to be byte-identical.
+determinism:
+	$(GO) test -race -run '^TestExplain|^TestServing|^TestPolicylab' -timeout 20m ./internal/experiments
+	./scripts/determinism.sh
 
 # End-to-end gate for the live demo server: build cmd/anthill-serve, start
 # it on a short schedule, poll /healthz, assert the /metrics families and an
@@ -116,7 +66,7 @@ byte-identity:
 # fault-injection determinism check (serial vs 4 workers, seeds 1-3) + the
 # trace/metrics, explain-artifact, serving, policy-lab and full-report
 # byte-identity gates + the live demo-server smoke test.
-verify: vet test fuzz-smoke trace-determinism explain-determinism serving-determinism policylab-determinism serve-smoke byte-identity
+verify: vet test fuzz-smoke determinism serve-smoke byte-identity
 	$(GO) test -run '^TestChaosDeterminism$$' -timeout 20m ./internal/experiments
 
 # Tier-1+ pre-merge verification (vet, build, race, determinism seeds 1-3,

@@ -43,56 +43,12 @@ go test -run '^TestSendThen|^TestCopyThen' -count=1 -timeout 5m ./internal/hw
 echo "== chaos determinism  (serial vs 4-worker fault-injection sweeps, seeds 1-3)"
 go test -run '^TestChaosDeterminism$' -timeout 20m ./internal/experiments
 
-echo "== serving determinism  (serial vs 4-worker open-system sweeps, seeds 1-3)"
-go test -race -run '^TestServing' -timeout 20m ./internal/experiments
-servingspec='poisson:rate=4000,n=600;burst:rate=1000,n=200,peak=4,period=50ms'
-servingdir=$(mktemp -d)
-for seed in 1 2 3; do
-    go run ./cmd/anthill-sim -exp serving -seed "$seed" -parallel=false \
-        -arrivals "$servingspec" -o "$servingdir/a.md"
-    go run ./cmd/anthill-sim -exp serving -seed "$seed" -parallel -workers 4 \
-        -arrivals "$servingspec" -o "$servingdir/b.md"
-    cmp "$servingdir/a.md" "$servingdir/b.md"
-done
-rm -rf "$servingdir"
-
-echo "== policylab determinism  (serial vs 4-worker rival-scheduler matrix, seeds 1-3)"
-go test -race -run '^TestPolicylab' -timeout 20m ./internal/experiments
-labdir=$(mktemp -d)
-for seed in 1 2 3; do
-    go run ./cmd/anthill-sim -exp policylab -seed "$seed" -parallel=false \
-        -o "$labdir/a.md"
-    go run ./cmd/anthill-sim -exp policylab -seed "$seed" -parallel -workers 4 \
-        -o "$labdir/b.md"
-    cmp "$labdir/a.md" "$labdir/b.md"
-done
-rm -rf "$labdir"
-
 echo "== serve smoke  (live demo server: healthz, /metrics families, SSE frame, clean SIGTERM)"
 go test -run '^TestServeSmoke$' -count=1 -timeout 5m ./cmd/anthill-serve
 
-echo "== trace determinism  (same-seed -trace/-metrics-out captures must be byte-identical)"
-tracedir=$(mktemp -d)
-trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/anthill-sim -exp fig7 -seed 1 -o /dev/null \
-    -trace "$tracedir/a.trace.json" -metrics-out "$tracedir/a.metrics.json"
-go run ./cmd/anthill-sim -exp fig7 -seed 1 -o /dev/null \
-    -trace "$tracedir/b.trace.json" -metrics-out "$tracedir/b.metrics.json"
-cmp "$tracedir/a.trace.json" "$tracedir/b.trace.json"
-cmp "$tracedir/a.metrics.json" "$tracedir/b.metrics.json"
-
-echo "== report determinism  (serial vs 4-worker CLI reports must be byte-identical)"
-go run ./cmd/anthill-sim -exp fig7 -seed 2 -parallel=false -o "$tracedir/a.report.md"
-go run ./cmd/anthill-sim -exp fig7 -seed 2 -parallel -workers 4 -o "$tracedir/b.report.md"
-cmp "$tracedir/a.report.md" "$tracedir/b.report.md"
-
-echo "== explain determinism  (serial vs 4-worker makespan-attribution artifacts must be byte-identical)"
-go test -race -run '^TestExplain' -timeout 20m ./internal/experiments
-go run ./cmd/anthill-sim -exp fig10 -seed 1 -o /dev/null \
-    -parallel=false -explain-out "$tracedir/a.explain.json"
-go run ./cmd/anthill-sim -exp fig10 -seed 1 -o /dev/null \
-    -parallel -workers 4 -explain-out "$tracedir/b.explain.json"
-cmp "$tracedir/a.explain.json" "$tracedir/b.explain.json"
+echo "== determinism  (race-detector sweeps + serial-vs-4-worker CLI artifacts, seeds 1-${ANTHILL_DETERMINISM_SEEDS:-3})"
+go test -race -run '^TestExplain|^TestServing|^TestPolicylab' -timeout 20m ./internal/experiments
+ANTHILL_DETERMINISM_SEEDS="${ANTHILL_DETERMINISM_SEEDS:-3}" ./scripts/determinism.sh
 
 echo "== byte-identity  (seed-1 reports and serving capture against checked-in digests, serve golden replay)"
 ./scripts/byte-identity.sh
