@@ -227,13 +227,6 @@ func runLabBatch(cfg Config, s labShape, def labPolicyDef, seed int64,
 // so weighted and scheduler-driven policies see real relative advantage.
 func runLabOpen(cfg Config, s labShape, def labPolicyDef, seed int64, pt *labPoint) {
 	rt := core.New(s.cluster(sim.NewKernel(seed)), nil)
-	pol := def.mk()
-	sink := serve.NewSink("", serve.DefaultSLO, nil)
-	sink.Attach(rt)
-	if hooks := labHooks(pol); hooks != nil {
-		hooks(rt)
-	}
-
 	placement := make([]int, s.nodes())
 	for i := range placement {
 		placement[i] = i
@@ -242,10 +235,16 @@ func runLabOpen(cfg Config, s labShape, def labPolicyDef, seed int64, pt *labPoi
 	sched := &arrival.Schedule{Procs: []arrival.Proc{{
 		Kind: arrival.Poisson, Rate: rate, N: int(rate * labHorizon(cfg).Seconds()),
 	}}}
-	st := serve.Build(rt, serve.Pipeline{
+	pl := serve.Pipeline{
 		Placement: placement, QueueLimit: serve.DefaultQueueLimit,
-		Policy: pol, Times: sched.Times(seed), Weighted: true,
-	})
+		Policy: def.mk(), Times: sched.Times(seed), Weighted: true,
+	}
+	sink := serve.NewSink(pl, serve.DefaultSLO, nil)
+	sink.Attach(rt)
+	if hooks := labHooks(pl.Policy); hooks != nil {
+		hooks(rt)
+	}
+	st := serve.Build(rt, pl)
 	if _, err := rt.Run(); err != nil {
 		pt.err = fmt.Errorf("open: %w", err)
 		return

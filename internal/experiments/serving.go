@@ -73,13 +73,12 @@ func (p servingPoint) conserved() bool { return p.err == nil && p.sink.Conserved
 // sink, so the worst violator's lineage can be built after the run.
 func runServingPoint(seed int64, pol func() policy.StreamPolicy, times []sim.Time) servingPoint {
 	rt := core.New(hw.NewCluster(sim.NewKernel(seed), serve.Pool(), nil), nil)
+	pl := serve.Pipeline{Placement: []int{0, 1}, QueueLimit: serve.DefaultQueueLimit, Policy: pol(), Times: times}
 	col := span.NewCollector()
-	pt := servingPoint{sink: serve.NewSink("", serve.DefaultSLO, col)}
+	pt := servingPoint{sink: serve.NewSink(pl, serve.DefaultSLO, col)}
 	pt.sink.Attach(rt)
 	col.Attach(rt)
-	pt.stats = serve.Build(rt, serve.Pipeline{
-		Placement: []int{0, 1}, QueueLimit: serve.DefaultQueueLimit, Policy: pol(), Times: times,
-	})
+	pt.stats = serve.Build(rt, pl)
 	if _, err := rt.Run(); err != nil {
 		pt.err = err
 	} else {

@@ -13,12 +13,6 @@ import (
 	"repro/internal/task"
 )
 
-// This file is the open-system pipeline every serving study shares — the
-// live engine, the serving and policylab experiments and the serving
-// observability capture: an admission-controlled gateway feeding a
-// replicated CPU/GPU serve filter (Build), and the hook-bus measurement
-// sink that audits it (Sink).
-
 // Per-request service costs: every request costs CPUCost on a CPU worker
 // and GPUCost on a GPU worker.
 const (
@@ -60,8 +54,8 @@ type Pipeline struct {
 	Weighted bool
 }
 
-// FilterNames returns the gateway and serve filter names for a suffix.
-func FilterNames(suffix string) (gateway, serve string) {
+// filterNames returns the gateway and serve filter names for a suffix.
+func filterNames(suffix string) (gateway, serve string) {
 	if suffix == "" {
 		return "gateway", "serve"
 	}
@@ -74,7 +68,7 @@ func FilterNames(suffix string) (gateway, serve string) {
 // request carries 8 KiB in and 1 KiB out. The returned stats fill in as the
 // run admits and sheds requests.
 func Build(rt *core.Runtime, p Pipeline) *arrival.Stats {
-	gwName, srvName := FilterNames(p.Suffix)
+	gwName, srvName := filterNames(p.Suffix)
 	gw := rt.AddFilter(core.FilterSpec{
 		Name: gwName, Placement: []int{p.Gateway},
 		Open: true, QueueLimit: p.QueueLimit,
@@ -158,15 +152,16 @@ type Sink struct {
 	OnServed func(Request)
 }
 
-// NewSink returns a sink for the pipeline with the given filter-name suffix
-// that audits requests against slo. col, if non-nil, is the span collector
-// the worst violator's lineage is built from; attach it after the sink.
-func NewSink(suffix string, slo sim.Time, col *span.Collector) *Sink {
-	gw, srv := FilterNames(suffix)
+// NewSink returns a sink for pipeline p that audits requests against slo.
+// col, if non-nil, is the span collector the worst violator's lineage is
+// built from; attach it after the sink. The per-request maps are sized for
+// every arrival of p up front, as the pinned serve benchmarks measure them.
+func NewSink(p Pipeline, slo sim.Time, col *span.Collector) *Sink {
+	gw, srv := filterNames(p.Suffix)
 	return &Sink{
 		gateway: gw, serve: srv, slo: slo, col: col,
-		admitAt:   map[uint64]sim.Time{},
-		deliverAt: map[uint64]sim.Time{},
+		admitAt:   make(map[uint64]sim.Time, len(p.Times)),
+		deliverAt: make(map[uint64]sim.Time, len(p.Times)),
 		Latency:   obs.NewSketch(obs.DefaultEps),
 	}
 }
@@ -235,7 +230,7 @@ func (s *Sink) served(r core.ProcRecord) {
 	s.Latency.Add(float64(lat))
 	if lat > s.slo {
 		s.Violations++
-		if lat > s.worst.Latency() || s.worst.Task == 0 {
+		if lat > s.worst.Latency() {
 			s.worst = req
 			s.worstDirty = true
 		}
@@ -265,7 +260,7 @@ type WorstInfo struct {
 // new worst arrived since the last call, so repeated calls cost no graph
 // walks.
 func (s *Sink) Worst() (w WorstInfo, ok bool) {
-	if s.worst.Task == 0 {
+	if s.Violations == 0 {
 		return WorstInfo{}, false
 	}
 	if s.worstDirty {

@@ -1,8 +1,8 @@
 // Package serve is the open-system serving pipeline (arrivals ->
 // admission-controlled gateway -> heterogeneous CPU/GPU serve pool) and the
 // live-observability engine behind cmd/anthill-serve. Build and Sink
-// (pipeline.go) construct and measure one pipeline; the serving and
-// policylab experiments use them directly.
+// (pipeline.go) construct and measure one pipeline; the engine, the
+// serving and policylab experiments and the serving capture all use them.
 //
 // The Engine builds one shared simulation holding an independent pipeline
 // per stream policy, each on a private two-node pool, then advances the virtual
@@ -123,6 +123,7 @@ func (c *Config) validate() error {
 // engine's sliding-window sketch.
 type pipe struct {
 	name  string
+	pl    Pipeline
 	stats *arrival.Stats
 	sink  *Sink
 	win   *obs.WindowedSketch
@@ -193,12 +194,17 @@ func New(cfg Config) (*Engine, error) {
 	if !cfg.DisableSink {
 		e.col = span.NewCollector()
 	}
-	for _, c := range ctors {
+	for i, c := range ctors {
+		name := strings.ToLower(c.Name)
 		p := &pipe{
-			name: strings.ToLower(c.Name),
-			win:  obs.NewWindowedSketch(obs.DefaultEps, cfg.Window, cfg.Windows),
+			name: name,
+			pl: Pipeline{
+				Suffix: name, Gateway: 2 * i, Placement: []int{2 * i, 2*i + 1},
+				QueueLimit: cfg.QueueLimit, Policy: c.New(), Times: cfg.Times,
+			},
+			win: obs.NewWindowedSketch(obs.DefaultEps, cfg.Window, cfg.Windows),
 		}
-		p.sink = NewSink(p.name, cfg.SLO, e.col)
+		p.sink = NewSink(p.pl, cfg.SLO, e.col)
 		p.sink.OnShed = func(r core.AdmitRecord) {
 			e.record(Event{At: float64(r.At), Policy: p.name, Type: "shed", Task: r.TaskID})
 		}
@@ -226,11 +232,8 @@ func New(cfg Config) (*Engine, error) {
 		e.reg.Attach(e.rt)
 	}
 
-	for i, p := range e.pipes {
-		p.stats = Build(e.rt, Pipeline{
-			Suffix: p.name, Gateway: 2 * i, Placement: []int{2 * i, 2*i + 1},
-			QueueLimit: cfg.QueueLimit, Policy: ctors[i].New(), Times: cfg.Times,
-		})
+	for _, p := range e.pipes {
+		p.stats = Build(e.rt, p.pl)
 	}
 	e.rt.Start()
 	return e, nil

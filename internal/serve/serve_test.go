@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/arrival"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -259,6 +260,32 @@ func TestUnknownPolicyRejected(t *testing.T) {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestSinkCountsDuplicateService feeds a sink hand-made hook records: a
+// request served twice, and one served without an admission, each count as
+// an orphan and break conservation, while the first completion is measured.
+func TestSinkCountsDuplicateService(t *testing.T) {
+	rt := &core.Runtime{}
+	s := NewSink(Pipeline{}, DefaultSLO, nil)
+	s.Attach(rt)
+	rt.Hooks.Admit(core.AdmitRecord{Filter: "gateway", TaskID: 1, At: 0, Accepted: true})
+	rt.Hooks.Deliver(core.DeliverRecord{Filter: "serve", TaskID: 1, At: sim.Millisecond})
+	done := core.ProcRecord{Filter: "serve", TaskID: 1, Start: 2 * sim.Millisecond, End: 9 * sim.Millisecond}
+	rt.Hooks.Process(done)
+	st := &arrival.Stats{Offered: 1, Accepted: 1}
+	if s.Served != 1 || s.Violations != 1 || s.Orphans != 0 || !s.Conserved(st) {
+		t.Fatalf("first completion: served %d, violations %d, orphans %d", s.Served, s.Violations, s.Orphans)
+	}
+	if w, ok := s.Worst(); !ok || w.Task != 1 || !strings.Contains(w.Breakdown, "gateway 1.000 + wait 1.000 + service 7.000") {
+		t.Fatalf("worst violator %+v (ok %v)", w, ok)
+	}
+	rt.Hooks.Process(done)
+	rt.Hooks.Process(core.ProcRecord{Filter: "serve", TaskID: 2, End: sim.Millisecond})
+	if s.Served != 1 || s.Orphans != 2 || s.Conserved(st) {
+		t.Fatalf("after duplicate and unadmitted completions: served %d, orphans %d, conserved %v",
+			s.Served, s.Orphans, s.Conserved(st))
 	}
 }
 
