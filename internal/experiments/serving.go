@@ -65,8 +65,6 @@ type servingPoint struct {
 	err   error
 }
 
-func (p servingPoint) conserved() bool { return p.err == nil && p.sink.Conserved(p.stats) }
-
 // runServingPoint executes one open-system run: Poisson (or scripted)
 // arrivals at an admission-controlled gateway, the two-node heterogeneous
 // serve pool, one stream policy. A span collector chains in front of the
@@ -94,7 +92,7 @@ func servingCell(pt servingPoint) (cells []string, bounded bool, fail string) {
 		return []string{"-", "-", "-", "-", "-", "-", "ERROR"}, true, pt.err.Error()
 	}
 	st, sk := pt.stats, pt.sink
-	if !pt.conserved() {
+	if !sk.Conserved(st) {
 		fail = fmt.Sprintf("offered %d, accepted %d, rejected %d, served %d, %d duplicated or unadmitted",
 			st.Offered, st.Accepted, st.Rejected, sk.Served, sk.Orphans)
 	}

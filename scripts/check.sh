@@ -48,7 +48,7 @@ go test -run '^TestServeSmoke$' -count=1 -timeout 5m ./cmd/anthill-serve
 
 echo "== determinism  (race-detector sweeps + serial-vs-4-worker CLI artifacts, seeds 1-${ANTHILL_DETERMINISM_SEEDS:-3})"
 go test -race -run '^TestExplain|^TestServing|^TestPolicylab' -timeout 20m ./internal/experiments
-ANTHILL_DETERMINISM_SEEDS="${ANTHILL_DETERMINISM_SEEDS:-3}" ./scripts/determinism.sh
+./scripts/determinism.sh
 
 echo "== byte-identity  (seed-1 reports and serving capture against checked-in digests, serve golden replay)"
 ./scripts/byte-identity.sh
