@@ -22,11 +22,12 @@ test-short:
 test-race:
 	$(GO) test -race -timeout 20m ./...
 
-# Short fuzz runs of the six fuzz targets with checked-in corpora: the
+# Short fuzz runs of the seven fuzz targets with checked-in corpora: the
 # -faults spec parser, the estimator profile loader, the makespan
 # attribution (explain JSON) decoder, the kernel-vs-oracle scenario differ
 # (byte-decoded concurrent programs run on both sim kernels), the -arrivals
-# spec parser, and the latency quantile-sketch decoder.
+# spec parser, the latency quantile-sketch decoder, and the windowed
+# sketch's cached fold against a from-scratch fold.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadProfile$$' -fuzztime 10s ./internal/estimator
@@ -34,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelScenario$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrivals$$' -fuzztime 10s ./internal/arrival
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchDecode$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowedSketch$$' -fuzztime 10s ./internal/obs
 
 # Regenerates BENCH_sweep.json: full-report wall time serial vs parallel,
 # points/sec, speedup, byte-identity, and kernel allocs/op.

@@ -19,8 +19,10 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/xfer"
 )
 
 // Counter accumulates additive observations: N is the number of Add calls,
@@ -225,6 +227,88 @@ func (r *Registry) Hist(key string) *Hist {
 	return h
 }
 
+// handles memoizes one hook's metric handles per label tuple: resolve
+// formats the tuple's keys and looks the metrics up the first time the
+// tuple is seen, so later events of the tuple format no strings.
+type handles[K comparable, V any] struct {
+	m       map[K]V
+	resolve func(K) V
+}
+
+func newHandles[K comparable, V any](resolve func(K) V) *handles[K, V] {
+	return &handles[K, V]{m: make(map[K]V), resolve: resolve}
+}
+
+// get returns the tuple's handles. Caller holds the registry mutex.
+func (h *handles[K, V]) get(k K) V {
+	v, ok := h.m[k]
+	if !ok {
+		v = h.resolve(k)
+		h.m[k] = v
+	}
+	return v
+}
+
+// Label tuples of the hooks' metric keys.
+type (
+	procLabels struct {
+		filter string
+		inst   int
+		dev    hw.Kind
+	}
+	// workerLabels serves both the Target (worker name) and QueueDepth
+	// (queue name) hooks.
+	workerLabels struct {
+		filter string
+		inst   int
+		name   string
+	}
+	demandLabels struct {
+		filter string
+		inst   int
+		input  int
+		event  core.DemandEvent
+	}
+	streamLabels struct {
+		stream string
+		inst   int
+		push   bool
+	}
+	faultLabels struct{ kind, phase string }
+	spanLabels  struct {
+		filter string
+		inst   int
+		node   int
+		kind   xfer.SpanKind
+	}
+)
+
+// level is a gauge and a histogram fed the same integer signal.
+type level struct {
+	g *Gauge
+	h *Hist
+}
+
+func (l level) observe(at sim.Time, v int) {
+	l.g.Set(at, float64(v))
+	l.h.Observe(at, v)
+}
+
+// xferHandles are one span tuple's counters; bytes is resolved on the
+// tuple's first span that moves data, so kernel-only tuples have none.
+type xferHandles struct {
+	key                string
+	spans, busy, bytes *Counter
+}
+
+// mode names a stream transfer's path in metric keys.
+func mode(push bool) string {
+	if push {
+		return "push"
+	}
+	return "demand"
+}
+
 // Attach subscribes the registry to every hook of the runtime's bus,
 // chaining any subscriber already installed so multiple consumers (e.g. a
 // trace collector and a registry) can share one run. Call before rt.Run.
@@ -233,108 +317,127 @@ func (r *Registry) Hist(key string) *Hist {
 // before chaining to the previous subscriber), so Snapshot can read from
 // another goroutine mid-run.
 func (r *Registry) Attach(rt *core.Runtime) {
+	procs := newHandles(func(l procLabels) [2]*Counter {
+		k := fmt.Sprintf("filter=%s,inst=%d,dev=%s", l.filter, l.inst, l.dev)
+		return [2]*Counter{r.Counter("events_processed{" + k + "}"), r.Counter("service_time_s{" + k + "}")}
+	})
 	prevProc := rt.Hooks.Process
 	rt.Hooks.Process = func(rec core.ProcRecord) {
 		dur := float64(rec.End - rec.Start)
-		k := fmt.Sprintf("filter=%s,inst=%d,dev=%s", rec.Filter, rec.Instance, rec.Kind)
 		r.mu.Lock()
-		r.Counter("events_processed{" + k + "}").Add(1)
-		r.Counter("service_time_s{" + k + "}").Add(dur)
+		c := procs.get(procLabels{rec.Filter, rec.Instance, rec.Kind})
+		c[0].Add(1)
+		c[1].Add(dur)
 		r.mu.Unlock()
 		if prevProc != nil {
 			prevProc(rec)
 		}
 	}
+	targets := newHandles(func(l workerLabels) level {
+		k := fmt.Sprintf("dqaa_target{filter=%s,inst=%d,worker=%s}", l.filter, l.inst, l.name)
+		return level{r.Gauge(k), r.Hist(k)}
+	})
 	prevTarget := rt.Hooks.Target
 	rt.Hooks.Target = func(rec core.TargetRecord) {
-		k := fmt.Sprintf("dqaa_target{filter=%s,inst=%d,worker=%s}", rec.Filter, rec.Instance, rec.Worker)
 		r.mu.Lock()
-		r.Gauge(k).Set(rec.At, float64(rec.Target))
-		r.Hist(k).Observe(rec.At, rec.Target)
+		targets.get(workerLabels{rec.Filter, rec.Instance, rec.Worker}).observe(rec.At, rec.Target)
 		r.mu.Unlock()
 		if prevTarget != nil {
 			prevTarget(rec)
 		}
 	}
+	depths := newHandles(func(l workerLabels) level {
+		k := fmt.Sprintf("queue_depth{filter=%s,inst=%d,queue=%s}", l.filter, l.inst, l.name)
+		return level{r.Gauge(k), r.Hist(k)}
+	})
 	prevDepth := rt.Hooks.QueueDepth
 	rt.Hooks.QueueDepth = func(rec core.QueueDepthRecord) {
-		k := fmt.Sprintf("queue_depth{filter=%s,inst=%d,queue=%s}", rec.Filter, rec.Instance, rec.Queue)
 		r.mu.Lock()
-		r.Gauge(k).Set(rec.At, float64(rec.Depth))
-		r.Hist(k).Observe(rec.At, rec.Depth)
+		depths.get(workerLabels{rec.Filter, rec.Instance, rec.Queue}).observe(rec.At, rec.Depth)
 		r.mu.Unlock()
 		if prevDepth != nil {
 			prevDepth(rec)
 		}
 	}
+	demands := newHandles(func(l demandLabels) *Counter {
+		return r.Counter(fmt.Sprintf("demand{filter=%s,inst=%d,input=%d,event=%s}",
+			l.filter, l.inst, l.input, l.event))
+	})
 	prevDemand := rt.Hooks.Demand
 	rt.Hooks.Demand = func(rec core.DemandRecord) {
-		k := fmt.Sprintf("demand{filter=%s,inst=%d,input=%d,event=%s}",
-			rec.Filter, rec.Instance, rec.Input, rec.Event)
 		r.mu.Lock()
-		r.Counter(k).Add(1)
+		demands.get(demandLabels{rec.Filter, rec.Instance, rec.Input, rec.Event}).Add(1)
 		r.mu.Unlock()
 		if prevDemand != nil {
 			prevDemand(rec)
 		}
 	}
+	sends := newHandles(func(l streamLabels) [2]*Counter {
+		k := fmt.Sprintf("stream=%s,inst=%d,mode=%s", l.stream, l.inst, mode(l.push))
+		return [2]*Counter{r.Counter("stream_sends{" + k + "}"), r.Counter("stream_bytes{" + k + "}")}
+	})
 	prevSend := rt.Hooks.Send
 	rt.Hooks.Send = func(rec core.SendRecord) {
-		mode := "demand"
-		if rec.Push {
-			mode = "push"
-		}
-		k := fmt.Sprintf("stream=%s,inst=%d,mode=%s", rec.Stream, rec.FromInstance, mode)
 		r.mu.Lock()
-		r.Counter("stream_sends{" + k + "}").Add(1)
-		r.Counter("stream_bytes{" + k + "}").Add(float64(rec.Bytes))
+		c := sends.get(streamLabels{rec.Stream, rec.FromInstance, rec.Push})
+		c[0].Add(1)
+		c[1].Add(float64(rec.Bytes))
 		r.mu.Unlock()
 		if prevSend != nil {
 			prevSend(rec)
 		}
 	}
+	emits := newHandles(func(l streamLabels) *Counter {
+		return r.Counter(fmt.Sprintf("stream_emits{stream=%s,inst=%d}", l.stream, l.inst))
+	})
 	prevEmit := rt.Hooks.Emit
 	rt.Hooks.Emit = func(rec core.EmitRecord) {
-		k := fmt.Sprintf("stream=%s,inst=%d", rec.Stream, rec.Instance)
 		r.mu.Lock()
-		r.Counter("stream_emits{" + k + "}").Add(1)
+		emits.get(streamLabels{stream: rec.Stream, inst: rec.Instance}).Add(1)
 		r.mu.Unlock()
 		if prevEmit != nil {
 			prevEmit(rec)
 		}
 	}
+	delivers := newHandles(func(l streamLabels) *Counter {
+		return r.Counter(fmt.Sprintf("stream_delivers{stream=%s,inst=%d,mode=%s}", l.stream, l.inst, mode(l.push)))
+	})
 	prevDeliver := rt.Hooks.Deliver
 	rt.Hooks.Deliver = func(rec core.DeliverRecord) {
-		mode := "demand"
-		if rec.Push {
-			mode = "push"
-		}
-		k := fmt.Sprintf("stream=%s,inst=%d,mode=%s", rec.Stream, rec.Instance, mode)
 		r.mu.Lock()
-		r.Counter("stream_delivers{" + k + "}").Add(1)
+		delivers.get(streamLabels{rec.Stream, rec.Instance, rec.Push}).Add(1)
 		r.mu.Unlock()
 		if prevDeliver != nil {
 			prevDeliver(rec)
 		}
 	}
+	faults := newHandles(func(l faultLabels) *Counter {
+		return r.Counter(fmt.Sprintf("faults{kind=%s,phase=%s}", l.kind, l.phase))
+	})
 	prevFault := rt.Hooks.Fault
 	rt.Hooks.Fault = func(rec core.FaultRecord) {
-		k := fmt.Sprintf("faults{kind=%s,phase=%s}", rec.Kind, rec.Phase)
 		r.mu.Lock()
-		r.Counter(k).Add(1)
+		faults.get(faultLabels{rec.Kind, rec.Phase}).Add(1)
 		r.mu.Unlock()
 		if prevFault != nil {
 			prevFault(rec)
 		}
 	}
+	xfers := newHandles(func(l spanLabels) *xferHandles {
+		k := fmt.Sprintf("filter=%s,inst=%d,node=%d,kind=%s", l.filter, l.inst, l.node, l.kind)
+		return &xferHandles{key: k, spans: r.Counter("xfer_spans{" + k + "}"), busy: r.Counter("xfer_busy_s{" + k + "}")}
+	})
 	prevSpan := rt.Hooks.Span
 	rt.Hooks.Span = func(rec core.SpanRecord) {
-		k := fmt.Sprintf("filter=%s,inst=%d,node=%d,kind=%s", rec.Filter, rec.Instance, rec.NodeID, rec.Kind)
 		r.mu.Lock()
-		r.Counter("xfer_spans{" + k + "}").Add(1)
-		r.Counter("xfer_busy_s{" + k + "}").Add(float64(rec.End - rec.Start))
+		x := xfers.get(spanLabels{rec.Filter, rec.Instance, rec.NodeID, rec.Kind})
+		x.spans.Add(1)
+		x.busy.Add(float64(rec.End - rec.Start))
 		if rec.Bytes > 0 {
-			r.Counter("xfer_bytes{" + k + "}").Add(float64(rec.Bytes))
+			if x.bytes == nil {
+				x.bytes = r.Counter("xfer_bytes{" + x.key + "}")
+			}
+			x.bytes.Add(float64(rec.Bytes))
 		}
 		r.mu.Unlock()
 		if prevSpan != nil {

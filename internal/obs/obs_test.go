@@ -167,3 +167,43 @@ func TestSummaryAndJSONDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryHooksAllocFree requires every hook to allocate nothing once
+// its label tuple has been seen: the metric keys are formatted on the
+// tuple's first event only.
+func TestRegistryHooksAllocFree(t *testing.T) {
+	rt := &core.Runtime{}
+	NewRegistry().Attach(rt)
+	hooks := map[string]func(){
+		"Process": func() {
+			rt.Hooks.Process(core.ProcRecord{Filter: "serve", Instance: 1, Kind: 1, Start: 0, End: 1})
+		},
+		"Demand": func() {
+			rt.Hooks.Demand(core.DemandRecord{Filter: "serve", Instance: 1, Input: 0, Event: core.DemandEmpty})
+		},
+		"Send": func() {
+			rt.Hooks.Send(core.SendRecord{Stream: "gateway->serve", FromInstance: 0, Bytes: 8, Push: true})
+		},
+		"Deliver": func() {
+			rt.Hooks.Deliver(core.DeliverRecord{Stream: "gateway->serve", Filter: "serve", Instance: 1})
+		},
+		"Emit": func() {
+			rt.Hooks.Emit(core.EmitRecord{Stream: "gateway->serve", Filter: "gateway", TaskID: 3})
+		},
+		"QueueDepth": func() {
+			rt.Hooks.QueueDepth(core.QueueDepthRecord{Filter: "gateway", Queue: "send", At: 1, Depth: 4})
+		},
+		"Span": func() {
+			rt.Hooks.Span(core.SpanRecord{Filter: "serve", Instance: 1, NodeID: 1, Start: 0, End: 1, Bytes: 64})
+		},
+		"Target": func() {
+			rt.Hooks.Target(core.TargetRecord{Filter: "serve", Instance: 1, Worker: "g0", At: 1, Target: 3})
+		},
+	}
+	for name, hook := range hooks {
+		hook()
+		if n := testing.AllocsPerRun(100, hook); n != 0 {
+			t.Errorf("%s hook allocates %v times per repeated event, want 0", name, n)
+		}
+	}
+}

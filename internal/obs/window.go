@@ -22,14 +22,23 @@ import (
 // recompressed: it is a transient query structure, and skipping the
 // compression keeps the error bound airtight.
 func (s *Sketch) Merge(o *Sketch) *Sketch {
-	eps := math.Max(s.eps, o.eps)
-	if s.n == 0 {
-		return o.clone(eps)
+	m := &Sketch{entries: make([]gkEntry, 0, len(s.entries)+len(o.entries))}
+	m.mergeOf(s, o)
+	return m
+}
+
+// mergeOf overwrites m with s.Merge(o), reusing m's entry storage. m must
+// be neither s nor o.
+func (m *Sketch) mergeOf(s, o *Sketch) {
+	m.eps = math.Max(s.eps, o.eps)
+	m.n = s.n + o.n
+	m.sinceCompress = 0
+	m.entries = m.entries[:0]
+	if s.n == 0 || o.n == 0 {
+		m.entries = append(m.entries, s.entries...)
+		m.entries = append(m.entries, o.entries...)
+		return
 	}
-	if o.n == 0 {
-		return s.clone(eps)
-	}
-	m := &Sketch{eps: eps, n: s.n + o.n, entries: make([]gkEntry, 0, len(s.entries)+len(o.entries))}
 	a, b := s.entries, o.entries
 	var i, j int
 	for i < len(a) || j < len(b) {
@@ -54,22 +63,30 @@ func (s *Sketch) Merge(o *Sketch) *Sketch {
 	// merged summary satisfies the same invariants Add/compress maintain.
 	m.entries[0].delta = 0
 	m.entries[len(m.entries)-1].delta = 0
-	return m
-}
-
-// clone copies the sketch with the given error bound (>= the original's).
-func (s *Sketch) clone(eps float64) *Sketch {
-	return &Sketch{eps: eps, n: s.n, entries: append([]gkEntry(nil), s.entries...)}
 }
 
 // WindowedSketch holds a ring of per-window GK sketches. A sample at time t
 // lands in window floor(t/width); queries merge the windows still live at
 // the query instant, i.e. the last `windows` of them. Reusing a ring slot
 // for a new window index discards the expired window's samples.
+//
+// Queries fold the live windows oldest first. The fold of the windows
+// before the current one changes only when the window slides or a sample
+// lands outside the current window, so the sketch caches it and a query
+// merges just the current window onto it. Queries update that cache, so a
+// WindowedSketch is not safe for concurrent use.
 type WindowedSketch struct {
 	eps   float64
 	width sim.Time
 	slots []windowSlot
+
+	// prefix is the fold of the live windows before window prefixCur, valid
+	// while prefixOK; spare is its scratch twin during a rebuild, out the
+	// summary Merged returns, and empty stands in for an absent window.
+	prefixCur          int64
+	prefixOK           bool
+	prefix, spare, out *Sketch
+	empty              *Sketch
 }
 
 // windowSlot pairs a ring slot's sketch with the window index it holds.
@@ -87,19 +104,48 @@ func NewWindowedSketch(eps float64, width sim.Time, windows int) *WindowedSketch
 	if windows < 1 {
 		panic(fmt.Sprintf("obs: window count must be >= 1, got %d", windows))
 	}
-	w := &WindowedSketch{eps: eps, width: width, slots: make([]windowSlot, windows)}
+	w := &WindowedSketch{eps: eps, width: width, slots: make([]windowSlot, windows),
+		prefix: NewSketch(eps), spare: NewSketch(eps), out: NewSketch(eps), empty: NewSketch(eps)}
 	for i := range w.slots {
 		w.slots[i] = windowSlot{idx: -1, sk: NewSketch(eps)}
 	}
 	return w
 }
 
-// Add inserts one sample observed at time at (>= 0). Samples need not be
-// time-ordered within the live span, but an insert more than `windows`
-// windows in the past lands in a reused slot and is treated as current.
+// index returns the window index floor(at/width) of instant at.
+func (w *WindowedSketch) index(at sim.Time) int64 {
+	return int64(math.Floor(float64(at / w.width)))
+}
+
+// slot returns the ring slot window idx maps to.
+func (w *WindowedSketch) slot(idx int64) *windowSlot {
+	n := int64(len(w.slots))
+	return &w.slots[(idx%n+n)%n]
+}
+
+// window returns the sketch of window idx while its ring slot still holds
+// it with samples, else nil.
+func (w *WindowedSketch) window(idx int64) *Sketch {
+	if slot := w.slot(idx); slot.idx == idx && slot.sk.n > 0 {
+		return slot.sk
+	}
+	return nil
+}
+
+// Add inserts one sample observed at time at, which must be finite and
+// >= 0. Samples need not be time-ordered within the live span, but an
+// insert more than `windows` windows in the past lands in a reused slot and
+// is treated as current.
 func (w *WindowedSketch) Add(at sim.Time, v float64) {
-	idx := int64(at / w.width)
-	slot := &w.slots[idx%int64(len(w.slots))]
+	if !(at >= 0) || math.IsInf(float64(at), 0) {
+		panic(fmt.Sprintf("obs: windowed sketch instants must be finite and >= 0, got %v", at))
+	}
+	idx := w.index(at)
+	if idx != w.prefixCur {
+		// Only the current window lies outside the cached prefix.
+		w.prefixOK = false
+	}
+	slot := w.slot(idx)
 	if slot.idx != idx {
 		slot.idx = idx
 		slot.sk = NewSketch(w.eps)
@@ -107,29 +153,30 @@ func (w *WindowedSketch) Add(at sim.Time, v float64) {
 	slot.sk.Add(v)
 }
 
-// live yields the slots holding windows still visible at time at, in
-// ascending window order so merges fold deterministically.
-func (w *WindowedSketch) live(at sim.Time) []*Sketch {
-	cur := int64(at / w.width)
-	oldest := cur - int64(len(w.slots)) + 1
-	out := make([]*Sketch, 0, len(w.slots))
-	for off := oldest; off <= cur; off++ {
-		slot := &w.slots[((off%int64(len(w.slots)))+int64(len(w.slots)))%int64(len(w.slots))]
-		if slot.idx == off && slot.sk.n > 0 {
-			out = append(out, slot.sk)
-		}
-	}
-	return out
-}
-
 // Merged returns one sketch summarizing every sample in the windows live at
-// time at. The result is a fresh transient summary; the ring is unchanged.
+// time at, folded oldest window first. The summary is owned by the
+// windowed sketch: it stays valid until the next Add or Merged and must not
+// be modified.
 func (w *WindowedSketch) Merged(at sim.Time) *Sketch {
-	m := NewSketch(w.eps)
-	for _, sk := range w.live(at) {
-		m = m.Merge(sk)
+	cur := w.index(at)
+	if !w.prefixOK || w.prefixCur != cur {
+		acc, next := w.prefix, w.spare
+		acc.mergeOf(w.empty, w.empty) // the empty fold
+		for off := cur - int64(len(w.slots)) + 1; off < cur; off++ {
+			if sk := w.window(off); sk != nil {
+				next.mergeOf(acc, sk)
+				acc, next = next, acc
+			}
+		}
+		w.prefix, w.spare = acc, next
+		w.prefixCur, w.prefixOK = cur, true
 	}
-	return m
+	last := w.window(cur)
+	if last == nil {
+		last = w.empty
+	}
+	w.out.mergeOf(w.prefix, last)
+	return w.out
 }
 
 // Quantile returns the q-quantile over the windows live at time at.
@@ -139,9 +186,12 @@ func (w *WindowedSketch) Quantile(at sim.Time, q float64) float64 {
 
 // Count returns the number of samples in the windows live at time at.
 func (w *WindowedSketch) Count(at sim.Time) int64 {
+	cur := w.index(at)
 	var n int64
-	for _, sk := range w.live(at) {
-		n += sk.n
+	for off := cur - int64(len(w.slots)) + 1; off <= cur; off++ {
+		if sk := w.window(off); sk != nil {
+			n += sk.n
+		}
 	}
 	return n
 }

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -25,8 +28,8 @@ func rankError(sorted []float64, v, q float64) float64 {
 	if r < 1 {
 		r = 1
 	}
-	lo := sort.SearchFloat64s(sorted, v)                                    // samples strictly below v
-	hi := sort.Search(n, func(i int) bool { return sorted[i] > v })         // samples <= v
+	lo := sort.SearchFloat64s(sorted, v)                            // samples strictly below v
+	hi := sort.Search(n, func(i int) bool { return sorted[i] > v }) // samples <= v
 	if float64(lo+1) > r {
 		return float64(lo+1) - r
 	}
@@ -171,5 +174,165 @@ func TestWindowedSketchDeterministic(t *testing.T) {
 	a, b := build(), string(build())
 	if string(a) != b {
 		t.Fatal("merged windowed sketch not deterministic")
+	}
+}
+
+// refWindows is the from-scratch reference for WindowedSketch: a ring of
+// per-window sketches with its own slot arithmetic, folded afresh oldest
+// window first on every query.
+type refWindows struct {
+	eps   float64
+	width sim.Time
+	idx   []int64
+	sks   []*Sketch
+}
+
+func newRefWindows(eps float64, width sim.Time, windows int) *refWindows {
+	r := &refWindows{eps: eps, width: width, idx: make([]int64, windows), sks: make([]*Sketch, windows)}
+	for i := range r.idx {
+		r.idx[i] = -1
+	}
+	return r
+}
+
+func (r *refWindows) add(at sim.Time, v float64) {
+	idx := int64(math.Floor(float64(at / r.width)))
+	s := idx % int64(len(r.idx))
+	if r.idx[s] != idx {
+		r.idx[s], r.sks[s] = idx, NewSketch(r.eps)
+	}
+	r.sks[s].Add(v)
+}
+
+func (r *refWindows) merged(at sim.Time) *Sketch {
+	n := int64(len(r.idx))
+	cur := int64(math.Floor(float64(at / r.width)))
+	m := NewSketch(r.eps)
+	for off := cur - n + 1; off <= cur; off++ {
+		if s := (off%n + n) % n; r.idx[s] == off && r.sks[s] != nil {
+			m = m.Merge(r.sks[s])
+		}
+	}
+	return m
+}
+
+// windowOp is one step of a windowed-sketch schedule: an Add, or with query
+// set a Merged/Count query at the instant.
+type windowOp struct {
+	query bool
+	at    sim.Time
+	v     float64
+}
+
+// checkWindowOps replays ops on a WindowedSketch and on the reference and
+// requires every query, and a final one at the last instant, to encode
+// identically and count the same samples.
+func checkWindowOps(t *testing.T, eps float64, width sim.Time, windows int, ops []windowOp) {
+	t.Helper()
+	w, ref := NewWindowedSketch(eps, width, windows), newRefWindows(eps, width, windows)
+	var last sim.Time
+	check := func(i int, at sim.Time) {
+		want := ref.merged(at)
+		if got := w.Merged(at).Encode(); !bytes.Equal(got, want.Encode()) {
+			t.Fatalf("op %d: Merged(%v) = %s, reference fold %s", i, at, got, want.Encode())
+		}
+		if got := w.Count(at); got != want.Count() {
+			t.Fatalf("op %d: Count(%v) = %d, want %d", i, at, got, want.Count())
+		}
+	}
+	for i, op := range ops {
+		last = op.at
+		if op.query {
+			check(i, op.at)
+			continue
+		}
+		w.Add(op.at, op.v)
+		ref.add(op.at, op.v)
+	}
+	check(len(ops), last)
+}
+
+// TestWindowedSketchIncremental checks the cached prefix fold against the
+// from-scratch reference over seeded random schedules: adds in order, out
+// of order into older live windows and past the ring (slot reuse), gaps
+// that leave windows empty or expire every window, bursts that compress a
+// window (g > 1), repeated queries with no Add in between, and queries at
+// instants before the newest sample.
+func TestWindowedSketchIncremental(t *testing.T) {
+	const width = sim.Time(1)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		windows := 1 + rng.Intn(6)
+		eps, burst := 0.01, 120 // compresses every 50 samples
+		if seed%2 == 0 {
+			eps, burst = DefaultEps, 2100 // g > 1 from 2000 samples
+		}
+		var ops []windowOp
+		at := sim.Time(0)
+		add := func(at sim.Time) { ops = append(ops, windowOp{at: at, v: rng.Float64()}) }
+		for step := 0; step < 2000; step++ {
+			switch r := rng.Float64(); {
+			case r < 0.5:
+				at += sim.Time(rng.Float64() * 0.3)
+				add(at)
+			case r < 0.65: // older window, live or long expired
+				add(max(0, at-sim.Time(rng.Float64()*float64(windows+2))*width))
+			case r < 0.7: // gap: empty windows, sometimes all expired
+				at += sim.Time(1+rng.Float64()*2*float64(windows)) * width
+			case r < 0.705:
+				for i := 0; i < burst; i++ {
+					add(at)
+				}
+			case r < 0.75: // a query behind the newest sample
+				ops = append(ops, windowOp{query: true, at: max(0, at-sim.Time(rng.Float64()*float64(windows+2))*width)})
+			default:
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					ops = append(ops, windowOp{query: true, at: at})
+				}
+			}
+		}
+		checkWindowOps(t, eps, width, windows, ops)
+	}
+}
+
+// TestWindowedSketchQueryAllocs requires repeated queries within one window
+// to allocate nothing once the sketch's buffers have grown.
+func TestWindowedSketchQueryAllocs(t *testing.T) {
+	w := NewWindowedSketch(0.01, sim.Time(1), 4)
+	g := lcg(3)
+	for i := 0; i < 4000; i++ {
+		w.Add(sim.Time(float64(i)*1e-3), g.next())
+	}
+	at := sim.Time(3.9995)
+	if n := testing.AllocsPerRun(100, func() {
+		m := w.Merged(at)
+		_ = m.Quantile(0.5) + m.Quantile(0.99) + m.Quantile(0.999) + float64(m.Count())
+	}); n != 0 {
+		t.Fatalf("Merged+Quantile allocates %v times per query, want 0", n)
+	}
+}
+
+// TestWindowedSketchRejectsBadInstants checks that Add panics with a clear
+// message on an instant no window holds (a negative instant once indexed
+// slot -1), and that queries at negative instants see no windows.
+func TestWindowedSketchRejectsBadInstants(t *testing.T) {
+	w := NewWindowedSketch(0.01, 25*sim.Millisecond, 8)
+	for _, at := range []sim.Time{-0.03, -0.01, sim.Time(math.NaN()), sim.Time(math.Inf(1))} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "finite and >= 0") {
+					t.Errorf("Add(%v) panicked with %q, want a finite/non-negative instant panic", at, msg)
+				}
+			}()
+			w.Add(at, 1)
+		}()
+	}
+	w.Add(0, 1)
+	if n := w.Count(-0.03); n != 0 {
+		t.Fatalf("Count(-0.03) = %d, want 0", n)
+	}
+	if n := w.Merged(-0.03).Count(); n != 0 {
+		t.Fatalf("Merged(-0.03) holds %d samples, want 0", n)
 	}
 }

@@ -154,15 +154,13 @@ type Sink struct {
 
 // NewSink returns a sink for pipeline p that audits requests against slo.
 // col, if non-nil, is the span collector the worst violator's lineage is
-// built from; attach it after the sink. The per-request maps are sized for
-// every arrival of p up front: unsized maps shrink the live heap, and the
-// paced engine then spends more time in garbage collection.
+// built from; attach it after the sink.
 func NewSink(p Pipeline, slo sim.Time, col *span.Collector) *Sink {
 	gw, srv := filterNames(p.Suffix)
 	return &Sink{
 		gateway: gw, serve: srv, slo: slo, col: col,
-		admitAt:   make(map[uint64]sim.Time, len(p.Times)),
-		deliverAt: make(map[uint64]sim.Time, len(p.Times)),
+		admitAt:   make(map[uint64]sim.Time),
+		deliverAt: make(map[uint64]sim.Time),
 		Latency:   obs.NewSketch(obs.DefaultEps),
 	}
 }

@@ -373,7 +373,8 @@ func (e *Engine) Frame() Frame {
 		if el := float64(now); el > 0 && el < winSpan {
 			winSpan = el
 		}
-		count := p.win.Count(now)
+		win := p.win.Merged(now)
+		count := win.Count()
 		rps := 0.0
 		if winSpan > 0 {
 			rps = float64(count) / winSpan
@@ -384,9 +385,9 @@ func (e *Engine) Frame() Frame {
 			Served: p.sink.Served, Violations: p.sink.Violations,
 			QueueDepth: p.sink.Depth, MaxQueueDepth: p.sink.MaxDepth,
 			WindowCount:   count,
-			P50ms:         ms(p.win.Quantile(now, 0.50)),
-			P99ms:         ms(p.win.Quantile(now, 0.99)),
-			P999ms:        ms(p.win.Quantile(now, 0.999)),
+			P50ms:         ms(win.Quantile(0.50)),
+			P99ms:         ms(win.Quantile(0.99)),
+			P999ms:        ms(win.Quantile(0.999)),
 			CumP99ms:      ms(p.sink.Latency.Quantile(0.99)),
 			ThroughputRPS: rps,
 		}

@@ -205,15 +205,8 @@ func (c *Collector) BuildRequest(root uint64) (*Attribution, error) {
 	if !ok {
 		return nil, fmt.Errorf("span: task %d was not admitted as a request root", root)
 	}
-	// Children index over the collected lineages, in first-seen order so
-	// the BFS below is deterministic.
-	kids := make(map[uint64][]uint64, len(c.bufs))
-	for _, id := range c.order {
-		if p := c.bufs[id].Parent; p != 0 {
-			kids[p] = append(kids[p], id)
-		}
-	}
-	// The request's lineage: everything reachable from the root.
+	// The request's lineage: everything reachable from the root. The visit
+	// order does not matter: final is the (End, ID) maximum.
 	var final *Buffer
 	members, processed := 0, 0
 	queue := []uint64{root}
@@ -228,7 +221,7 @@ func (c *Collector) BuildRequest(root uint64) (*Attribution, error) {
 				final = b
 			}
 		}
-		for _, k := range kids[id] {
+		for _, k := range c.kids[id] {
 			if !seen[k] {
 				seen[k] = true
 				queue = append(queue, k)

@@ -1,6 +1,10 @@
 package span
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/arrival"
@@ -225,5 +229,139 @@ func TestBuildRequestRejectsNonRoots(t *testing.T) {
 	}
 	if _, err := col.BuildRequest(1 << 60); err == nil {
 		t.Fatal("unknown task accepted as a request root")
+	}
+}
+
+// scanKids rebuilds the children index from scratch by scanning every
+// collected buffer's Parent, dropping parents whose lists emptied.
+func scanKids(c *Collector) map[uint64][]uint64 {
+	kids := make(map[uint64][]uint64)
+	for _, id := range c.order {
+		if p := c.bufs[id].Parent; p != 0 {
+			kids[p] = append(kids[p], id)
+		}
+	}
+	return kids
+}
+
+// checkKids requires the collector's incremental children index to hold
+// exactly the children a full scan finds, per parent.
+func checkKids(t *testing.T, name string, c *Collector) {
+	t.Helper()
+	want := scanKids(c)
+	got := make(map[uint64][]uint64)
+	for p, ids := range c.kids {
+		if len(ids) > 0 {
+			got[p] = append([]uint64(nil), ids...)
+			slices.Sort(got[p])
+		}
+	}
+	for p := range want {
+		slices.Sort(want[p])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: children index %v, full scan %v", name, got, want)
+	}
+}
+
+func TestChildrenIndexMatchesScan(t *testing.T) {
+	for _, p := range openPipes {
+		col, _, _ := runOpenPipe(t, p)
+		checkKids(t, p.name, col)
+	}
+}
+
+// lineageStream replays one request on a bare bus: root 1, admitted at 0.1,
+// is processed by "mid" over [0.3, 0.5] and forwards children 2 and 3 to
+// "serve". With processFirst each child's Process record, which carries its
+// parent, arrives before its Emit. reparent first links child 3 under an
+// unrelated task 9 through its Process record, and its Emit then moves it.
+func lineageStream(processFirst, reparent bool) *Collector {
+	rt := &core.Runtime{}
+	c := NewCollector()
+	c.Attach(rt)
+	rt.Hooks.Admit(core.AdmitRecord{Filter: "gateway", TaskID: 1, At: 0.1, Accepted: true})
+	rt.Hooks.Emit(core.EmitRecord{Stream: "gateway->mid", Filter: "gateway", TaskID: 1, At: 0.1})
+	rt.Hooks.Send(core.SendRecord{Stream: "gateway->mid", TaskID: 1, At: 0.2})
+	rt.Hooks.Deliver(core.DeliverRecord{Stream: "gateway->mid", Filter: "mid", TaskID: 1, At: 0.3})
+	rt.Hooks.Process(core.ProcRecord{TaskID: 1, Filter: "mid", Start: 0.3, End: 0.5})
+	for _, id := range []uint64{2, 3} {
+		parent := uint64(1)
+		if reparent && id == 3 {
+			parent = 9
+		}
+		proc := core.ProcRecord{TaskID: id, Parent: parent, Filter: "serve", Instance: 1,
+			Start: 0.7, End: 0.8 + sim.Time(id)/10}
+		if processFirst {
+			rt.Hooks.Process(proc)
+		}
+		rt.Hooks.Emit(core.EmitRecord{Stream: "mid->serve", Filter: "mid", TaskID: id, Parent: 1, At: 0.5})
+		rt.Hooks.Send(core.SendRecord{Stream: "mid->serve", TaskID: id, At: 0.6})
+		rt.Hooks.Deliver(core.DeliverRecord{Stream: "mid->serve", Filter: "serve", Instance: 1, TaskID: id, At: 0.7})
+		if !processFirst {
+			rt.Hooks.Process(proc)
+		}
+	}
+	return c
+}
+
+// TestBuildRequestParentBeforeEmit requires the same per-request attribution
+// whichever of a child's Process and Emit records sets its parent first,
+// and after an Emit moves a child from the parent its Process named.
+func TestBuildRequestParentBeforeEmit(t *testing.T) {
+	encode := func(name string, c *Collector) []byte {
+		checkKids(t, name, c)
+		a, err := c.BuildRequest(1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if a.Buffers != 3 || a.FinalTask != 3 {
+			t.Fatalf("%s: lineage of %d buffers ending at task %d, want 3 ending at task 3",
+				name, a.Buffers, a.FinalTask)
+		}
+		data, err := a.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := encode("emit first", lineageStream(false, false))
+	for _, tc := range []struct {
+		name                   string
+		processFirst, reparent bool
+	}{
+		{"process first", true, false},
+		{"process first, reparented by emit", true, true},
+	} {
+		if got := encode(tc.name, lineageStream(tc.processFirst, tc.reparent)); !bytes.Equal(got, want) {
+			t.Errorf("%s: attribution\n%s\nwant\n%s", tc.name, got, want)
+		}
+	}
+}
+
+// BenchmarkBuildRequest rebuilds one request's lineage next to a growing
+// number of unrelated requests; the time per rebuild stays flat because
+// the walk touches only the request's own lineage.
+func BenchmarkBuildRequest(b *testing.B) {
+	for _, unrelated := range []int{1e3, 1e4, 1e5} {
+		b.Run(fmt.Sprintf("unrelated=%d", unrelated), func(b *testing.B) {
+			c := lineageStream(false, false)
+			rt := &core.Runtime{}
+			c.Attach(rt)
+			for i := 0; i < unrelated; i++ {
+				id := uint64(100 + 2*i)
+				rt.Hooks.Admit(core.AdmitRecord{Filter: "gateway", TaskID: id, At: 1, Accepted: true})
+				rt.Hooks.Emit(core.EmitRecord{Stream: "gateway->mid", Filter: "gateway", TaskID: id, At: 1})
+				rt.Hooks.Process(core.ProcRecord{TaskID: id, Filter: "mid", Start: 1, End: 2})
+				rt.Hooks.Emit(core.EmitRecord{Stream: "mid->serve", Filter: "mid", TaskID: id + 1, Parent: id, At: 2})
+				rt.Hooks.Process(core.ProcRecord{TaskID: id + 1, Parent: id, Filter: "serve", Start: 2, End: 3})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.BuildRequest(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

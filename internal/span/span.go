@@ -126,6 +126,9 @@ type Buffer struct {
 type Collector struct {
 	bufs  map[uint64]*Buffer
 	order []uint64 // first-seen order, for deterministic iteration
+	// kids lists each parent's children, kept in step with every
+	// Buffer.Parent by setParent.
+	kids map[uint64][]uint64
 	// inject records the admission instant of every accepted open-system
 	// request root (Admit hook), the left edge of its per-request tiling.
 	inject map[uint64]sim.Time
@@ -133,7 +136,8 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{bufs: make(map[uint64]*Buffer), inject: make(map[uint64]sim.Time)}
+	return &Collector{bufs: make(map[uint64]*Buffer), kids: make(map[uint64][]uint64),
+		inject: make(map[uint64]sim.Time)}
 }
 
 // Injected returns the admission instant of an accepted request root, and
@@ -154,6 +158,27 @@ func (c *Collector) buf(id uint64) *Buffer {
 	return b
 }
 
+// setParent links b under parent p (0 for none), moving it in the children
+// index.
+func (c *Collector) setParent(b *Buffer, p uint64) {
+	if b.Parent == p {
+		return
+	}
+	if old := b.Parent; old != 0 {
+		sibs := c.kids[old]
+		for i, id := range sibs {
+			if id == b.ID {
+				c.kids[old] = append(sibs[:i], sibs[i+1:]...)
+				break
+			}
+		}
+	}
+	b.Parent = p
+	if p != 0 {
+		c.kids[p] = append(c.kids[p], b.ID)
+	}
+}
+
 // Buffers returns the number of tracked buffers.
 func (c *Collector) Buffers() int { return len(c.bufs) }
 
@@ -166,7 +191,7 @@ func (c *Collector) Attach(rt *core.Runtime) {
 		if !b.HaveEmit {
 			b.HaveEmit = true
 			b.Emit = r.At
-			b.Parent = r.Parent
+			c.setParent(b, r.Parent)
 			b.Stream = r.Stream
 			b.Producer = r.Filter
 			b.ProducerInst = r.Instance
@@ -206,7 +231,7 @@ func (c *Collector) Attach(rt *core.Runtime) {
 		b.Device = r.Kind
 		b.NodeID = r.NodeID
 		if b.Parent == 0 {
-			b.Parent = r.Parent
+			c.setParent(b, r.Parent)
 		}
 		b.Consumer = r.Filter
 		b.ConsumerInst = r.Instance

@@ -25,13 +25,14 @@ go test -race -run '^TestDiff|^TestProperty' -count=1 -timeout 10m ./internal/si
 echo "== go test ./...  (tier-1 suite + full-report determinism, seeds 1-${ANTHILL_DETERMINISM_SEEDS:-3})"
 ANTHILL_DETERMINISM_SEEDS="${ANTHILL_DETERMINISM_SEEDS:-3}" go test -timeout 40m ./...
 
-echo "== fuzz smoke  (-faults parser, estimator profile decoder, explain JSON decoder, kernel scenarios, -arrivals parser, quantile-sketch decoder)"
+echo "== fuzz smoke  (-faults parser, estimator profile decoder, explain JSON decoder, kernel scenarios, -arrivals parser, quantile-sketch decoder, windowed-sketch fold)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault
 go test -run '^$' -fuzz '^FuzzLoadProfile$' -fuzztime 10s ./internal/estimator
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/span
 go test -run '^$' -fuzz '^FuzzKernelScenario$' -fuzztime 15s ./internal/sim
 go test -run '^$' -fuzz '^FuzzParseArrivals$' -fuzztime 10s ./internal/arrival
 go test -run '^$' -fuzz '^FuzzSketchDecode$' -fuzztime 10s ./internal/obs
+go test -run '^$' -fuzz '^FuzzWindowedSketch$' -fuzztime 10s ./internal/obs
 
 echo "== message-path alloc gates  (blocking + step flavours, without -race)"
 go test -run '^TestMessagePath|^TestSpawnPooling|^TestEventLoop|^TestZero' -count=1 -timeout 5m ./internal/sim
