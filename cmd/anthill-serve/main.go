@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -52,6 +53,16 @@ func parseDilation(s string) (float64, error) {
 		return 0, fmt.Errorf("bad -dilation %q: want a positive factor like 100 or 100x", s)
 	}
 	return d, nil
+}
+
+// checkInterval rejects a -tick-ms or -frame-ms value that is not a finite
+// positive number of milliseconds: a zero tick stalls the pacer, and a zero
+// frame interval spins every /stream client.
+func checkInterval(flagName string, ms float64) error {
+	if !(ms > 0) || math.IsInf(ms, 1) {
+		return fmt.Errorf("bad -%s %g: want a finite positive number of milliseconds", flagName, ms)
+	}
+	return nil
 }
 
 func main() {
@@ -83,6 +94,12 @@ func run() error {
 
 	dil, err := parseDilation(*dilation)
 	if err != nil {
+		return err
+	}
+	if err := checkInterval("tick-ms", *tickMS); err != nil {
+		return err
+	}
+	if err := checkInterval("frame-ms", *frameMS); err != nil {
 		return err
 	}
 	sched, err := arrival.Parse(*arrivals)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -27,6 +28,24 @@ func TestParseDilation(t *testing.T) {
 		got, err := parseDilation(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("parseDilation(%q) = (%g, %v), want (%g, ok=%v)", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestCheckInterval covers the -tick-ms and -frame-ms values accepted and
+// rejected before the listener opens.
+func TestCheckInterval(t *testing.T) {
+	for _, tc := range []struct {
+		ms float64
+		ok bool
+	}{
+		{50, true}, {0.5, true},
+		{0, false}, {-1, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		for _, name := range []string{"tick-ms", "frame-ms"} {
+			if err := checkInterval(name, tc.ms); (err == nil) != tc.ok {
+				t.Errorf("checkInterval(%q, %g) = %v, want ok=%v", name, tc.ms, err, tc.ok)
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // for), the cost of the live demo server's observability sink
 // (live_sink_overhead_pct — hooks + sketches + registry + collector on
 // versus off on the same serve-engine drain), and the simulation kernel's
-// allocation profile on its hot-path workloads.
+// allocation profile and ns/event on its hot-path workloads.
 //
 // Usage:
 //
@@ -26,7 +26,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/sim/oracle"
 )
 
 type runResult struct {
@@ -42,18 +41,14 @@ type allocResult struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// kernelBench compares one hot-path workload across the goroutine oracle
-// (internal/sim/oracle, the pre-rewrite kernel kept for differential
-// testing), the continuation kernel's blocking API and — where a
-// continuation flavour exists — its step API.
+// kernelBench is the absolute per-event cost of one kernel hot-path
+// workload: its blocking flavour and — where a continuation flavour exists
+// — its step flavour.
 type kernelBench struct {
-	Workload         string  `json:"workload"`
-	Events           int     `json:"events"`
-	OracleNsPerEvent float64 `json:"oracle_ns_per_event"`
-	SimNsPerEvent    float64 `json:"sim_ns_per_event"`
-	StepNsPerEvent   float64 `json:"step_ns_per_event,omitempty"`
-	// Speedup is the best new-kernel flavour relative to the oracle.
-	Speedup float64 `json:"speedup_vs_oracle"`
+	Workload           string  `json:"workload"`
+	Events             int     `json:"events"`
+	BlockingNsPerEvent float64 `json:"blocking_ns_per_event"`
+	StepNsPerEvent     float64 `json:"step_ns_per_event,omitempty"`
 }
 
 type summary struct {
@@ -90,7 +85,7 @@ type summary struct {
 	// explain_overhead_pct's price of the batch capture artifacts.
 	LiveSinkOverheadPct float64       `json:"live_sink_overhead_pct"`
 	SimAllocs           []allocResult `json:"sim_kernel_allocs"`
-	KernelBench         []kernelBench `json:"kernel_vs_oracle"`
+	KernelBench         []kernelBench `json:"kernel_ns_per_event"`
 }
 
 // timedRunAll regenerates the full report with the given pool size and
@@ -316,70 +311,6 @@ func messagePathStep() {
 	}
 }
 
-// Oracle (pre-rewrite goroutine kernel) flavours, for the speedup baseline.
-
-func eventLoopOracle() {
-	k := oracle.NewKernel(1)
-	for p := 0; p < 4; p++ {
-		k.Spawn("worker", func(e *oracle.Env) {
-			for s := 0; s < 1000; s++ {
-				e.Sleep(oracle.Millisecond)
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
-func spawnChurnOracle() {
-	k := oracle.NewKernel(1)
-	k.Spawn("driver", func(e *oracle.Env) {
-		for i := 0; i < 1000; i++ {
-			e.Spawn("short", func(e *oracle.Env) { e.Sleep(oracle.Microsecond) })
-			e.Sleep(oracle.Millisecond)
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
-func zeroSleepOracle() {
-	k := oracle.NewKernel(1)
-	k.Spawn("spinner", func(e *oracle.Env) {
-		for i := 0; i < 10000; i++ {
-			e.Sleep(0)
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
-func messagePathOracle() {
-	k := oracle.NewKernel(1)
-	nic := oracle.NewResource(k, 1)
-	replies := oracle.NewChan[int](k, 1)
-	send := func(e *oracle.Env) {
-		nic.Acquire(e)
-		e.Sleep(10 * oracle.Microsecond)
-		nic.Release()
-		replies.Put(e, 1)
-	}
-	k.Spawn("driver", func(e *oracle.Env) {
-		for i := 0; i < 1000; i++ {
-			e.Spawn("send", send)
-			if _, ok := replies.Get(e); !ok {
-				panic("benchsweep: reply channel closed early")
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
 // serveDrain builds the live demo engine — all three policies racing a
 // shared uniform schedule at ~0.9x one pipeline's capacity — and drains it
 // with a single Advance. sink toggles the live observability attachment;
@@ -414,20 +345,14 @@ func secsPerRun(reps int, fn func()) float64 {
 	return time.Since(start).Seconds() / float64(reps)
 }
 
-// kernelComparison measures ns/event for the oracle, blocking and (when
-// non-nil) step flavours of one workload.
-func kernelComparison(name string, events, reps int, oracleFn, blockFn, stepFn func()) kernelBench {
+// kernelCost measures ns/event for the blocking and (when non-nil) step
+// flavours of one workload.
+func kernelCost(name string, events, reps int, blockFn, stepFn func()) kernelBench {
 	b := kernelBench{Workload: name, Events: events}
-	b.OracleNsPerEvent = secsPerRun(reps, oracleFn) * 1e9 / float64(events)
-	b.SimNsPerEvent = secsPerRun(reps, blockFn) * 1e9 / float64(events)
-	best := b.SimNsPerEvent
+	b.BlockingNsPerEvent = secsPerRun(reps, blockFn) * 1e9 / float64(events)
 	if stepFn != nil {
 		b.StepNsPerEvent = secsPerRun(reps, stepFn) * 1e9 / float64(events)
-		if b.StepNsPerEvent < best {
-			best = b.StepNsPerEvent
-		}
 	}
-	b.Speedup = b.OracleNsPerEvent / best
 	return b
 }
 
@@ -504,10 +429,10 @@ func main() {
 			{"message_path_step_1000_rounds", allocsPerRun(5, messagePathStep)},
 		},
 		KernelBench: []kernelBench{
-			kernelComparison("event_loop", 4000, 20, eventLoopOracle, eventLoop, eventLoopStep),
-			kernelComparison("spawn_churn", 3000, 20, spawnChurnOracle, spawnChurn, spawnChurnStep),
-			kernelComparison("zero_sleep", 10000, 20, zeroSleepOracle, zeroSleep, nil),
-			kernelComparison("message_path", 3000, 20, messagePathOracle, messagePath, messagePathStep),
+			kernelCost("event_loop", 4000, 20, eventLoop, eventLoopStep),
+			kernelCost("spawn_churn", 3000, 20, spawnChurn, spawnChurnStep),
+			kernelCost("zero_sleep", 10000, 20, zeroSleep, nil),
+			kernelCost("message_path", 3000, 20, messagePath, messagePathStep),
 		},
 	}
 	if !s.ParallelComparisonValid {

@@ -155,36 +155,14 @@ func (rep reply) wireSize() int64 {
 	return ctrlMsgBytes
 }
 
-// run is ThreadBufferSender: serve data requests, selecting the buffer with
-// DBSA when the queue is sorted, FIFO otherwise. Buffer selection is
+// runStep is ThreadBufferSender: serve data requests, selecting the buffer
+// with DBSA when the queue is sorted, FIFO otherwise. Buffer selection is
 // serial (it mutates the SendQueue); transmission is dispatched to its own
-// process so a bulk transfer to one consumer does not head-of-line block
-// every other consumer's request — the NIC model still serializes the
-// actual bytes, segment-interleaved.
-//
-// This is the blocking reference flavour (Tunables.BlockingHelpers); the
-// default stackless flavour is runStep.
-func (s *sender) run(e *sim.Env) {
-	rt := s.inst.rt
-	for {
-		req, ok := s.reqCh.Get(e)
-		if !ok {
-			return
-		}
-		rep := s.answer(e.Now(), req)
-		e.Spawn("send", func(se *sim.Env) {
-			rt.Cluster.Net.Send(se, s.inst.node, req.from, rep.wireSize())
-			req.reply.Put(se, rep)
-		})
-	}
-}
-
-// runStep is the stackless ThreadBufferSender: the same serve loop as run,
-// but waiting for the next request arms a continuation on the request
-// channel instead of parking a coroutine, and each reply transmission is a
-// spawned step chain (NIC serialization, then the reply hand-off). Requests
-// already queued are drained inline without yielding, exactly as the
-// blocking loop's non-blocking Get does.
+// step chain (NIC serialization, then the reply hand-off) so a bulk
+// transfer to one consumer does not head-of-line block every other
+// consumer's request — the NIC model still serializes the actual bytes,
+// segment-interleaved. Requests already queued are drained inline without
+// yielding; only an empty request channel arms a continuation.
 func (s *sender) runStep(e *sim.Env) sim.Cont {
 	for {
 		req, ok := s.reqCh.TryGet()
@@ -490,9 +468,6 @@ func (inst *Instance) buildWorkers() {
 	for _, w := range inst.workers {
 		w.procName = fmt.Sprintf("%s/%d/%s%d", inst.f.Name(), inst.idx, w.kind, w.tid)
 		w.fetchName = w.procName + "/fetch"
-		if w.exec != nil {
-			w.exec.BlockingProcs = inst.rt.tun.BlockingHelpers
-		}
 		for qi, is := range inst.inputs {
 			st := &reqState{static: is.s.pol.RequestSize}
 			if is.s.pol.Dynamic {
@@ -505,20 +480,15 @@ func (inst *Instance) buildWorkers() {
 }
 
 // start spawns the instance's processes. The per-message helpers — sender
-// serve loop and requester issue loop — run stackless by default; the
-// blocking flavours stay available behind Tunables.BlockingHelpers as the
-// reference implementation. Worker main loops and push-mode senders are
-// long-lived, genuinely stackful processes and always run as coroutines.
+// serve loop and requester issue loop — are stackless step chains. Worker
+// main loops and push-mode senders are long-lived, genuinely stackful
+// processes and run as coroutines.
 func (inst *Instance) start() {
-	blocking := inst.rt.tun.BlockingHelpers
 	if inst.out != nil {
 		s := inst.out
-		switch {
-		case inst.f.out.pol.Push:
+		if inst.f.out.pol.Push {
 			inst.rt.K.Spawn(s.name, s.runPush)
-		case blocking:
-			inst.rt.K.Spawn(s.name, s.run)
-		default:
+		} else {
 			inst.rt.K.SpawnStep(s.name, s.runStep)
 		}
 	}
@@ -530,15 +500,9 @@ func (inst *Instance) start() {
 				continue // push streams have no demand side
 			}
 			qi := qi
-			if blocking {
-				inst.rt.K.Spawn(w.reqNames[qi], func(e *sim.Env) {
-					w.requester(e, qi)
-				})
-			} else {
-				inst.rt.K.SpawnStep(w.reqNames[qi], func(e *sim.Env) sim.Cont {
-					return w.requesterStep(e, qi)
-				})
-			}
+			inst.rt.K.SpawnStep(w.reqNames[qi], func(e *sim.Env) sim.Cont {
+				return w.requesterStep(e, qi)
+			})
 		}
 	}
 }
@@ -846,13 +810,6 @@ func (inst *Instance) resubmit(e *sim.Env, o *task.Task) {
 	tgt := src.instances[inst.resubRR%len(src.instances)]
 	inst.resubRR++
 	from, net := inst.node, inst.rt.Cluster.Net
-	if inst.rt.tun.BlockingHelpers {
-		e.Spawn("resubmit", func(ce *sim.Env) {
-			net.Send(ce, from, tgt.node, ctrlMsgBytes)
-			tgt.out.push(o)
-		})
-		return
-	}
 	e.SpawnStep("resubmit", func(ce *sim.Env) sim.Cont {
 		return net.SendThen(ce, from, tgt.node, ctrlMsgBytes, func(ce *sim.Env) sim.Cont {
 			tgt.out.push(o)
@@ -869,12 +826,9 @@ func (inst *Instance) resubmit(e *sim.Env, o *task.Task) {
 // up to the target, which is what lets a consumer of large buffers overlap
 // their network transfers. An upstream instance with nothing to send
 // answers with an empty message; after a full empty cycle the requester
-// backs off briefly before issuing more.
-//
-// Both process flavours run on this state — the blocking coroutine
-// (requester) keeps the literal loop of the paper, the stackless flavour
-// (requesterStep) arms a continuation at each blocking point — so the
-// issue and settle logic exists exactly once.
+// backs off briefly before issuing more. The process running it is
+// requesterStep, a step chain that arms a continuation at each point where
+// the paper's loop blocks.
 type reqLoop struct {
 	w           *worker
 	inst        *Instance
@@ -933,7 +887,7 @@ func (l *reqLoop) senderView(i int) policy.PeerView {
 }
 
 // settle applies one fetch outcome to the requester's bookkeeping — the
-// receive half of Algorithm 3, shared by both process flavours.
+// receive half of Algorithm 3.
 func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
 	w, st, inst, qi := l.w, l.st, l.inst, l.qi
 	switch {
@@ -967,20 +921,9 @@ func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
 	inst.demand.NotifyAll() // let the issuing loop reassess
 }
 
-// fetchBlocking runs one fetch protocol round in a blocking process: ship
-// the demand message, hand the request to the sender, wait for the reply.
-func (l *reqLoop) fetchBlocking(fe *sim.Env, snd *sender) {
-	t0 := fe.Now()
-	replyCh := sim.NewChan[reply](l.rt.K, 1)
-	l.rt.Cluster.Net.Send(fe, l.inst.node, snd.inst.node, ctrlMsgBytes)
-	snd.reqCh.Put(fe, &request{kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx, reply: replyCh})
-	rep, ok := replyCh.Get(fe)
-	l.settle(fe, t0, rep, ok)
-}
-
-// fetchStep is the continuation form of fetchBlocking: the same protocol
-// round as a step chain — demand message on the wire, request hand-off,
-// reply wait, settle — then next.
+// fetchStep runs one fetch protocol round as a step chain — demand message
+// on the wire, request hand-off to the sender, reply wait, settle — then
+// next.
 func (l *reqLoop) fetchStep(fe *sim.Env, snd *sender, next sim.Step) sim.Cont {
 	t0 := fe.Now()
 	replyCh := sim.NewChan[reply](l.rt.K, 1)
@@ -995,54 +938,14 @@ func (l *reqLoop) fetchStep(fe *sim.Env, snd *sender, next sim.Step) sim.Cont {
 	})
 }
 
-// requester is the blocking reference flavour of ThreadRequester
-// (Tunables.BlockingHelpers); the default stackless flavour is
-// requesterStep.
-func (w *worker) requester(e *sim.Env, qi int) {
-	l := w.newReqLoop(qi)
-	if len(l.senders) == 0 {
-		return
-	}
-	st, inst, rt := l.st, l.inst, l.rt
-	for !rt.track.done.Fired() && !l.eof && !inst.dead {
-		if st.requestSize >= w.targetFor(st) {
-			inst.demand.Wait(e)
-			continue
-		}
-		if l.emptyStreak >= len(l.senders) {
-			l.emptyStreak = 0
-			e.Sleep(l.backoff)
-			if l.backoff < maxBackoff {
-				l.backoff *= 2
-			}
-			continue
-		}
-		snd := l.pick()
-		if snd == nil {
-			continue
-		}
-		st.requestSize++ // in transit counts toward the target
-		w.noteDemand(e.Now(), qi, DemandIssued, st.requestSize)
-		if rt.tun.SerialRequester {
-			// Ablation: the literal synchronous loop of Algorithm 3.
-			l.fetchBlocking(e, snd)
-			continue
-		}
-		e.Spawn(w.fetchName, func(fe *sim.Env) { l.fetchBlocking(fe, snd) })
-		// Yield so the fetch runs (deterministically) before the next
-		// issue decision; the fetch itself blocks on network latency.
-		e.Yield()
-	}
-}
-
-// requesterStep is the stackless ThreadRequester: the same issue loop as
-// requester, with every blocking point armed as a continuation — demand
-// headroom (condition wait), empty-cycle backoff (timer), and the fetch
-// protocol (a chain over demand send, request hand-off and reply wait).
-// Non-blocking transitions — dead producers, loop re-checks — stay inside
-// the inner for, exactly like the blocking loop's continue. The backoff is
-// doubled *after* the timer fires, as the blocking flavour does, because an
-// in-flight fetch that lands data mid-backoff resets it to the minimum.
+// requesterStep is ThreadRequester: Algorithm 3's issue loop with every
+// blocking point armed as a continuation — demand headroom (condition
+// wait), empty-cycle backoff (timer), and the fetch protocol (a chain over
+// demand send, request hand-off and reply wait). Non-blocking transitions —
+// dead producers, loop re-checks — stay inside the inner for, like the
+// paper loop's continue. The backoff is doubled *after* the timer fires,
+// because an in-flight fetch that lands data mid-backoff resets it to the
+// minimum.
 func (w *worker) requesterStep(e *sim.Env, qi int) sim.Cont {
 	l := w.newReqLoop(qi)
 	if len(l.senders) == 0 {

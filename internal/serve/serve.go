@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -87,12 +88,12 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: no arrival instants")
 	}
 	switch {
-	case c.SLO < 0:
-		return fmt.Errorf("serve: negative SLO %v", c.SLO)
+	case !finiteNonNegative(c.SLO):
+		return fmt.Errorf("serve: SLO %v is not a finite non-negative duration", c.SLO)
 	case c.QueueLimit < 0:
 		return fmt.Errorf("serve: negative queue limit %d", c.QueueLimit)
-	case c.Window < 0:
-		return fmt.Errorf("serve: negative window %v", c.Window)
+	case !finiteNonNegative(c.Window):
+		return fmt.Errorf("serve: window %v is not a finite non-negative duration", c.Window)
 	case c.Windows < 0:
 		return fmt.Errorf("serve: negative window count %d", c.Windows)
 	case c.EventCap < 0:
@@ -117,6 +118,12 @@ func (c *Config) validate() error {
 		c.EventCap = DefaultEventCap
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether d is a usable duration: not negative,
+// not NaN (which every comparison would silently let through), not +Inf.
+func finiteNonNegative(d sim.Time) bool {
+	return d >= 0 && !math.IsInf(float64(d), 1)
 }
 
 // pipe is the live state of one policy's pipeline: its sink plus the

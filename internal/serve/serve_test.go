@@ -4,8 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,9 +12,8 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // uniformTimes builds n arrival instants spaced gap apart, starting at 0.
 func uniformTimes(n int, gap sim.Time) []sim.Time {
@@ -256,6 +254,12 @@ func TestUnknownPolicyRejected(t *testing.T) {
 		{"negative window", Config{Window: -sim.Millisecond, Times: times}},
 		{"negative queue limit", Config{QueueLimit: -1, Times: times}},
 		{"negative SLO", Config{SLO: -sim.Millisecond, Times: times}},
+		{"NaN SLO", Config{SLO: sim.Time(math.NaN()), Times: times}},
+		{"infinite SLO", Config{SLO: sim.Time(math.Inf(1)), Times: times}},
+		{"negative infinite SLO", Config{SLO: sim.Time(math.Inf(-1)), Times: times}},
+		{"NaN window", Config{Window: sim.Time(math.NaN()), Times: times}},
+		{"infinite window", Config{Window: sim.Time(math.Inf(1)), Times: times}},
+		{"negative infinite window", Config{Window: sim.Time(math.Inf(-1)), Times: times}},
 	} {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -335,19 +339,6 @@ func TestGoldenReplay(t *testing.T) {
 		"replay_final.prom": final.Bytes(),
 		"replay_frame.json": append(frame, '\n'),
 	} {
-		path := filepath.Join("testdata", name)
-		if *update {
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs from the golden file (%d vs %d bytes)", path, len(got), len(want))
-		}
+		simtest.GoldenBytes(t, filepath.Join("testdata", name), got)
 	}
 }

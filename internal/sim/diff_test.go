@@ -1,55 +1,55 @@
 package sim_test
 
-// Differential tests: every scenario program must behave identically on the
-// continuation-based kernel and on the frozen goroutine oracle — same trace
-// of operations (with virtual timestamps), same RNG draws, same final
-// virtual time, same error (including panic messages and kill order).
+// Golden and flavour tests over scenario programs. The kernel's traces on
+// the regression corpus and a seeded random corpus — operations with
+// virtual timestamps, RNG draws, kill order, final virtual time and error,
+// panic messages included — are pinned to golden files under testdata.
+// They were recorded while the pre-rewrite goroutine-per-process kernel was
+// still kept as a differential oracle, and both kernels reproduced them
+// byte for byte. The flavour tests require blocking, continuation and mixed
+// processes to produce the same trace on the same program.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/simtest"
 )
 
 const kernelSeed = 42
 
-// checkKernelVsOracle runs p on both kernels and fails on any divergence.
-func checkKernelVsOracle(t *testing.T, p prog) {
-	t.Helper()
-	simTrace := runProgBlocking(p, newSimKern, kernelSeed)
-	oraTrace := runProgBlocking(p, newOraKern, kernelSeed)
-	if i := firstDiff(simTrace, oraTrace); i >= 0 {
-		t.Fatal(diffReport(p, "kernel vs oracle", simTrace, oraTrace, i))
-	}
-}
-
-// checkStepVsBlocking runs p on the new kernel in blocking, continuation and
-// mixed flavours and fails on any divergence (kill-unwind lines filtered:
-// continuation processes hold no stack to unwind).
+// checkStepVsBlocking runs p in blocking, continuation and mixed flavours
+// and fails on any divergence (kill-unwind lines filtered: continuation
+// processes hold no stack to unwind).
 func checkStepVsBlocking(t *testing.T, p prog) {
 	t.Helper()
-	base := stripKills(runProgBlocking(p, newSimKern, kernelSeed))
+	base := stripKills(runProg(p, allBlock))
 	for name, fl := range map[string]flavor{"step": allStep, "mixed": alternating} {
-		got := stripKills(runProgStep(p, kernelSeed, fl))
+		got := stripKills(runProg(p, fl))
 		if i := firstDiff(base, got); i >= 0 {
 			t.Fatal(diffReport(p, "blocking vs "+name, base, got, i))
 		}
 	}
 }
 
-// TestDiffRandomPrograms drives both kernels with seeded random byte
-// programs. 400 programs cover a few thousand processes and tens of
-// thousands of kernel events.
+// TestDiffRandomPrograms pins the all-blocking traces of 400 seeded random
+// byte programs — a few thousand processes and tens of thousands of kernel
+// events — each under a "== program <i>" header, to
+// testdata/random_programs.trace.
 func TestDiffRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
+	var lines []string
 	for i := 0; i < 400; i++ {
 		data := make([]byte, rng.Intn(200))
 		rng.Read(data)
-		p := decodeProgram(data)
-		checkKernelVsOracle(t, p)
+		lines = append(lines, fmt.Sprintf("== program %d", i))
+		lines = append(lines, runProg(decodeProgram(data), allBlock)...)
 	}
+	simtest.Golden(t, "testdata/random_programs.trace", lines)
 }
 
-// TestDiffRandomProgramsStep re-runs a slice of the random corpus in
+// TestDiffRandomProgramsStep runs a second seeded random corpus in
 // continuation and mixed flavours against the blocking flavour.
 func TestDiffRandomProgramsStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -203,32 +203,35 @@ func fixedCorpus() map[string]prog {
 	}
 }
 
-// TestDiffFixedCorpus pins the regression scenarios against the oracle.
+// TestDiffFixedCorpus pins each regression scenario's all-blocking trace
+// to testdata/fixed/<name>.trace.
 func TestDiffFixedCorpus(t *testing.T) {
 	for name, p := range fixedCorpus() {
-		t.Run(name, func(t *testing.T) { checkKernelVsOracle(t, p) })
+		t.Run(name, func(t *testing.T) {
+			simtest.Golden(t, "testdata/fixed/"+name+".trace", runProg(p, allBlock))
+		})
 	}
 }
 
-// TestDiffFixedCorpusStep pins the same scenarios across process flavours
-// on the new kernel.
+// TestDiffFixedCorpusStep pins the same scenarios across process
+// flavours.
 func TestDiffFixedCorpusStep(t *testing.T) {
 	for name, p := range fixedCorpus() {
 		t.Run(name, func(t *testing.T) { checkStepVsBlocking(t, p) })
 	}
 }
 
-// TestDiffDeterministicReplay re-runs one random program many times on the
-// new kernel and requires bit-identical traces — the kernel must not leak
-// host scheduling or map-iteration nondeterminism into results.
+// TestDiffDeterministicReplay re-runs one random program many times and
+// requires bit-identical traces — the kernel must not leak host scheduling
+// or map-iteration nondeterminism into results.
 func TestDiffDeterministicReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 160)
 	rng.Read(data)
 	p := decodeProgram(data)
-	base := runProgBlocking(p, newSimKern, kernelSeed)
+	base := runProg(p, allBlock)
 	for i := 0; i < 20; i++ {
-		got := runProgBlocking(p, newSimKern, kernelSeed)
+		got := runProg(p, allBlock)
 		if j := firstDiff(base, got); j >= 0 {
 			t.Fatal(diffReport(p, "replay", base, got, j))
 		}

@@ -1,10 +1,12 @@
 package sim_test
 
 // FuzzKernelScenario lets the fuzzer invent scenario programs byte-by-byte
-// and demands that the continuation kernel, the goroutine oracle and the
-// continuation-flavoured interpreter all agree on every one. The decoder is
-// total (any byte string is a program) and bounded (small script/process
-// caps), so every mutation is a fast, meaningful differential case.
+// and checks every one against the kernel's contract: blocking and
+// mixed-flavour processes agree on the trace, timestamps never decrease,
+// the horizon-bounded trace is the full trace cut at the horizon, and a
+// second run replays the first exactly. The decoder is total (any byte
+// string is a program) and bounded (small script/process caps), so every
+// mutation is a fast, meaningful case.
 
 import "testing"
 
@@ -25,15 +27,21 @@ func FuzzKernelScenario(f *testing.F) {
 		3, 0, 8, 1, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProgram(data)
-		simTrace := runProgBlocking(p, newSimKern, kernelSeed)
-		oraTrace := runProgBlocking(p, newOraKern, kernelSeed)
-		if i := firstDiff(simTrace, oraTrace); i >= 0 {
-			t.Fatal(diffReport(p, "kernel vs oracle", simTrace, oraTrace, i))
+		base, again := runProg(p, allBlock), runProg(p, allBlock)
+		if i := firstDiff(base, again); i >= 0 {
+			t.Fatal(diffReport(p, "replay", base, again, i))
 		}
-		stepTrace := stripKills(runProgStep(p, kernelSeed, alternating))
-		base := stripKills(simTrace)
-		if i := firstDiff(base, stepTrace); i >= 0 {
-			t.Fatal(diffReport(p, "blocking vs mixed-flavour", base, stepTrace, i))
+		checkMonotonic(t, p, base)
+		mixed := stripKills(runProg(p, alternating))
+		if i := firstDiff(stripKills(base), mixed); i >= 0 {
+			t.Fatal(diffReport(p, "blocking vs mixed-flavour", stripKills(base), mixed, i))
+		}
+		if p.horizon >= 0 {
+			unbounded := p
+			unbounded.horizon = -1
+			if full := runProg(unbounded, allBlock); !panicked(full) {
+				checkHorizonCut(t, p, full, base)
+			}
 		}
 	})
 }

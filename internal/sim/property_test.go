@@ -183,11 +183,54 @@ func lineTime(line string) (float64, bool) {
 	return v, true
 }
 
+// panicked reports whether a scenario trace ended in a kernel failure.
+func panicked(trace []string) bool {
+	return strings.Contains(trace[len(trace)-1], "err=sim:")
+}
+
+// checkMonotonic requires the operation timestamps of a scenario trace to
+// never decrease: the kernel never moves virtual time backwards.
+func checkMonotonic(t testing.TB, p prog, trace []string) {
+	t.Helper()
+	last := 0.0
+	for i, l := range trace {
+		if ts, ok := lineTime(l); ok {
+			if ts < last {
+				t.Fatalf("time went backwards at trace line %d: %q after @%.9g\n--- program:\n%s", i, l, last, p)
+			}
+			last = ts
+		}
+	}
+}
+
+// checkHorizonCut requires cut, the trace of p run to its horizon h, to be
+// exactly full, the trace of the unbounded run, restricted to operations
+// completing at t <= h — nothing early is lost, nothing late leaks in. Kill
+// lines are excluded (the kill set legitimately differs).
+func checkHorizonCut(t testing.TB, p prog, full, cut []string) {
+	t.Helper()
+	h := p.horizon
+	full, cut = stripKills(full), stripKills(cut)
+	var want []string
+	for _, l := range full[:len(full)-1] { // drop the "final ..." line
+		if ts, ok := lineTime(l); ok && ts <= h {
+			want = append(want, l)
+		}
+	}
+	got := cut[:len(cut)-1]
+	if i := firstDiff(want, got); i >= 0 {
+		t.Fatal(diffReport(p, fmt.Sprintf("horizon %g exactness", h), want, got, i))
+	}
+	for _, l := range got {
+		if ts, ok := lineTime(l); ok && ts > h {
+			t.Fatalf("operation past horizon %g: %q\n--- program:\n%s", h, l, p)
+		}
+	}
+}
+
 // TestPropertyRunUntilHorizonExactness: over random scenario programs, the
 // horizon-bounded trace is exactly the full-run trace restricted to
-// operations completing at t <= horizon — nothing early is lost, nothing
-// late leaks in. Kill lines are excluded (the kill set legitimately differs)
-// and the final virtual time never exceeds the horizon.
+// operations completing at t <= horizon.
 func TestPropertyRunUntilHorizonExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 120; trial++ {
@@ -195,29 +238,12 @@ func TestPropertyRunUntilHorizonExactness(t *testing.T) {
 		rng.Read(data)
 		p := decodeProgram(data)
 		p.horizon = -1
-		full := stripKills(runProgBlocking(p, newSimKern, kernelSeed))
-		if strings.Contains(full[len(full)-1], "err=sim:") {
+		full := runProg(p, allBlock)
+		if panicked(full) {
 			continue // a panicking program ends early on both runs anyway
 		}
-		h := float64(rng.Intn(8)) * 0.75
-		p.horizon = h
-		cut := stripKills(runProgBlocking(p, newSimKern, kernelSeed))
-
-		var want []string
-		for _, l := range full[:len(full)-1] { // drop the "final ..." line
-			if ts, ok := lineTime(l); ok && ts <= h {
-				want = append(want, l)
-			}
-		}
-		got := cut[:len(cut)-1]
-		if i := firstDiff(want, got); i >= 0 {
-			t.Fatal(diffReport(p, fmt.Sprintf("horizon %g exactness", h), want, got, i))
-		}
-		for _, l := range got {
-			if ts, ok := lineTime(l); ok && ts > h {
-				t.Fatalf("trial %d: operation past horizon %g: %q", trial, h, l)
-			}
-		}
+		p.horizon = float64(rng.Intn(8)) * 0.75
+		checkHorizonCut(t, p, full, runProg(p, allBlock))
 	}
 }
 

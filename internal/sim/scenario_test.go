@@ -1,31 +1,26 @@
 package sim_test
 
-// Differential kernel-oracle harness: randomized scenario programs run on
-// both the continuation-based kernel (internal/sim) and the frozen
-// goroutine-per-process oracle (internal/sim/oracle), and must produce
-// identical event traces, final virtual times, RNG draw sequences and
-// failures.
+// Scenario-program harness: randomized concurrent programs run on the
+// kernel, recording event traces, final virtual times, RNG draw sequences
+// and failures.
 //
 // A scenario program is a tiny straight-line concurrent program: a set of
 // shared primitives (channels, resources, signals, conds, wait groups) and
 // per-process scripts of kernel operations. Programs are decoded from a
-// compact byte string — the same decoder serves the seeded random corpus
-// (TestDiffRandomPrograms), the checked-in regression corpus and
+// compact byte string — the same decoder serves the seeded random golden
+// corpus (TestDiffRandomPrograms), the checked-in fuzz corpus and
 // FuzzKernelScenario — so every program the fuzzer can invent is also a
-// program the differential suite can replay.
+// program the golden suite can replay.
 //
-// One interpreter, parameterized over a thin kernel-API adapter, executes a
-// program on either kernel; a second, continuation-style interpreter
-// executes the same programs on the new kernel via SpawnStep and the *Then
-// primitives, proving the continuation-aware wait queues implement the same
-// semantics as the blocking API.
+// One interpreter executes a program with each process running either as
+// a blocking coroutine or as a continuation (SpawnStep and the *Then
+// primitives), chosen per process, proving the continuation-aware wait
+// queues implement the same semantics as the blocking API.
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/sim"
-	"repro/internal/sim/oracle"
 )
 
 // ---------------------------------------------------------------------------
@@ -126,8 +121,8 @@ const (
 // scenario program. The mapping is total: every input decodes to something,
 // and small inputs decode to small programs. Decoded programs may still
 // panic at run time (close of a closed channel, WaitGroup counter below
-// zero, an explicit panic op) — deliberately so: both kernels must fail
-// identically too.
+// zero, an explicit panic op) — deliberately so: failures are part of the
+// pinned trace too.
 func decodeProgram(data []byte) prog {
 	c := &cursor{data: data}
 	var p prog
@@ -231,153 +226,6 @@ func decodeProgram(data []byte) prog {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-API adapters
-
-// tenv/tkern and friends are the least common denominator of the two
-// kernels' blocking APIs, in float64 time. The interpreter only speaks this
-// interface, so a differential mismatch can only come from the kernels.
-type tenv interface {
-	Sleep(d float64)
-	Yield()
-	Now() float64
-	Rand() *rand.Rand
-}
-
-type tchan interface {
-	Put(e tenv, v int)
-	Get(e tenv) (int, bool)
-	TryGet() (int, bool)
-	Close(e tenv)
-}
-
-type tres interface {
-	Acquire(e tenv)
-	Release()
-}
-
-type tsig interface {
-	Wait(e tenv)
-	Fire()
-}
-
-type tcond interface {
-	Wait(e tenv)
-	NotifyOne()
-	NotifyAll()
-}
-
-type twg interface {
-	Add(n int)
-	Done()
-	Wait(e tenv)
-}
-
-type tkern interface {
-	Spawn(name string, fn func(tenv))
-	RunUntil(h float64) error
-	Now() float64
-	NewChan(capacity int) tchan
-	NewResource(capacity int) tres
-	NewSignal() tsig
-	NewCond() tcond
-	NewWaitGroup() twg
-}
-
-// --- adapter over the new continuation-based kernel (blocking API)
-
-type simKern struct{ k *sim.Kernel }
-type simEnv struct{ e *sim.Env }
-type simChan struct{ c *sim.Chan[int] }
-type simRes struct{ r *sim.Resource }
-type simSig struct{ s *sim.Signal }
-type simCond struct{ c *sim.Cond }
-type simWG struct{ w *sim.WaitGroup }
-
-func newSimKern(seed int64) tkern { return simKern{sim.NewKernel(seed)} }
-
-func (k simKern) Spawn(name string, fn func(tenv)) {
-	k.k.Spawn(name, func(e *sim.Env) { fn(simEnv{e}) })
-}
-func (k simKern) RunUntil(h float64) error      { return k.k.RunUntil(sim.Time(h)) }
-func (k simKern) Now() float64                  { return float64(k.k.Now()) }
-func (k simKern) NewChan(capacity int) tchan    { return simChan{sim.NewChan[int](k.k, capacity)} }
-func (k simKern) NewResource(capacity int) tres { return simRes{sim.NewResource(k.k, capacity)} }
-func (k simKern) NewSignal() tsig               { return simSig{sim.NewSignal(k.k)} }
-func (k simKern) NewCond() tcond                { return simCond{sim.NewCond(k.k)} }
-func (k simKern) NewWaitGroup() twg             { return simWG{sim.NewWaitGroup(k.k)} }
-
-func (e simEnv) Sleep(d float64)  { e.e.Sleep(sim.Time(d)) }
-func (e simEnv) Yield()           { e.e.Yield() }
-func (e simEnv) Now() float64     { return float64(e.e.Now()) }
-func (e simEnv) Rand() *rand.Rand { return e.e.Rand() }
-
-func (c simChan) Put(e tenv, v int)      { c.c.Put(e.(simEnv).e, v) }
-func (c simChan) Get(e tenv) (int, bool) { return c.c.Get(e.(simEnv).e) }
-func (c simChan) TryGet() (int, bool)    { return c.c.TryGet() }
-func (c simChan) Close(e tenv)           { c.c.Close(e.(simEnv).e) }
-
-func (r simRes) Acquire(e tenv) { r.r.Acquire(e.(simEnv).e) }
-func (r simRes) Release()       { r.r.Release() }
-
-func (s simSig) Wait(e tenv) { s.s.Wait(e.(simEnv).e) }
-func (s simSig) Fire()       { s.s.Fire() }
-
-func (c simCond) Wait(e tenv) { c.c.Wait(e.(simEnv).e) }
-func (c simCond) NotifyOne()  { c.c.NotifyOne() }
-func (c simCond) NotifyAll()  { c.c.NotifyAll() }
-
-func (w simWG) Add(n int)   { w.w.Add(n) }
-func (w simWG) Done()       { w.w.Done() }
-func (w simWG) Wait(e tenv) { w.w.Wait(e.(simEnv).e) }
-
-// --- adapter over the frozen goroutine oracle
-
-type oraKern struct{ k *oracle.Kernel }
-type oraEnv struct{ e *oracle.Env }
-type oraChan struct{ c *oracle.Chan[int] }
-type oraRes struct{ r *oracle.Resource }
-type oraSig struct{ s *oracle.Signal }
-type oraCond struct{ c *oracle.Cond }
-type oraWG struct{ w *oracle.WaitGroup }
-
-func newOraKern(seed int64) tkern { return oraKern{oracle.NewKernel(seed)} }
-
-func (k oraKern) Spawn(name string, fn func(tenv)) {
-	k.k.Spawn(name, func(e *oracle.Env) { fn(oraEnv{e}) })
-}
-func (k oraKern) RunUntil(h float64) error      { return k.k.RunUntil(oracle.Time(h)) }
-func (k oraKern) Now() float64                  { return float64(k.k.Now()) }
-func (k oraKern) NewChan(capacity int) tchan    { return oraChan{oracle.NewChan[int](k.k, capacity)} }
-func (k oraKern) NewResource(capacity int) tres { return oraRes{oracle.NewResource(k.k, capacity)} }
-func (k oraKern) NewSignal() tsig               { return oraSig{oracle.NewSignal(k.k)} }
-func (k oraKern) NewCond() tcond                { return oraCond{oracle.NewCond(k.k)} }
-func (k oraKern) NewWaitGroup() twg             { return oraWG{oracle.NewWaitGroup(k.k)} }
-
-func (e oraEnv) Sleep(d float64)  { e.e.Sleep(oracle.Time(d)) }
-func (e oraEnv) Yield()           { e.e.Yield() }
-func (e oraEnv) Now() float64     { return float64(e.e.Now()) }
-func (e oraEnv) Rand() *rand.Rand { return e.e.Rand() }
-
-func (c oraChan) Put(e tenv, v int)      { c.c.Put(e.(oraEnv).e, v) }
-func (c oraChan) Get(e tenv) (int, bool) { return c.c.Get(e.(oraEnv).e) }
-func (c oraChan) TryGet() (int, bool)    { return c.c.TryGet() }
-func (c oraChan) Close(e tenv)           { c.c.Close(e.(oraEnv).e) }
-
-func (r oraRes) Acquire(e tenv) { r.r.Acquire(e.(oraEnv).e) }
-func (r oraRes) Release()       { r.r.Release() }
-
-func (s oraSig) Wait(e tenv) { s.s.Wait(e.(oraEnv).e) }
-func (s oraSig) Fire()       { s.s.Fire() }
-
-func (c oraCond) Wait(e tenv) { c.c.Wait(e.(oraEnv).e) }
-func (c oraCond) NotifyOne()  { c.c.NotifyOne() }
-func (c oraCond) NotifyAll()  { c.c.NotifyAll() }
-
-func (w oraWG) Add(n int)   { w.w.Add(n) }
-func (w oraWG) Done()       { w.w.Done() }
-func (w oraWG) Wait(e tenv) { w.w.Wait(e.(oraEnv).e) }
-
-// ---------------------------------------------------------------------------
 // Trace recorder and shared log formats
 
 type recorder struct{ lines []string }
@@ -386,8 +234,8 @@ func (r *recorder) addf(format string, args ...any) {
 	r.lines = append(r.lines, fmt.Sprintf(format, args...))
 }
 
-// Log-line helpers shared by the blocking and continuation interpreters, so
-// the two cannot drift apart in formatting.
+// Log-line helpers shared by the blocking and continuation flavours, so the
+// two cannot drift apart in formatting.
 func logSlept(r *recorder, name string, d, now float64) { r.addf("%s slept %.9g @%.9g", name, d, now) }
 func logYield(r *recorder, name string, now float64)    { r.addf("%s yield @%.9g", name, now) }
 func logPut(r *recorder, name string, ch, v int, now float64) {
@@ -437,7 +285,7 @@ func logEnd(r *recorder, name string, now float64) { r.addf("%s end @%.9g", name
 // killPrefix tags trace lines emitted while a blocking process unwinds
 // after being killed at shutdown. Continuation processes hold no stack and
 // are dropped without unwinding, so step-vs-blocking comparisons filter
-// these lines (kernel-vs-oracle comparisons keep them: kill order is part
+// these lines (the all-blocking golden traces keep them: kill order is part
 // of the contract).
 const killPrefix = "K "
 
@@ -457,130 +305,7 @@ func stripKills(lines []string) []string {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking interpreter (adapter-based: runs on either kernel)
-
-type blockRunner struct {
-	p      prog
-	k      tkern
-	rec    *recorder
-	chans  []tchan
-	ress   []tres
-	sigs   []tsig
-	conds  []tcond
-	wgs    []twg
-	spawnN int
-}
-
-// runProgBlocking executes p on the kernel built by newK and returns the
-// trace. The final line records the kernel's end time and error, so those
-// are compared too.
-func runProgBlocking(p prog, newK func(seed int64) tkern, seed int64) []string {
-	k := newK(seed)
-	r := &blockRunner{p: p, k: k, rec: &recorder{}}
-	for _, c := range p.chanCaps {
-		r.chans = append(r.chans, k.NewChan(c))
-	}
-	for _, c := range p.resCaps {
-		r.ress = append(r.ress, k.NewResource(c))
-	}
-	for i := 0; i < p.nSigs; i++ {
-		r.sigs = append(r.sigs, k.NewSignal())
-	}
-	for i := 0; i < p.nConds; i++ {
-		r.conds = append(r.conds, k.NewCond())
-	}
-	for _, n := range p.wgAdds {
-		w := k.NewWaitGroup()
-		w.Add(n)
-		r.wgs = append(r.wgs, w)
-	}
-	for s := 0; s < p.roots; s++ {
-		r.spawn(s)
-	}
-	err := k.RunUntil(p.horizon)
-	r.rec.addf("final now=%.9g err=%v", k.Now(), err)
-	return r.rec.lines
-}
-
-func (r *blockRunner) spawn(si int) string {
-	name := fmt.Sprintf("p%d.s%d", r.spawnN, si)
-	r.spawnN++
-	r.k.Spawn(name, func(e tenv) {
-		done := false
-		defer func() {
-			if !done {
-				logKilled(r.rec, name, e.Now())
-			}
-		}()
-		r.exec(e, si, name)
-		done = true
-		logEnd(r.rec, name, e.Now())
-	})
-	return name
-}
-
-func (r *blockRunner) exec(e tenv, si int, name string) {
-	for _, in := range r.p.scripts[si] {
-		switch in.op {
-		case opSleep:
-			e.Sleep(in.d)
-			logSlept(r.rec, name, in.d, e.Now())
-		case opYield:
-			e.Yield()
-			logYield(r.rec, name, e.Now())
-		case opPut:
-			r.chans[in.a].Put(e, in.b)
-			logPut(r.rec, name, in.a, in.b, e.Now())
-		case opGet:
-			v, ok := r.chans[in.a].Get(e)
-			logGot(r.rec, name, in.a, v, ok, e.Now())
-		case opTryGet:
-			v, ok := r.chans[in.a].TryGet()
-			logTryGet(r.rec, name, in.a, v, ok, e.Now())
-		case opClose:
-			r.chans[in.a].Close(e)
-			logClose(r.rec, name, in.a, e.Now())
-		case opAcquire:
-			r.ress[in.a].Acquire(e)
-			logAcq(r.rec, name, in.a, e.Now())
-		case opRelease:
-			r.ress[in.a].Release()
-			logRel(r.rec, name, in.a, e.Now())
-		case opSigWait:
-			r.sigs[in.a].Wait(e)
-			logSigWait(r.rec, name, in.a, e.Now())
-		case opSigFire:
-			r.sigs[in.a].Fire()
-			logSigFire(r.rec, name, in.a, e.Now())
-		case opCondWait:
-			r.conds[in.a].Wait(e)
-			logCondWait(r.rec, name, in.a, e.Now())
-		case opNotifyOne:
-			r.conds[in.a].NotifyOne()
-			logNotify(r.rec, name, "notify1", in.a, e.Now())
-		case opNotifyAll:
-			r.conds[in.a].NotifyAll()
-			logNotify(r.rec, name, "notifyN", in.a, e.Now())
-		case opWGDone:
-			r.wgs[in.a].Done()
-			logWGDone(r.rec, name, in.a, e.Now())
-		case opWGWait:
-			r.wgs[in.a].Wait(e)
-			logWGWait(r.rec, name, in.a, e.Now())
-		case opSpawn:
-			child := r.spawn(in.a)
-			logSpawn(r.rec, name, child, e.Now())
-		case opRand:
-			v := e.Rand().Int63n(1 << 30)
-			logRand(r.rec, name, v, e.Now())
-		case opPanic:
-			panic(fmt.Sprintf("boom from %s", name))
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Continuation interpreter (sim only: SpawnStep + *Then primitives)
+// Interpreter
 
 // flavor decides, per spawned process index, whether it runs as a blocking
 // process or a continuation process — so one program can exercise both
@@ -591,7 +316,7 @@ func allStep(int) bool       { return true }
 func allBlock(int) bool      { return false }
 func alternating(i int) bool { return i%2 == 0 }
 
-type stepRunner struct {
+type runner struct {
 	p      prog
 	k      *sim.Kernel
 	rec    *recorder
@@ -604,12 +329,13 @@ type stepRunner struct {
 	fl     flavor
 }
 
-// runProgStep executes p on the new kernel with per-process flavor chosen
-// by fl, using the continuation API for step-flavored processes. Its traces
-// are comparable to runProgBlocking's after stripKills.
-func runProgStep(p prog, seed int64, fl flavor) []string {
-	k := sim.NewKernel(seed)
-	r := &stepRunner{p: p, k: k, rec: &recorder{}, fl: fl}
+// runProg executes p on a kernel seeded with kernelSeed, with per-process
+// flavor chosen by fl, and returns the trace. The final line records the
+// kernel's end time and error, so those are compared too. Traces of
+// different flavor mixes are comparable after stripKills.
+func runProg(p prog, fl flavor) []string {
+	k := sim.NewKernel(kernelSeed)
+	r := &runner{p: p, k: k, rec: &recorder{}, fl: fl}
 	for _, c := range p.chanCaps {
 		r.chans = append(r.chans, sim.NewChan[int](k, c))
 	}
@@ -635,7 +361,7 @@ func runProgStep(p prog, seed int64, fl flavor) []string {
 	return r.rec.lines
 }
 
-func (r *stepRunner) spawn(si int) string {
+func (r *runner) spawn(si int) string {
 	name := fmt.Sprintf("p%d.s%d", r.spawnN, si)
 	if r.fl(r.spawnN) {
 		r.spawnN++
@@ -657,10 +383,8 @@ func (r *stepRunner) spawn(si int) string {
 	return name
 }
 
-// execBlocking is the blocking flavor on native sim types (used for the
-// mixed-mode programs; logging matches blockRunner.exec via the shared
-// helpers).
-func (r *stepRunner) execBlocking(e *sim.Env, si int, name string) {
+// execBlocking runs script si as a blocking process.
+func (r *runner) execBlocking(e *sim.Env, si int, name string) {
 	for _, in := range r.p.scripts[si] {
 		switch in.op {
 		case opSleep:
@@ -723,7 +447,7 @@ func (r *stepRunner) execBlocking(e *sim.Env, si int, name string) {
 // stepAt builds the continuation that executes script si from instruction i
 // onward: the straight-line script becomes a chain of Step closures, each
 // blocking operation turning into its *Then form.
-func (r *stepRunner) stepAt(si, i int, name string) sim.Step {
+func (r *runner) stepAt(si, i int, name string) sim.Step {
 	return func(e *sim.Env) sim.Cont {
 		sc := r.p.scripts[si]
 		if i >= len(sc) {

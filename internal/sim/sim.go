@@ -24,13 +24,13 @@
 //     ...) arm the continuation and share FIFO wait queues with blocking
 //     callers, so wakeup ordering is identical across flavours.
 //
-// Determinism is unchanged from the goroutine kernel this replaced (kept as
-// the differential oracle in internal/sim/oracle): exactly one process runs
-// at any instant, same-timestamp events dispatch in schedule order, and a
-// fixed seed yields an identical execution regardless of GOMAXPROCS. The
-// kernel runs until no scheduled events remain (or an explicit horizon is
-// reached); processes still blocked at that point are killed cleanly — in
-// spawn order, unwinding blocking processes' defers — so no coroutine
+// Determinism is unchanged from the goroutine kernel this replaced (golden
+// scenario traces under testdata pin its behaviour): exactly one process
+// runs at any instant, same-timestamp events dispatch in schedule order,
+// and a fixed seed yields an identical execution regardless of GOMAXPROCS.
+// The kernel runs until no scheduled events remain (or an explicit horizon
+// is reached); processes still blocked at that point are killed cleanly —
+// in spawn order, unwinding blocking processes' defers — so no coroutine
 // outlives Run.
 //
 // The event loop is the hot path of every experiment sweep, so it avoids

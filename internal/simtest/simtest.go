@@ -1,10 +1,12 @@
 // Package simtest is shared test infrastructure for simulation-level tests:
-// a recording hook-bus sink with trace assertion helpers, standard cluster
-// scenario builders, and a fault-schedule composition helper. Differential
-// and chaos tests across internal/core, internal/hw, and
-// internal/experiments all need the same three moves — subscribe every
-// hook, render records into a stable line form, and compare two runs record
-// for record — so they live here once.
+// a recording hook-bus sink with trace assertion helpers, golden-file
+// comparison behind one test-only -update flag, standard cluster scenario
+// builders, and a fault-schedule composition helper. Golden, differential
+// and chaos tests across internal/core, internal/hw, internal/sim,
+// internal/serve and internal/experiments all need the same moves —
+// subscribe every hook, render records into a stable line form, and compare
+// a run record for record against another run or a checked-in file — so
+// they live here once.
 //
 // The package imports core and fault, so tests using it must be external
 // test packages (package foo_test); that is also what keeps simtest out of
@@ -66,41 +68,6 @@ func (r *Recorder) Count(kind string) int {
 		}
 	}
 	return n
-}
-
-// ExpectTrace asserts that the wanted substrings appear in the recorded
-// trace in order (as a subsequence: other records may interleave). On
-// failure it reports the first want that never matched.
-func (r *Recorder) ExpectTrace(t testing.TB, wants ...string) {
-	t.Helper()
-	i := 0
-	for _, want := range wants {
-		found := false
-		for ; i < len(r.lines); i++ {
-			if strings.Contains(r.lines[i], want) {
-				i++
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("trace does not contain %q (in order) among its %d records", want, len(r.lines))
-		}
-	}
-}
-
-// DiffTraces asserts two record streams are identical, record for record.
-// The labels name the runs in failure messages ("blocking", "step", ...).
-func DiffTraces(t testing.TB, labelA string, a []string, labelB string, b []string) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %s %d records, %s %d records", labelA, len(a), labelB, len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trace diverges at record %d:\n  %s: %s\n  %s: %s", i, labelA, a[i], labelB, b[i])
-		}
-	}
 }
 
 // SameTimes asserts two completion-time vectors agree element for element —

@@ -17,13 +17,6 @@ type Executor struct {
 	Dev   *hw.Device
 	Link  *hw.Link
 	Async bool
-	// BlockingProcs restores the pre-migration blocking-coroutine flavour
-	// of the per-transfer h2d/d2h processes the asynchronous pipeline
-	// spawns. The default (false) dispatches them as stackless step chains
-	// — same FIFO link arbitration, no coroutine switch per transfer. The
-	// flag exists as the reference implementation for differential tests
-	// (core.Tunables.BlockingHelpers plumbs it through).
-	BlockingProcs bool
 	// OnSpan, if set, is called after every pipeline span — one
 	// host-to-device copy, one kernel execution, or one device-to-host
 	// copy — with the span's virtual-time bounds. Nil costs nothing.
@@ -118,31 +111,21 @@ func (x *Executor) runSync(e *sim.Env, batch []*task.Task) {
 func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
 	k := len(batch)
 	// Phase 1: issue every host-to-device copy on its own CUDA stream. The
-	// per-transfer processes are stackless step chains by default — a copy
-	// is a link-queue hop plus a timed wait, no coroutine stack needed —
-	// with the blocking flavour kept behind BlockingProcs as the reference.
+	// per-transfer processes are stackless step chains — a copy is a
+	// link-queue hop plus a timed wait, no coroutine stack needed.
 	inDone := make([]*sim.Signal, k)
 	for i, t := range batch {
 		sig := sim.NewSignal(e.Kernel())
 		inDone[i] = sig
 		size, id := t.Size, t.ID
-		if x.BlockingProcs {
-			e.Spawn("h2d", func(ce *sim.Env) {
-				t0 := ce.Now()
-				x.Link.Copy(ce, size, hw.HostToDevice)
+		e.SpawnStep("h2d", func(ce *sim.Env) sim.Cont {
+			t0 := ce.Now()
+			return x.Link.CopyThen(ce, size, hw.HostToDevice, func(ce *sim.Env) sim.Cont {
 				x.span(SpanH2D, t0, ce.Now(), size, id)
 				sig.Fire()
+				return sim.Done()
 			})
-		} else {
-			e.SpawnStep("h2d", func(ce *sim.Env) sim.Cont {
-				t0 := ce.Now()
-				return x.Link.CopyThen(ce, size, hw.HostToDevice, func(ce *sim.Env) sim.Cont {
-					x.span(SpanH2D, t0, ce.Now(), size, id)
-					sig.Fire()
-					return sim.Done()
-				})
-			})
-		}
+		})
 	}
 	// Phase 2: process events in order as their inputs arrive; the copy of
 	// event i+1 overlaps the kernel of event i.
@@ -157,23 +140,14 @@ func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
 	wg.Add(k)
 	for _, t := range batch {
 		size, id := t.OutSize, t.ID
-		if x.BlockingProcs {
-			e.Spawn("d2h", func(ce *sim.Env) {
-				t0 := ce.Now()
-				x.Link.Copy(ce, size, hw.DeviceToHost)
+		e.SpawnStep("d2h", func(ce *sim.Env) sim.Cont {
+			t0 := ce.Now()
+			return x.Link.CopyThen(ce, size, hw.DeviceToHost, func(ce *sim.Env) sim.Cont {
 				x.span(SpanD2H, t0, ce.Now(), size, id)
 				wg.Done()
+				return sim.Done()
 			})
-		} else {
-			e.SpawnStep("d2h", func(ce *sim.Env) sim.Cont {
-				t0 := ce.Now()
-				return x.Link.CopyThen(ce, size, hw.DeviceToHost, func(ce *sim.Env) sim.Cont {
-					x.span(SpanD2H, t0, ce.Now(), size, id)
-					wg.Done()
-					return sim.Done()
-				})
-			})
-		}
+		})
 	}
 	wg.Wait(e)
 }

@@ -19,7 +19,7 @@ go build ./...
 echo "== go test -race ./...  (full suite + quick determinism under the race detector)"
 go test -race -timeout 20m ./...
 
-echo "== kernel differential  (continuation kernel vs goroutine oracle, -race)"
+echo "== kernel golden traces + properties  (scenario corpora vs testdata, flavour agreement, invariants, -race)"
 go test -race -run '^TestDiff|^TestProperty' -count=1 -timeout 10m ./internal/sim
 
 echo "== go test ./...  (tier-1 suite + full-report determinism, seeds 1-${ANTHILL_DETERMINISM_SEEDS:-3})"
@@ -37,8 +37,8 @@ go test -run '^$' -fuzz '^FuzzWindowedSketch$' -fuzztime 10s ./internal/obs
 echo "== message-path alloc gates  (blocking + step flavours, without -race)"
 go test -run '^TestMessagePath|^TestSpawnPooling|^TestEventLoop|^TestZero' -count=1 -timeout 5m ./internal/sim
 
-echo "== message-path differential  (step helpers vs blocking reference, full hook trace)"
-go test -run '^TestStepHelpersMatchBlocking' -count=1 -timeout 10m ./internal/core
+echo "== message-path golden traces  (full hook trace vs testdata, pipelined + serial requester)"
+go test -run '^TestGoldenMessagePath' -count=1 -timeout 10m ./internal/core
 go test -run '^TestSendThen|^TestCopyThen' -count=1 -timeout 5m ./internal/hw
 
 echo "== chaos determinism  (serial vs 4-worker fault-injection sweeps, seeds 1-3)"
