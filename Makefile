@@ -10,7 +10,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Tier-1: what must stay green on every change (~6 min; -short for ~20 s).
+# Tier-1: what must stay green on every change (1.5-3 min on 2 cores; -short
+# for 20-40 s).
 test: build
 	$(GO) test ./...
 

@@ -7,7 +7,8 @@
 // for), the cost of the live demo server's observability sink
 // (live_sink_overhead_pct — hooks + sketches + registry + collector on
 // versus off on the same serve-engine drain), and the simulation kernel's
-// allocation profile and ns/event on its hot-path workloads.
+// allocation profile and ns/event on its hot-path workloads, one of them
+// with a deep event queue.
 //
 // Usage:
 //
@@ -43,12 +44,17 @@ type allocResult struct {
 
 // kernelBench is the absolute per-event cost of one kernel hot-path
 // workload: its blocking flavour and — where a continuation flavour exists
-// — its step flavour.
+// — its step flavour. LaneShare and HeapHighWater, from sim.KernelStats,
+// say how the workload uses the event queue: the share of its wakeups
+// scheduled at the current instant (the FIFO lane) rather than later (the
+// timed heap), and the heap's deepest point.
 type kernelBench struct {
 	Workload           string  `json:"workload"`
 	Events             int     `json:"events"`
 	BlockingNsPerEvent float64 `json:"blocking_ns_per_event"`
 	StepNsPerEvent     float64 `json:"step_ns_per_event,omitempty"`
+	LaneShare          float64 `json:"lane_share,omitempty"`
+	HeapHighWater      int     `json:"heap_high_water,omitempty"`
 }
 
 type summary struct {
@@ -311,6 +317,60 @@ func messagePathStep() {
 	}
 }
 
+// deepQueue keeps 100 processes cycling through three zero-delay wakeups
+// and two timed wakeups of 1-8 ms, 300 wakeups each: about 100 timers stay
+// pending and about 60% of pushes are at the current instant, the mix of
+// the demand protocol's request/empty-reply rounds (the other kernel rows
+// run 4 processes and never hold more than 4 timers). It returns the
+// kernel's counters.
+func deepQueue(step bool) sim.KernelStats {
+	k := sim.NewKernel(1)
+	delay := func(n int) sim.Time {
+		if n%5 < 3 {
+			return 0
+		}
+		return sim.Time(1+n%8) * sim.Millisecond
+	}
+	for i := 0; i < 100; i++ {
+		n := i
+		if !step {
+			k.Spawn("worker", func(e *sim.Env) {
+				for r := 0; r < 300; r++ {
+					n++
+					e.Sleep(delay(n))
+				}
+			})
+			continue
+		}
+		left := 300
+		var next sim.Step
+		next = func(e *sim.Env) sim.Cont {
+			if left == 0 {
+				return sim.Done()
+			}
+			left--
+			n++
+			return sim.After(delay(n), next)
+		}
+		k.SpawnStep("worker", next)
+	}
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+	return k.Stats()
+}
+
+// deepQueueCost is the kernel_ns_per_event row of deepQueue, with its
+// event count and queue shape read from the kernel's counters.
+func deepQueueCost(reps int) kernelBench {
+	st := deepQueue(true)
+	b := kernelCost("deep_queue", int(st.Dispatched), reps,
+		func() { deepQueue(false) }, func() { deepQueue(true) })
+	b.LaneShare = float64(st.LanePushes) / float64(st.LanePushes+st.HeapPushes)
+	b.HeapHighWater = st.HeapHighWater
+	return b
+}
+
 // serveDrain builds the live demo engine — all three policies racing a
 // shared uniform schedule at ~0.9x one pipeline's capacity — and drains it
 // with a single Advance. sink toggles the live observability attachment;
@@ -433,6 +493,7 @@ func main() {
 			kernelCost("spawn_churn", 3000, 20, spawnChurn, spawnChurnStep),
 			kernelCost("zero_sleep", 10000, 20, zeroSleep, nil),
 			kernelCost("message_path", 3000, 20, messagePath, messagePathStep),
+			deepQueueCost(5),
 		},
 	}
 	if !s.ParallelComparisonValid {

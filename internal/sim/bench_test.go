@@ -1,14 +1,18 @@
 package sim
 
 // Benchmarks and allocation-regression gates for the kernel hot path. The
-// event loop runs millions of times per experiment sweep, so the typed
-// event heap, the pooled process records and the zero-duration fast paths
+// event loop runs millions of times per experiment sweep, so the event
+// queue (same-instant lane and timed heap), the pooled process records and
+// the zero-duration fast paths
 // each get a benchmark plus two hard ceilings: an absolute allocs-per-
 // workload budget (catches one-time setup regressions) and a per-event
 // budget (catches anything creeping into the loop itself — the contract is
 // well under 2 allocations per event, and in steady state effectively 0).
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // eventLoopWorkload runs procs blocking processes that each sleep `sleeps`
 // times, exercising the heap push/pop and coroutine hand-off machinery.
@@ -188,6 +192,50 @@ func zeroAfterStepWorkload(n int) {
 	}
 }
 
+// deepQueueWorkload keeps procs processes cycling through three zero-delay
+// wakeups and two timed wakeups of 1-8 ms each, rounds wakeups per process,
+// in the blocking or (step) continuation flavour. About procs timers stay
+// pending, and a dozen processes share each instant, so the zero-delay
+// wakeups find another event due and go to the lane: the mix of the demand
+// protocol's request/empty-reply rounds, where about 60% of pushes are at
+// the current instant and the heap runs about 100 deep.
+func deepQueueWorkload(procs, rounds int, step bool) KernelStats {
+	k := NewKernel(1)
+	delay := func(n int) Time {
+		if n%5 < 3 {
+			return 0
+		}
+		return Time(1+n%8) * Millisecond
+	}
+	for i := 0; i < procs; i++ {
+		n := i
+		if !step {
+			k.Spawn("worker", func(e *Env) {
+				for r := 0; r < rounds; r++ {
+					n++
+					e.Sleep(delay(n))
+				}
+			})
+			continue
+		}
+		left := rounds
+		var next Step
+		next = func(e *Env) Cont {
+			if left == 0 {
+				return Done()
+			}
+			left--
+			n++
+			return After(delay(n), next)
+		}
+		k.SpawnStep("worker", next)
+	}
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+	return k.Stats()
+}
+
 func BenchmarkEventLoop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -199,6 +247,20 @@ func BenchmarkEventLoopStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eventLoopStepWorkload(4, 1000)
+	}
+}
+
+func BenchmarkEventLoopDeepQueue(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		deepQueueWorkload(100, 300, false)
+	}
+}
+
+func BenchmarkEventLoopDeepQueueStep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		deepQueueWorkload(100, 300, true)
 	}
 }
 
@@ -276,6 +338,36 @@ func TestEventLoopStepAllocs(t *testing.T) {
 	allocCeiling(t, "step event loop (4 procs x 1000 steps)", 50, 4000, func() {
 		eventLoopStepWorkload(4, 1000)
 	})
+}
+
+// TestEventLoopDeepQueueAllocs pins the deep-queue mix in both flavours:
+// its shape (a heap about 100 deep, most pushes on the lane), a setup-only
+// budget, and no allocation per event in steady state — ten times the
+// rounds costs not one allocation more, so the lane and the heap reuse
+// their arrays.
+func TestEventLoopDeepQueueAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		step  bool
+		limit float64 // records, coroutines and closures of 100 processes
+	}{{false, 1700}, {true, 600}} {
+		step := tc.step
+		st := deepQueueWorkload(100, 300, step)
+		share := float64(st.LanePushes) / float64(st.LanePushes+st.HeapPushes)
+		if st.HeapHighWater < 90 || share < 0.5 || share > 0.7 {
+			t.Errorf("step=%v: heap high water %d, lane share %.2f; want a ~100-deep heap and ~60%% lane pushes",
+				step, st.HeapHighWater, share)
+		}
+		name := fmt.Sprintf("deep queue (100 procs x 300 wakeups, step=%v)", step)
+		allocCeiling(t, name, tc.limit, 30000, func() { deepQueueWorkload(100, 300, step) })
+		if raceEnabled {
+			continue
+		}
+		short := testing.AllocsPerRun(5, func() { deepQueueWorkload(100, 300, step) })
+		long := testing.AllocsPerRun(5, func() { deepQueueWorkload(100, 3000, step) })
+		if long > short {
+			t.Errorf("%s: %.0f allocs at 10x the rounds vs %.0f: the loop allocates per event", name, long, short)
+		}
+	}
 }
 
 // TestSpawnPoolingAllocs pins the cost of 1000 sequential short-lived

@@ -15,7 +15,7 @@ package sim
 //	    })
 //	})
 //
-// Because a dispatch is a heap pop plus a direct function call — no
+// Because a dispatch is an event-queue pop plus a direct function call — no
 // coroutine or goroutine switch — continuation processes are the cheapest
 // way to model per-message or per-transfer activities on the kernel's hot
 // path. They share wait queues (and therefore FIFO wakeup order and
@@ -107,7 +107,7 @@ func (k *Kernel) SpawnStep(name string, step Step) {
 	} else {
 		p = &proc{state: stateNew, name: name}
 		p.env = Env{k: k, p: p}
-		k.procs = append(k.procs, p)
+		k.addProc(p)
 	}
 	p.id = k.idgen
 	k.idgen++
@@ -146,7 +146,7 @@ func (k *Kernel) dispatchStep(p *proc) {
 				// Same condition as the Sleep(0) fast path: if no other
 				// event is pending at this instant the reschedule would be
 				// dispatched immediately — run the next step inline.
-				if len(k.events) == 0 || k.events[0].at > k.now {
+				if !k.pendingNow() {
 					continue
 				}
 				k.schedule(k.now, p)

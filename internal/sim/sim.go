@@ -18,7 +18,7 @@
 //   - Continuation processes (SpawnStep) are explicit state machines: a
 //     Step function runs without blocking and returns a Cont directive
 //     (Done, After, Blocked) naming the next step. The event loop invokes
-//     steps inline — a dispatch is a heap pop plus a function call — so
+//     steps inline — a dispatch is a queue pop plus a function call — so
 //     hot-path processes pay no stack switch at all. The *Then variants of
 //     the synchronization primitives (Chan.GetThen, Resource.AcquireThen,
 //     ...) arm the continuation and share FIFO wait queues with blocking
@@ -34,16 +34,23 @@
 // outlives Run.
 //
 // The event loop is the hot path of every experiment sweep, so it avoids
-// allocation: the event queue is a concrete typed binary heap (no
-// container/heap interface boxing), completed process records (and, for
-// blocking processes, their coroutines) are pooled for reuse by later
-// Spawns, and a zero-duration Sleep or After returns immediately when no
-// other event is pending at the current instant.
+// allocation and GC work. The event queue is two parts merged on pop: a
+// FIFO ring for wakeups at the current instant (most wakeups: zero-delay
+// yields, channel and signal handoffs, spawns) and a concrete typed binary
+// heap for later ones (no container/heap interface boxing). Both reuse
+// their arrays, and their event records hold no pointers — a process is
+// named by its index in the kernel's record table — so moving events takes
+// no GC write barrier and the collector never scans the queue. Completed
+// process records (and, for blocking processes, their coroutines) are
+// pooled for reuse by later Spawns, and a zero-duration Sleep or After
+// returns immediately when no other event is pending at the current
+// instant.
 package sim
 
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -84,6 +91,7 @@ const (
 // mutable field is reset by Spawn/SpawnStep.
 type proc struct {
 	id     int
+	slot   int // index in Kernel.procs, named by this record's wakeups
 	name   string
 	state  procState
 	killed bool
@@ -116,10 +124,15 @@ func (p procPanic) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", p.name, p.value)
 }
 
+// event is one scheduled wakeup. It holds no pointers: slot is the woken
+// record's index in Kernel.procs, which is stable because records are
+// appended there once and then pooled, never removed. So the queue's
+// backing arrays take no GC write barrier when a sift swaps two events,
+// and the collector never scans them.
 type event struct {
 	at   Time
 	seq  uint64
-	proc *proc
+	slot int
 	// id is the proc incarnation the wakeup belongs to. Process records are
 	// pooled and reused (with a fresh id per Spawn), so a wakeup is stale —
 	// and must be dropped — unless the record still runs the same
@@ -127,24 +140,24 @@ type event struct {
 	id int
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq). It is a concrete
-// implementation rather than a container/heap adapter so Push/Pop move
-// event values directly, with no interface boxing and no per-event
-// allocation.
-type eventHeap []event
-
-// before reports whether element i must pop before element j.
-func (h eventHeap) before(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether e must pop before f.
+func (e *event) before(f *event) bool {
+	if e.at != f.at {
+		return e.at < f.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < f.seq
 }
+
+// eventHeap is a binary min-heap ordered by (at, seq), holding the wakeups
+// scheduled later than the current instant. It is a concrete implementation
+// rather than a container/heap adapter so Push/Pop move event values
+// directly, with no interface boxing and no per-event allocation.
+type eventHeap []event
 
 func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.before(i, parent) {
+		if !h[i].before(&h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -160,10 +173,10 @@ func (h eventHeap) down(i int) {
 			break
 		}
 		min := l
-		if r := l + 1; r < n && h.before(r, l) {
+		if r := l + 1; r < n && h[r].before(&h[l]) {
 			min = r
 		}
-		if !h.before(min, i) {
+		if !h[min].before(&h[i]) {
 			break
 		}
 		h[i], h[min] = h[min], h[i]
@@ -176,17 +189,69 @@ func (h *eventHeap) pushEvent(e event) {
 	h.up(len(*h) - 1)
 }
 
-func (h *eventHeap) popMin() event {
-	old := *h
-	min := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{} // drop the proc pointer so pooled records can be collected
-	*h = old[:n]
+// popMin removes the top event; read it first as (*h)[0].
+func (h *eventHeap) popMin() {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	// Reslicing *h onto itself stores only the new length, not the array
+	// pointer, so it takes no write barrier.
+	*h = (*h)[:n]
 	if n > 1 {
-		old[:n].down(0)
+		s[:n].down(0)
 	}
-	return min
+}
+
+// eventLane is the FIFO of wakeups scheduled at the current instant: a
+// ring over a power-of-two array that is reused, not reallocated, once it
+// has grown to the deepest same-instant burst. Every lane entry has
+// at == now and a larger seq than anything queued before it, so the lane
+// is already in (at, seq) order, and merging its head with the heap's top
+// yields exactly the order a single heap would. The lane is always empty
+// when now advances: its entries sort before any heap entry later than now.
+type eventLane struct {
+	buf  []event
+	head int
+	n    int
+}
+
+func (l *eventLane) push(e event) {
+	if l.n == len(l.buf) {
+		buf := make([]event, max(16, 2*len(l.buf)))
+		m := copy(buf, l.buf[l.head:])
+		copy(buf[m:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
+	l.n++
+}
+
+// front returns the oldest entry; the lane must be non-empty.
+func (l *eventLane) front() *event { return &l.buf[l.head] }
+
+func (l *eventLane) pop() {
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+// KernelStats are the kernel's self-telemetry counters, read with
+// Kernel.Stats. Every wakeup is either a lane push or a heap push; it is
+// later either dispatched, dropped as stale, or still queued (or killed at
+// shutdown).
+type KernelStats struct {
+	// Dispatched counts wakeups that resumed a live process.
+	Dispatched uint64
+	// LanePushes counts wakeups scheduled at the current instant, which go
+	// to the same-instant FIFO lane.
+	LanePushes uint64
+	// HeapPushes counts wakeups scheduled later than the current instant,
+	// which go to the timed heap.
+	HeapPushes uint64
+	// HeapHighWater is the deepest the timed heap has been.
+	HeapHighWater int
+	// StaleDropped counts wakeups dropped because the incarnation they were
+	// scheduled for had finished or been killed.
+	StaleDropped uint64
 }
 
 // Kernel is a discrete-event simulation instance. Create one with NewKernel,
@@ -195,8 +260,10 @@ func (h *eventHeap) popMin() event {
 type Kernel struct {
 	now      Time
 	seq      uint64
-	events   eventHeap
-	procs    []*proc
+	events   eventHeap // wakeups later than now
+	lane     eventLane // wakeups at now, in schedule order
+	stats    KernelStats
+	procs    []*proc // every record ever created; an event's slot indexes it
 	freeCoro []*proc // pooled blocking-process records (coroutine parked)
 	freeStep []*proc // pooled continuation-process records
 	idgen    int
@@ -237,7 +304,7 @@ func (k *Kernel) Spawn(name string, fn func(*Env)) {
 		p.killed = false
 	} else {
 		p = k.newCoroProc(name)
-		k.procs = append(k.procs, p)
+		k.addProc(p)
 	}
 	// Fresh id even on reuse: ids stay monotonic so the deterministic
 	// shutdown kill order reflects spawn order.
@@ -246,6 +313,16 @@ func (k *Kernel) Spawn(name string, fn func(*Env)) {
 	p.fn = fn
 	k.schedule(k.now, p)
 }
+
+// addProc registers a new record. Its index in k.procs is the slot its
+// wakeups name it by; records are pooled, never removed, so it never moves.
+func (k *Kernel) addProc(p *proc) {
+	p.slot = len(k.procs)
+	k.procs = append(k.procs, p)
+}
+
+// Stats returns the kernel's self-telemetry counters so far.
+func (k *Kernel) Stats() KernelStats { return k.stats }
 
 // newCoroProc creates a process record backed by a fresh coroutine and runs
 // the coroutine to its first suspension point, so the first dispatch resumes
@@ -312,14 +389,36 @@ func (k *Kernel) runBody(p *proc) (pooled bool) {
 	return
 }
 
-// schedule enqueues a wakeup for p at time t.
+// schedule enqueues a wakeup for p at time t; a time before now means now.
+// A NaN or +Inf time panics: it has no place in the (at, seq) order, so it
+// can only come from a bug in the caller, and the panic fails the run
+// through the calling process.
 func (k *Kernel) schedule(t Time, p *proc) {
-	if t < k.now {
-		t = k.now
+	e := event{at: t, seq: k.seq, slot: p.slot, id: p.id}
+	switch {
+	case t <= k.now:
+		e.at = k.now
+		k.lane.push(e)
+		k.stats.LanePushes++
+	case t < Time(math.Inf(1)):
+		k.events.pushEvent(e)
+		k.stats.HeapPushes++
+		k.stats.HeapHighWater = max(k.stats.HeapHighWater, len(k.events))
+	default:
+		panic(fmt.Sprintf("sim: wakeup at non-finite time %v", float64(t)))
 	}
 	p.state = stateRunnable
-	k.events.pushEvent(event{at: t, seq: k.seq, proc: p, id: p.id})
 	k.seq++
+}
+
+// pending reports whether any wakeup is queued.
+func (k *Kernel) pending() bool { return k.lane.n > 0 || len(k.events) > 0 }
+
+// pendingNow reports whether a wakeup is queued at the current instant. The
+// heap's top is never earlier than now, so it is pending now iff it is at
+// now.
+func (k *Kernel) pendingNow() bool {
+	return k.lane.n > 0 || (len(k.events) > 0 && k.events[0].at <= k.now)
 }
 
 // park suspends the calling blocking process until the kernel resumes it.
@@ -361,17 +460,31 @@ func (k *Kernel) RunUntil(horizon Time) error {
 // without killing anything, so the caller decides whether the kernel keeps
 // living.
 func (k *Kernel) advance(horizon Time) {
-	for k.failure == nil && len(k.events) > 0 {
-		e := k.events.popMin()
+	for k.failure == nil && k.pending() {
+		// Pop the smaller (at, seq) of the lane head and the heap top.
+		var e event
+		fromLane := k.lane.n > 0 && (len(k.events) == 0 || k.lane.front().before(&k.events[0]))
+		if fromLane {
+			e = *k.lane.front()
+		} else {
+			e = k.events[0]
+		}
 		if horizon >= 0 && e.at > horizon {
-			k.events.pushEvent(e)
 			break
 		}
-		if e.proc.id != e.id || e.proc.state == stateDone || e.proc.state == statePooled {
+		if fromLane {
+			k.lane.pop()
+		} else {
+			k.events.popMin()
+		}
+		p := k.procs[e.slot]
+		if p.id != e.id || p.state == stateDone || p.state == statePooled {
+			k.stats.StaleDropped++
 			continue // stale wakeup: the incarnation it was for is gone
 		}
+		k.stats.Dispatched++
 		k.now = e.at
-		k.dispatch(e.proc)
+		k.dispatch(p)
 	}
 }
 
@@ -399,7 +512,7 @@ func (k *Kernel) AdvanceTo(horizon Time) (done bool, err error) {
 	}
 	k.running = true
 	k.advance(horizon)
-	if k.failure != nil || len(k.events) == 0 {
+	if k.failure != nil || !k.pending() {
 		k.finished = true
 		k.shutdown()
 		return true, k.failure
@@ -483,11 +596,10 @@ func (e *Env) Sleep(d Time) {
 	k := e.k
 	if d <= 0 {
 		// Fast path: yielding only matters if another event is pending at
-		// the current instant. The heap's minimum is never earlier than
-		// now, so if the top (if any) is strictly later, this process
-		// would be rescheduled and immediately re-dispatched — skip the
-		// two coroutine switches and keep running.
-		if len(k.events) == 0 || k.events[0].at > k.now {
+		// the current instant. Otherwise this process would be rescheduled
+		// and immediately re-dispatched — skip the two coroutine switches
+		// and keep running.
+		if !k.pendingNow() {
 			return
 		}
 		k.schedule(k.now, e.p)
