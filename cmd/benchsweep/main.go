@@ -8,7 +8,8 @@
 // (live_sink_overhead_pct — hooks + sketches + registry + collector on
 // versus off on the same serve-engine drain), and the simulation kernel's
 // allocation profile and ns/event on its hot-path workloads, one of them
-// with a deep event queue.
+// with a deep event queue, and the cost of one demand-protocol round trip
+// in the runtime.
 //
 // Usage:
 //
@@ -24,9 +25,13 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/hw"
+	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/task"
 )
 
 type runResult struct {
@@ -55,6 +60,18 @@ type kernelBench struct {
 	StepNsPerEvent     float64 `json:"step_ns_per_event,omitempty"`
 	LaneShare          float64 `json:"lane_share,omitempty"`
 	HeapHighWater      int     `json:"heap_high_water,omitempty"`
+}
+
+// demandRoundBench is the marginal cost of one demand-protocol round trip
+// (demand message, request hand-off, sender selection, reply transmission,
+// reply wait, settle) in the runtime: the difference in wall time and
+// allocations between a short and a long run of the same pipeline, divided
+// by the difference in rounds issued.
+type demandRoundBench struct {
+	Workload       string  `json:"workload"`
+	Rounds         int     `json:"rounds"`
+	NsPerRound     float64 `json:"ns_per_round"`
+	AllocsPerRound float64 `json:"allocs_per_round"`
 }
 
 type summary struct {
@@ -89,9 +106,10 @@ type summary struct {
 	// engine with the sink disabled (serve.Config.DisableSink). This is the
 	// per-event price of live observability, as opposed to
 	// explain_overhead_pct's price of the batch capture artifacts.
-	LiveSinkOverheadPct float64       `json:"live_sink_overhead_pct"`
-	SimAllocs           []allocResult `json:"sim_kernel_allocs"`
-	KernelBench         []kernelBench `json:"kernel_ns_per_event"`
+	LiveSinkOverheadPct float64          `json:"live_sink_overhead_pct"`
+	SimAllocs           []allocResult    `json:"sim_kernel_allocs"`
+	KernelBench         []kernelBench    `json:"kernel_ns_per_event"`
+	DemandRound         demandRoundBench `json:"demand_round"`
 }
 
 // timedRunAll regenerates the full report with the given pool size and
@@ -215,6 +233,57 @@ func zeroSleep() {
 	}
 }
 
+// demandRounds is the workload of core's TestDemandRoundAllocs: a DDWRR(32)
+// source → worker pipeline on four dual-core nodes, 48 tasks from a source
+// on node 0, each costing cost on a CPU. The tasks all leave the source
+// early; the requesters then poll it, getting empty replies, until the last
+// task completes, so the rounds grow with cost and nothing else does. It
+// returns the DemandIssued records.
+func demandRounds(cost sim.Time) int {
+	k := sim.NewKernel(1)
+	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 2}, {CPUCores: 2}, {CPUCores: 2}, {CPUCores: 2}}, nil)
+	rt := core.New(c, nil)
+	src := rt.AddFilter(core.FilterSpec{
+		Name:      "source",
+		Placement: []int{0},
+		Seed: func(_ int, emit func(*task.Task)) {
+			for i := 0; i < 48; i++ {
+				emit(&task.Task{Size: 1000, OutSize: 100, Cost: func(hw.Kind) sim.Time { return cost }})
+			}
+		},
+	})
+	wf := rt.AddFilter(core.FilterSpec{
+		Name:      "worker",
+		Placement: []int{0, 1, 2, 3},
+		Handler:   func(*core.Ctx, *task.Task) core.Action { return core.Action{} },
+	})
+	rt.Connect(src, wf, policy.DDWRR(32))
+	issued := 0
+	rt.Hooks.Demand = func(r core.DemandRecord) {
+		if r.Event == core.DemandIssued {
+			issued++
+		}
+	}
+	if _, err := rt.Run(); err != nil {
+		panic(err)
+	}
+	return issued
+}
+
+// demandRoundCost measures the demand_round row from a 1 ms and a 20 ms
+// run of demandRounds.
+func demandRoundCost(reps int) demandRoundBench {
+	short := func() { demandRounds(sim.Millisecond) }
+	long := func() { demandRounds(20 * sim.Millisecond) }
+	rounds := demandRounds(20*sim.Millisecond) - demandRounds(sim.Millisecond)
+	return demandRoundBench{
+		Workload:       "ddwrr32_source_to_4x2_cpu_workers",
+		Rounds:         rounds,
+		NsPerRound:     (secsPerRun(reps, long) - secsPerRun(reps, short)) * 1e9 / float64(rounds),
+		AllocsPerRound: (allocsPerRun(reps, long) - allocsPerRun(reps, short)) / float64(rounds),
+	}
+}
+
 // messagePath is the runtime's per-message shape after the stackless
 // migration benchmark-reduced to kernel primitives: spawn a short-lived
 // transfer process, serialize on an exclusive NIC-like resource, deliver
@@ -284,6 +353,8 @@ func spawnChurnStep() {
 	}
 }
 
+// messagePathStep is messagePath on the step API, the same code as
+// internal/sim's messagePathStepWorkload.
 func messagePathStep() {
 	k := sim.NewKernel(1)
 	nic := sim.NewResource(k, 1)
@@ -495,6 +566,7 @@ func main() {
 			kernelCost("message_path", 3000, 20, messagePath, messagePathStep),
 			deepQueueCost(5),
 		},
+		DemandRound: demandRoundCost(10),
 	}
 	if !s.ParallelComparisonValid {
 		s.ParallelNote = "GOMAXPROCS=1: the worker pool cannot run sweeps concurrently, so parallel_speedup measures pool overhead, not machine parallelism"

@@ -19,7 +19,8 @@ const (
 
 // request is the demand message a consumer sends upstream: it names the
 // device class that triggered it (Section 5.3.2) so DBSA can select the
-// best-suited data buffer.
+// best-suited data buffer. Each request lives in the fetch record that
+// sends it, and reply is that record's own reply channel.
 type request struct {
 	kind     hw.Kind
 	from     *hw.Node
@@ -44,6 +45,10 @@ type sender struct {
 	parts []*policy.Queue // per-consumer partitions (labeled streams only)
 	reqCh *sim.Chan[*request]
 	gen   *generator // non-nil for lazy source filters
+	// gotRequest is onRequest bound once, the continuation runStep parks
+	// on the request channel with; freeTx holds idle reply transmissions.
+	gotRequest func(*sim.Env, *request, bool) sim.Cont
+	freeTx     []*replyTx
 }
 
 // generator is the on-demand production state of a lazy source instance.
@@ -170,28 +175,59 @@ func (s *sender) runStep(e *sim.Env) sim.Cont {
 			if s.reqCh.Closed() {
 				return sim.Done()
 			}
-			return s.reqCh.GetThen(e, func(e *sim.Env, req *request, ok bool) sim.Cont {
-				if !ok {
-					return sim.Done()
-				}
-				s.serve(e, req)
-				return s.runStep(e)
-			})
+			return s.reqCh.GetThen(e, s.gotRequest)
 		}
 		s.serve(e, req)
 	}
+}
+
+// onRequest resumes runStep once a request arrives on an empty channel.
+func (s *sender) onRequest(e *sim.Env, req *request, ok bool) sim.Cont {
+	if !ok {
+		return sim.Done()
+	}
+	s.serve(e, req)
+	return s.runStep(e)
 }
 
 // serve answers one request and spawns the step chain transmitting the
 // reply: network send, then the hand-off into the requester's reply channel.
 func (s *sender) serve(e *sim.Env, req *request) {
 	rep := s.answer(e.Now(), req)
-	net := s.inst.rt.Cluster.Net
-	e.SpawnStep("send", func(se *sim.Env) sim.Cont {
-		return net.SendThen(se, s.inst.node, req.from, rep.wireSize(), func(se *sim.Env) sim.Cont {
-			return req.reply.PutThen(se, rep, sim.DoneStep)
-		})
-	})
+	var tx *replyTx
+	if n := len(s.freeTx); n > 0 {
+		tx = s.freeTx[n-1]
+		s.freeTx = s.freeTx[:n-1]
+	} else {
+		tx = &replyTx{s: s}
+		tx.runStep, tx.deliverStep = tx.run, tx.deliver
+	}
+	tx.to, tx.ch, tx.rep = req.from, req.reply, rep
+	e.SpawnStep("send", tx.runStep)
+}
+
+// replyTx is one reply on its way back to a requester, a pooled record of
+// its sender: the network send, then the hand-off into the reply channel.
+type replyTx struct {
+	s   *sender
+	to  *hw.Node
+	ch  *sim.Chan[reply]
+	rep reply
+	// Bound once when the record is made: run and deliver as Steps.
+	runStep, deliverStep sim.Step
+}
+
+func (tx *replyTx) run(e *sim.Env) sim.Cont {
+	s := tx.s
+	return s.inst.rt.Cluster.Net.SendThen(e, s.inst.node, tx.to, tx.rep.wireSize(), tx.deliverStep)
+}
+
+// deliver hands the reply over; the record goes back to the pool first.
+func (tx *replyTx) deliver(e *sim.Env) sim.Cont {
+	ch, rep := tx.ch, tx.rep
+	tx.to, tx.ch, tx.rep = nil, nil, reply{}
+	tx.s.freeTx = append(tx.s.freeTx, tx)
+	return ch.PutThen(e, rep, sim.DoneStep)
 }
 
 // runPush implements the push-based stream the paper excludes: drain the
@@ -360,6 +396,8 @@ type Instance struct {
 	// requestsize(tid) counts buffers *assigned to* tid (Algorithm 2), so
 	// a pop must decrement the fetcher's counter, whoever consumes it.
 	fetcher map[uint64]*reqState
+	// freeResub holds idle resubmission records for reuse.
+	freeResub []*resubmission
 }
 
 // Node returns the node hosting this instance.
@@ -388,6 +426,7 @@ func newInstance(rt *Runtime, f *Filter, idx int, node *hw.Node) *Instance {
 			queue: policy.NewQueue(f.out.pol.Sender),
 			reqCh: sim.NewChan[*request](rt.K, 1024),
 		}
+		inst.out.gotRequest = inst.out.onRequest
 		if f.out.labelFn != nil {
 			inst.out.parts = make([]*policy.Queue, len(f.out.to.spec.Placement))
 			for i := range inst.out.parts {
@@ -809,13 +848,40 @@ func (inst *Instance) resubmit(e *sim.Env, o *task.Task) {
 	}
 	tgt := src.instances[inst.resubRR%len(src.instances)]
 	inst.resubRR++
-	from, net := inst.node, inst.rt.Cluster.Net
-	e.SpawnStep("resubmit", func(ce *sim.Env) sim.Cont {
-		return net.SendThen(ce, from, tgt.node, ctrlMsgBytes, func(ce *sim.Env) sim.Cont {
-			tgt.out.push(o)
-			return sim.Done()
-		})
-	})
+	var r *resubmission
+	if n := len(inst.freeResub); n > 0 {
+		r = inst.freeResub[n-1]
+		inst.freeResub = inst.freeResub[:n-1]
+	} else {
+		r = &resubmission{inst: inst}
+		r.runStep, r.arriveStep = r.run, r.arrive
+	}
+	r.tgt, r.t = tgt, o
+	e.SpawnStep("resubmit", r.runStep)
+}
+
+// resubmission is one resubmitted buffer on its way to a root source
+// instance, a pooled record of the resubmitting instance.
+type resubmission struct {
+	inst *Instance
+	tgt  *Instance
+	t    *task.Task
+	// Bound once when the record is made: run and arrive as Steps.
+	runStep, arriveStep sim.Step
+}
+
+func (r *resubmission) run(e *sim.Env) sim.Cont {
+	inst := r.inst
+	return inst.rt.Cluster.Net.SendThen(e, inst.node, r.tgt.node, ctrlMsgBytes, r.arriveStep)
+}
+
+// arrive queues the buffer at the target; the record goes back to the pool.
+func (r *resubmission) arrive(*sim.Env) sim.Cont {
+	tgt, t := r.tgt, r.t
+	r.tgt, r.t = nil, nil
+	r.inst.freeResub = append(r.inst.freeResub, r)
+	tgt.out.push(t)
+	return sim.Done()
 }
 
 // reqLoop is the state of one ThreadRequester (Algorithm 3): one worker's
@@ -840,6 +906,11 @@ type reqLoop struct {
 	backoff     sim.Time
 	emptyStreak int
 	eof         bool
+	// loopStep and backoffStep are loop and backedOff bound once, the
+	// steps every wait and timer of the issue loop resumes with.
+	loopStep, backoffStep sim.Step
+	// free holds idle fetch records for reuse.
+	free []*fetch
 }
 
 func (w *worker) newReqLoop(qi int) *reqLoop {
@@ -854,10 +925,12 @@ func (w *worker) newReqLoop(qi int) *reqLoop {
 		// Spread initial round-robin positions across consumers.
 		st.rrSender = inst.idx % len(senders)
 	}
-	return &reqLoop{
+	l := &reqLoop{
 		w: w, inst: inst, rt: inst.rt, qi: qi,
 		st: st, stream: stream, senders: senders, backoff: minBackoff,
 	}
+	l.loopStep, l.backoffStep = l.loop, l.backedOff
+	return l
 }
 
 // pick selects the next upstream sender — round-robin by default, or by
@@ -921,21 +994,61 @@ func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
 	inst.demand.NotifyAll() // let the issuing loop reassess
 }
 
-// fetchStep runs one fetch protocol round as a step chain — demand message
-// on the wire, request hand-off to the sender, reply wait, settle — then
-// next.
-func (l *reqLoop) fetchStep(fe *sim.Env, snd *sender, next sim.Step) sim.Cont {
-	t0 := fe.Now()
-	replyCh := sim.NewChan[reply](l.rt.K, 1)
-	return l.rt.Cluster.Net.SendThen(fe, l.inst.node, snd.inst.node, ctrlMsgBytes, func(fe *sim.Env) sim.Cont {
-		req := &request{kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx, reply: replyCh}
-		return snd.reqCh.PutThen(fe, req, func(fe *sim.Env) sim.Cont {
-			return replyCh.GetThen(fe, func(fe *sim.Env, rep reply, ok bool) sim.Cont {
-				l.settle(fe, t0, rep, ok)
-				return next(fe)
-			})
-		})
-	})
+// fetch is one fetch protocol round: demand message on the wire, request
+// hand-off to the sender, reply wait, settle, then next. Records are pooled
+// per requester. Each embeds the request it sends and owns one
+// capacity-1 reply channel, reused by every round the record runs, and its
+// steps are bound once when it is made, so a round allocates nothing.
+type fetch struct {
+	l    *reqLoop
+	req  request
+	snd  *sender
+	t0   sim.Time
+	next sim.Step
+	// Bound once in newFetch: run, sent and queued as Steps, got as the
+	// reply channel's continuation.
+	runStep, sentStep, queuedStep sim.Step
+	gotStep                       func(*sim.Env, reply, bool) sim.Cont
+}
+
+// newFetch takes a fetch record from the pool (or makes one) for a round
+// against snd that continues with next.
+func (l *reqLoop) newFetch(snd *sender, next sim.Step) *fetch {
+	var f *fetch
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		f = &fetch{l: l}
+		f.req = request{kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx, reply: sim.NewChan[reply](l.rt.K, 1)}
+		f.runStep, f.sentStep, f.queuedStep, f.gotStep = f.run, f.sent, f.queued, f.got
+	}
+	f.snd, f.next = snd, next
+	return f
+}
+
+// run puts the demand message on the wire.
+func (f *fetch) run(e *sim.Env) sim.Cont {
+	f.t0 = e.Now()
+	l := f.l
+	return l.rt.Cluster.Net.SendThen(e, l.inst.node, f.snd.inst.node, ctrlMsgBytes, f.sentStep)
+}
+
+// sent hands the request to the sender.
+func (f *fetch) sent(e *sim.Env) sim.Cont { return f.snd.reqCh.PutThen(e, &f.req, f.queuedStep) }
+
+// queued waits for the reply.
+func (f *fetch) queued(e *sim.Env) sim.Cont { return f.req.reply.GetThen(e, f.gotStep) }
+
+// got returns the record to the pool, settles the reply and runs next. The
+// sender put exactly one reply and got took it, so the reply channel is
+// empty for the record's next round.
+func (f *fetch) got(e *sim.Env, rep reply, ok bool) sim.Cont {
+	l, next, t0 := f.l, f.next, f.t0
+	f.snd, f.next = nil, nil
+	l.free = append(l.free, f)
+	l.settle(e, t0, rep, ok)
+	return next(e)
 }
 
 // requesterStep is ThreadRequester: Algorithm 3's issue loop with every
@@ -951,41 +1064,44 @@ func (w *worker) requesterStep(e *sim.Env, qi int) sim.Cont {
 	if len(l.senders) == 0 {
 		return sim.Done()
 	}
-	st, inst, rt := l.st, l.inst, l.rt
-	var loop sim.Step
-	loop = func(e *sim.Env) sim.Cont {
-		for !rt.track.done.Fired() && !l.eof && !inst.dead {
-			if st.requestSize >= w.targetFor(st) {
-				return inst.demand.WaitThen(e, loop)
-			}
-			if l.emptyStreak >= len(l.senders) {
-				l.emptyStreak = 0
-				return sim.After(l.backoff, func(e *sim.Env) sim.Cont {
-					if l.backoff < maxBackoff {
-						l.backoff *= 2
-					}
-					return loop(e)
-				})
-			}
-			snd := l.pick()
-			if snd == nil {
-				continue
-			}
-			st.requestSize++ // in transit counts toward the target
-			w.noteDemand(e.Now(), qi, DemandIssued, st.requestSize)
-			if rt.tun.SerialRequester {
-				// Ablation: the fetch chains on this process itself, then
-				// resumes the loop — the literal synchronous Algorithm 3.
-				return l.fetchStep(e, snd, loop)
-			}
-			e.SpawnStep(w.fetchName, func(fe *sim.Env) sim.Cont {
-				return l.fetchStep(fe, snd, sim.DoneStep)
-			})
-			// After(0) is the step-world Yield: the just-spawned fetch runs
-			// (deterministically) before the next issue decision.
-			return sim.After(0, loop)
+	return l.loop(e)
+}
+
+// loop is the body of requesterStep's issue loop.
+func (l *reqLoop) loop(e *sim.Env) sim.Cont {
+	w, st, inst, rt := l.w, l.st, l.inst, l.rt
+	for !rt.track.done.Fired() && !l.eof && !inst.dead {
+		if st.requestSize >= w.targetFor(st) {
+			return inst.demand.WaitThen(e, l.loopStep)
 		}
-		return sim.Done()
+		if l.emptyStreak >= len(l.senders) {
+			l.emptyStreak = 0
+			return sim.After(l.backoff, l.backoffStep)
+		}
+		snd := l.pick()
+		if snd == nil {
+			continue
+		}
+		st.requestSize++ // in transit counts toward the target
+		w.noteDemand(e.Now(), l.qi, DemandIssued, st.requestSize)
+		if rt.tun.SerialRequester {
+			// Ablation: the fetch chains on this process itself, then
+			// resumes the loop — the literal synchronous Algorithm 3.
+			return l.newFetch(snd, l.loopStep).run(e)
+		}
+		e.SpawnStep(w.fetchName, l.newFetch(snd, sim.DoneStep).runStep)
+		// After(0) is the step-world Yield: the just-spawned fetch runs
+		// (deterministically) before the next issue decision.
+		return sim.After(0, l.loopStep)
 	}
-	return loop(e)
+	return sim.Done()
+}
+
+// backedOff resumes the loop after an empty-cycle backoff, doubling the
+// next backoff up to its ceiling.
+func (l *reqLoop) backedOff(e *sim.Env) sim.Cont {
+	if l.backoff < maxBackoff {
+		l.backoff *= 2
+	}
+	return l.loop(e)
 }

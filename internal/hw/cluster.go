@@ -37,6 +37,8 @@ type Network struct {
 	// deg holds per-node NIC degradations; nil until the first Degrade call,
 	// so the healthy hot path pays only a nil check.
 	deg map[int]*netDegrade
+	// free holds idle SendThen transfer records for reuse.
+	free []*transfer
 }
 
 // NewNetwork creates a network model.
@@ -123,6 +125,10 @@ func (n *Network) Send(e *sim.Env, from, to *Node, bytes int64) {
 // so arbitration order is one discipline across process flavours — and then
 // runs next. NIC degradations are sampled once, when the send starts, exactly
 // as Send does. Steps must return the directive SendThen returns.
+//
+// A send between nodes runs on a transfer record from the network's free
+// list, whose steps are bound once when the record is made, so a send in
+// steady state allocates nothing.
 func (n *Network) SendThen(e *sim.Env, from, to *Node, bytes int64, next sim.Step) sim.Cont {
 	if from == to {
 		d := n.cfg.LocalLatency
@@ -131,39 +137,79 @@ func (n *Network) SendThen(e *sim.Env, from, to *Node, bytes int64, next sim.Ste
 		}
 		return sim.After(d, next)
 	}
-	bw := n.cfg.BandwidthBps
-	lat := n.cfg.Latency
+	tr := n.newTransfer()
+	tr.from, tr.bytes, tr.sent, tr.next = from, bytes, 0, next
+	tr.bw, tr.lat = n.cfg.BandwidthBps, n.cfg.Latency
 	if n.deg != nil {
 		if d := n.deg[from.ID]; d != nil {
-			bw *= d.bwScale
-			lat += d.latency
+			tr.bw *= d.bwScale
+			tr.lat += d.latency
 		}
 		if d := n.deg[to.ID]; d != nil {
-			lat += d.latency
+			tr.lat += d.latency
 		}
 	}
-	var sent int64
-	var segment sim.Step
-	segment = func(e *sim.Env) sim.Cont {
-		if sent >= bytes {
-			return sim.After(lat, func(e *sim.Env) sim.Cont {
-				n.bytes += bytes
-				return next(e)
-			})
-		}
-		seg := bytes - sent
-		if seg > segmentBytes {
-			seg = segmentBytes
-		}
-		sent += seg
-		return from.egress.AcquireThen(e, func(e *sim.Env) sim.Cont {
-			return sim.After(sim.Time(float64(seg)/bw), func(e *sim.Env) sim.Cont {
-				from.egress.Release()
-				return segment(e)
-			})
-		})
+	return tr.segment(e)
+}
+
+// transfer is the state of one SendThen between nodes: the NIC it
+// serializes on, its progress in segments, the bandwidth and latency
+// sampled at its start, and the step to run once the bytes have arrived.
+type transfer struct {
+	n     *Network
+	from  *Node
+	bytes int64
+	sent  int64 // bytes handed to the NIC so far, the current segment included
+	seg   int64 // size of the segment on the wire
+	bw    float64
+	lat   sim.Time
+	next  sim.Step
+	// Bound once in newTransfer: hold, release and finish as Steps.
+	holdStep, releaseStep, finishStep sim.Step
+}
+
+func (n *Network) newTransfer() *transfer {
+	if k := len(n.free); k > 0 {
+		tr := n.free[k-1]
+		n.free = n.free[:k-1]
+		return tr
 	}
-	return segment(e)
+	tr := &transfer{n: n}
+	tr.holdStep, tr.releaseStep, tr.finishStep = tr.hold, tr.release, tr.finish
+	return tr
+}
+
+// segment queues the next segment on the egress NIC, or, once every byte
+// is on the wire, waits out the propagation latency.
+func (tr *transfer) segment(e *sim.Env) sim.Cont {
+	if tr.sent >= tr.bytes {
+		return sim.After(tr.lat, tr.finishStep)
+	}
+	tr.seg = min(tr.bytes-tr.sent, segmentBytes)
+	tr.sent += tr.seg
+	return tr.from.egress.AcquireThen(e, tr.holdStep)
+}
+
+// hold keeps the NIC for the segment's wire time.
+func (tr *transfer) hold(*sim.Env) sim.Cont {
+	return sim.After(sim.Time(float64(tr.seg)/tr.bw), tr.releaseStep)
+}
+
+// release frees the NIC for the next queued segment, ours or another send's.
+func (tr *transfer) release(e *sim.Env) sim.Cont {
+	tr.from.egress.Release()
+	return tr.segment(e)
+}
+
+// finish accounts the bytes, returns the record to the free list and runs
+// the caller's step; next is read first, so it may start another send that
+// reuses this very record.
+func (tr *transfer) finish(e *sim.Env) sim.Cont {
+	n, next := tr.n, tr.next
+	n.bytes += tr.bytes
+	tr.from, tr.next = nil, nil
+	n.free = append(n.free, tr)
+	return next(e)
 }
 
 // NodeSpec describes one machine when building a cluster.

@@ -132,3 +132,64 @@ func TestSendThenLocalDelivery(t *testing.T) {
 		t.Fatalf("local sends must not count as network bytes, got %d", c.Net.TotalBytes())
 	}
 }
+
+// chainedSendTimes runs two send chains from node 0 at once: chain A sends
+// sizesA back to back, chain B sends sizesB back to back, starting 30 µs
+// later. With step set, each chain is one step process whose SendThen
+// continuation issues the chain's next SendThen straight away, so a transfer
+// record goes back to the pool and is taken again at once while the other
+// chain is mid-segment on the same NIC. Without it the chains are blocking
+// processes calling Send. It returns every send's completion time, chain A's
+// first, and the network's byte count.
+func chainedSendTimes(t *testing.T, step bool, sizesA, sizesB []int64) ([]sim.Time, int64) {
+	t.Helper()
+	k := sim.NewKernel(1)
+	c := simtest.ContendedPair(k)
+	c.Net.Degrade(0, 20*sim.Microsecond, 0.5)
+	done := make([]sim.Time, len(sizesA)+len(sizesB))
+	chain := func(name string, delay sim.Time, sizes []int64, out []sim.Time) {
+		if !step {
+			k.Spawn(name, func(e *sim.Env) {
+				e.Sleep(delay)
+				for i, size := range sizes {
+					c.Net.Send(e, c.Nodes[0], c.Nodes[1], size)
+					out[i] = e.Now()
+				}
+			})
+			return
+		}
+		i := 0
+		var next sim.Step
+		send := func(e *sim.Env) sim.Cont { return c.Net.SendThen(e, c.Nodes[0], c.Nodes[1], sizes[i], next) }
+		next = func(e *sim.Env) sim.Cont {
+			out[i] = e.Now()
+			if i++; i == len(sizes) {
+				return sim.Done()
+			}
+			return send(e)
+		}
+		k.SpawnStep(name, func(e *sim.Env) sim.Cont { return sim.After(delay, send) })
+	}
+	chain("a", 0, sizesA, done[:len(sizesA)])
+	chain("b", 30*sim.Microsecond, sizesB, done[len(sizesA):])
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return done, c.Net.TotalBytes()
+}
+
+// TestSendThenChainedReuseMatchesSend: pooled transfer records reused by
+// back-to-back SendThen calls — control messages, multi-segment bulk sends
+// and an empty send — while another chain's bulk transfer holds segments of
+// the same NIC complete at exactly the blocking Send's times and move the
+// same bytes.
+func TestSendThenChainedReuseMatchesSend(t *testing.T) {
+	sizesA := []int64{64, 64, 200 << 10, 0, 64, 1 << 20, 64}
+	sizesB := []int64{1 << 20, 64, 300 << 10, 64}
+	ref, refBytes := chainedSendTimes(t, false, sizesA, sizesB)
+	got, bytes := chainedSendTimes(t, true, sizesA, sizesB)
+	simtest.SameTimes(t, "chained sends", got, ref)
+	if bytes != refBytes {
+		t.Fatalf("network bytes %d, blocking reference %d", bytes, refBytes)
+	}
+}

@@ -51,8 +51,9 @@ type Link struct {
 	inflight int
 	traffic  [2]int64 // bytes moved per direction
 	busy     sim.Time
-	degLat   sim.Time // fault-injected per-transfer latency penalty
-	degBW    float64  // fault-injected bandwidth scale (1 = healthy)
+	degLat   sim.Time   // fault-injected per-transfer latency penalty
+	degBW    float64    // fault-injected bandwidth scale (1 = healthy)
+	free     []*dmaCopy // idle CopyThen records for reuse
 }
 
 // NewLink creates a PCIe link.
@@ -101,25 +102,63 @@ func (l *Link) Copy(e *sim.Env, bytes int64, dir Direction) {
 // the transfer joins the DMA engine's FIFO queue (shared with blocking
 // callers, so arbitration order is one discipline across flavours), samples
 // congestion at service start exactly as Copy does, and runs next once the
-// bytes have moved. Steps must return the directive CopyThen returns.
+// bytes have moved. Steps must return the directive CopyThen returns. Like
+// Network.SendThen it runs on a pooled record with steps bound once, so it
+// allocates nothing in steady state.
 func (l *Link) CopyThen(e *sim.Env, bytes int64, dir Direction, next sim.Step) sim.Cont {
 	if bytes < 0 {
 		panic("hw: negative transfer size")
 	}
 	l.inflight++
-	return l.engine.AcquireThen(e, func(e *sim.Env) sim.Cont {
-		extra := float64(l.inflight - 1)
-		wire := sim.Time(float64(bytes)/(l.cfg.BandwidthBps*l.degBW)) * sim.Time(1+l.cfg.Congestion*extra)
-		d := l.cfg.Latency + l.degLat + wire
-		start := e.Now()
-		return sim.After(d, func(e *sim.Env) sim.Cont {
-			l.engine.Release()
-			l.inflight--
-			l.traffic[dir] += bytes
-			l.busy += e.Now() - start
-			return next(e)
-		})
-	})
+	c := l.newCopy()
+	c.bytes, c.dir, c.next = bytes, dir, next
+	return l.engine.AcquireThen(e, c.serveStep)
+}
+
+// dmaCopy is the state of one CopyThen.
+type dmaCopy struct {
+	l     *Link
+	bytes int64
+	dir   Direction
+	start sim.Time
+	next  sim.Step
+	// Bound once in newCopy: serve and finish as Steps.
+	serveStep, finishStep sim.Step
+}
+
+func (l *Link) newCopy() *dmaCopy {
+	if k := len(l.free); k > 0 {
+		c := l.free[k-1]
+		l.free = l.free[:k-1]
+		return c
+	}
+	c := &dmaCopy{l: l}
+	c.serveStep, c.finishStep = c.serve, c.finish
+	return c
+}
+
+// serve runs once the engine is ours: it samples congestion and holds the
+// engine for the transfer's service time.
+func (c *dmaCopy) serve(e *sim.Env) sim.Cont {
+	l := c.l
+	extra := float64(l.inflight - 1)
+	wire := sim.Time(float64(c.bytes)/(l.cfg.BandwidthBps*l.degBW)) * sim.Time(1+l.cfg.Congestion*extra)
+	d := l.cfg.Latency + l.degLat + wire
+	c.start = e.Now()
+	return sim.After(d, c.finishStep)
+}
+
+// finish releases the engine, accounts the transfer and returns the record
+// to the free list before running the caller's step.
+func (c *dmaCopy) finish(e *sim.Env) sim.Cont {
+	l, next := c.l, c.next
+	l.engine.Release()
+	l.inflight--
+	l.traffic[c.dir] += c.bytes
+	l.busy += e.Now() - c.start
+	c.next = nil
+	l.free = append(l.free, c)
+	return next(e)
 }
 
 // TransferTime returns the uncongested time to move bytes one way. Useful

@@ -6,8 +6,6 @@
 package policy
 
 import (
-	"container/heap"
-
 	"repro/internal/hw"
 	"repro/internal/task"
 )
@@ -36,22 +34,68 @@ type heapItem struct {
 	key float64
 }
 
+// taskHeap is a binary max-heap on key with FIFO ties. Its sift-up and
+// sift-down are container/heap's, step for step, so the array holds every
+// entry exactly where container/heap would put it; moving heapItem values
+// directly rather than through heap.Interface saves boxing each pushed and
+// popped item into an interface value, one allocation each.
 type taskHeap []heapItem
 
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
+func (h taskHeap) less(i, j int) bool {
 	if h[i].key != h[j].key {
 		return h[i].key > h[j].key // max-heap on key
 	}
 	return h[i].t.Seq < h[j].t.Seq // FIFO tie-break
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+
+// up is container/heap's up.
+func (h taskHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down is container/heap's down over the first n entries.
+func (h taskHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// push is heap.Push.
+func (h *taskHeap) push(it heapItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// pop is heap.Pop: move the top to the end, sift the new root down, cut
+// the end off. The vacated slot is cleared so it does not keep its task
+// alive.
+func (h *taskHeap) pop() heapItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	s.down(0, n)
+	it := s[n]
+	s[n] = heapItem{}
+	*h = s[:n]
 	return it
 }
 
@@ -92,7 +136,7 @@ func (q *Queue) Push(t *task.Task) {
 		return
 	}
 	for _, k := range hw.Kinds {
-		heap.Push(&q.heaps[k], heapItem{t: t, key: t.Key[k]})
+		q.heaps[k].push(heapItem{t: t, key: t.Key[k]})
 	}
 }
 
@@ -199,8 +243,8 @@ func (q *Queue) bestRanked(score func(*task.Task) float64) (*task.Task, int) {
 
 func (q *Queue) popHeap(kind hw.Kind) *task.Task {
 	h := &q.heaps[kind]
-	for h.Len() > 0 {
-		it := heap.Pop(h).(heapItem)
+	for len(*h) > 0 {
+		it := h.pop()
 		if !q.gone[it.t.ID] {
 			return it.t
 		}
@@ -223,11 +267,11 @@ func (q *Queue) PeekKeyFor(kind hw.Kind) (float64, bool) {
 		return 0, false
 	}
 	h := &q.heaps[kind]
-	for h.Len() > 0 {
+	for len(*h) > 0 {
 		if !q.gone[(*h)[0].t.ID] {
 			return (*h)[0].key, true
 		}
-		heap.Pop(h)
+		h.pop()
 	}
 	return 0, false
 }

@@ -271,10 +271,14 @@ func (e *Engine) record(ev Event) {
 // Advance runs the simulation up to virtual time v (inclusive). It returns
 // done=true once every event has drained — all arrivals injected and every
 // admitted request served — after which the run's invariants have been
-// validated and further calls are no-ops.
+// validated and further calls are no-ops. A NaN or infinite v is an error
+// that leaves the engine as it was; so is Step with a zero dilation.
 func (e *Engine) Advance(v sim.Time) (done bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+		return e.done, fmt.Errorf("serve: Advance needs a finite virtual time, got %v", float64(v))
+	}
 	if v > e.horizon {
 		e.horizon = v
 	}

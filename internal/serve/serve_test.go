@@ -342,3 +342,44 @@ func TestGoldenReplay(t *testing.T) {
 		simtest.GoldenBytes(t, filepath.Join("testdata", name), got)
 	}
 }
+
+// TestNonFiniteAdvanceRejected: Advance with a NaN or infinite virtual time,
+// and Step with a zero dilation (whose quotient is one of those), is an
+// error that leaves the engine where it was: the horizon unmoved, nothing
+// simulated, and a later finite Advance drains as usual.
+func TestNonFiniteAdvanceRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(e *Engine) (bool, error)
+	}{
+		{"Advance(NaN)", func(e *Engine) (bool, error) { return e.Advance(sim.Time(math.NaN())) }},
+		{"Advance(+Inf)", func(e *Engine) (bool, error) { return e.Advance(sim.Time(math.Inf(1))) }},
+		{"Advance(-Inf)", func(e *Engine) (bool, error) { return e.Advance(sim.Time(math.Inf(-1))) }},
+		{"Step(1, 0)", func(e *Engine) (bool, error) { return e.Step(1, 0) }},
+		{"Step(0, 0)", func(e *Engine) (bool, error) { return e.Step(0, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(Config{Seed: 1, Policies: []string{"odds"}, Times: uniformTimes(20, sim.Millisecond)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Advance(5 * sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			offered := e.Frame().Pipes[0].Offered
+			done, err := tc.call(e)
+			if err == nil || done {
+				t.Fatalf("got done=%v err=%v, want an error on a live engine", done, err)
+			}
+			if now := e.Now(); now != 5*sim.Millisecond {
+				t.Fatalf("horizon moved to %v", now)
+			}
+			if got := e.Frame().Pipes[0].Offered; got != offered {
+				t.Fatalf("rejected call simulated: offered %d, was %d", got, offered)
+			}
+			if done, err := e.Advance(10 * sim.Second); !done || err != nil {
+				t.Fatalf("engine did not drain after the rejected call: done=%v err=%v", done, err)
+			}
+		})
+	}
+}

@@ -23,6 +23,31 @@ package sim
 // getter queued behind a blocking getter on the same Chan wakes strictly
 // after it, exactly as two blocking getters would.
 //
+// Each func literal above allocates when it is evaluated, which is fine
+// for a process that lives long but is the main cost of one that runs per
+// message. Hot-path chains therefore keep their state in a record and
+// pass method values bound once, when the record is made:
+//
+//	type pinger struct {
+//	    ch    *Chan[int]
+//	    count int
+//	    recv  func(e *Env, v int, ok bool) Cont // p.onValue, bound once
+//	}
+//
+//	func (p *pinger) onValue(e *Env, v int, ok bool) Cont {
+//	    if !ok {
+//	        return Done()
+//	    }
+//	    p.count++
+//	    return p.ch.GetThen(e, p.recv)
+//	}
+//
+// A method value stored in a field is a Step (or GetThen continuation)
+// that costs nothing per use, and the primitives' own waiter records are
+// pooled, so such a chain allocates nothing in steady state. Records that
+// serve one message at a time come from a free list and go back to it in
+// their last step, after copying out what the continuation needs.
+//
 // Contract differences from blocking processes:
 //
 //   - Steps must not call blocking operations (Sleep, Chan.Get, ...); doing

@@ -444,10 +444,14 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with virtual timestamps <= horizon; a negative
 // horizon means "run to completion". Remaining processes are killed before
-// returning, so the kernel cannot be resumed afterwards.
+// returning, so the kernel cannot be resumed afterwards. A NaN horizon is
+// an error and runs nothing.
 func (k *Kernel) RunUntil(horizon Time) error {
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
+	}
+	if math.IsNaN(float64(horizon)) {
+		return fmt.Errorf("sim: RunUntil needs a horizon that is not NaN")
 	}
 	k.running = true
 	k.advance(horizon)
@@ -498,7 +502,8 @@ func (k *Kernel) advance(horizon Time) {
 // done reports that the event queue drained (or a process failed); the
 // kernel then shuts down exactly like Run — remaining processes are killed,
 // their defers run — and every later call returns (true, err) immediately.
-// The horizon must be non-negative. Not concurrency-safe: callers
+// The horizon must be finite and non-negative; any other horizon is an
+// error and runs nothing. Not concurrency-safe: callers
 // synchronize externally, like every other Kernel method.
 func (k *Kernel) AdvanceTo(horizon Time) (done bool, err error) {
 	if k.finished {
@@ -507,8 +512,8 @@ func (k *Kernel) AdvanceTo(horizon Time) (done bool, err error) {
 	if k.running {
 		return false, fmt.Errorf("sim: kernel already running")
 	}
-	if horizon < 0 {
-		return false, fmt.Errorf("sim: AdvanceTo needs a non-negative horizon")
+	if !(horizon >= 0) || math.IsInf(float64(horizon), 1) {
+		return false, fmt.Errorf("sim: AdvanceTo needs a finite non-negative horizon, got %v", float64(horizon))
 	}
 	k.running = true
 	k.advance(horizon)

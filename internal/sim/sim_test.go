@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -765,5 +766,196 @@ func TestMM1QueueMatchesTheory(t *testing.T) {
 	wantL := rho / (1 - rho) // 2.333...
 	if gotL < wantL*0.9 || gotL > wantL*1.1 {
 		t.Fatalf("M/M/1 mean number-in-system = %.3f, theory %.3f", gotL, wantL)
+	}
+}
+
+// TestBadHorizonRejected: a horizon the event order cannot compare against
+// is an error that runs nothing. AdvanceTo takes only finite non-negative
+// horizons and RunUntil anything but NaN; after a rejected call the kernel
+// still runs the whole program.
+func TestBadHorizonRejected(t *testing.T) {
+	nan, inf := Time(math.NaN()), Time(math.Inf(1))
+	for _, tc := range []struct {
+		name string
+		call func(k *Kernel) error
+	}{
+		{"AdvanceTo(NaN)", func(k *Kernel) error { _, err := k.AdvanceTo(nan); return err }},
+		{"AdvanceTo(+Inf)", func(k *Kernel) error { _, err := k.AdvanceTo(inf); return err }},
+		{"AdvanceTo(-Inf)", func(k *Kernel) error { _, err := k.AdvanceTo(-inf); return err }},
+		{"AdvanceTo(-1)", func(k *Kernel) error { _, err := k.AdvanceTo(-1); return err }},
+		{"RunUntil(NaN)", func(k *Kernel) error { return k.RunUntil(nan) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(1)
+			steps := 0
+			var sleep Step
+			sleep = func(e *Env) Cont {
+				if steps == 5 {
+					return Done()
+				}
+				steps++
+				return After(1, sleep)
+			}
+			k.SpawnStep("sleeper", sleep)
+			if err := tc.call(k); err == nil {
+				t.Fatal("accepted")
+			}
+			if steps != 0 || k.Now() != 0 {
+				t.Fatalf("rejected call ran %d steps to now=%v", steps, k.Now())
+			}
+			if err := k.Run(); err != nil || steps != 5 || k.Now() != 5 {
+				t.Fatalf("Run after the rejected call: err=%v steps=%d now=%v, want 5 steps to now=5", err, steps, k.Now())
+			}
+		})
+	}
+}
+
+// TestChanPooledWaitersFIFO: blocking and step getters on one channel, each
+// waiting again as soon as it receives, take the values strictly round
+// robin in the order they first queued, and so do blocking and step
+// putters on a rendezvous channel. Every wait after the first reuses a
+// pooled waiter record: the channel never makes more records than it has
+// waiters at once, and all of them are back on its free list at the end.
+func TestChanPooledWaitersFIFO(t *testing.T) {
+	const waiters, rounds = 4, 25
+	t.Run("getters", func(t *testing.T) {
+		k := NewKernel(1)
+		ch := NewChan[int](k, 0)
+		var got []string
+		for i := 0; i < waiters; i++ {
+			name := fmt.Sprintf("g%d", i)
+			if i%2 == 0 {
+				k.Spawn(name, func(e *Env) {
+					for {
+						v, ok := ch.Get(e)
+						if !ok {
+							return
+						}
+						got = append(got, fmt.Sprintf("%s:%d", name, v))
+					}
+				})
+				continue
+			}
+			var recv func(e *Env, v int, ok bool) Cont
+			recv = func(e *Env, v int, ok bool) Cont {
+				if !ok {
+					return Done()
+				}
+				got = append(got, fmt.Sprintf("%s:%d", name, v))
+				return ch.GetThen(e, recv)
+			}
+			k.SpawnStep(name, func(e *Env) Cont { return ch.GetThen(e, recv) })
+		}
+		k.Spawn("producer", func(e *Env) {
+			for v := 0; v < waiters*rounds; v++ {
+				e.Sleep(1)
+				ch.Put(e, v)
+			}
+			e.Sleep(1)
+			ch.Close(e)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for v, s := range got {
+			if want := fmt.Sprintf("g%d:%d", v%waiters, v); s != want {
+				t.Fatalf("receive %d is %s, want %s (all: %v)", v, s, want, got)
+			}
+		}
+		if len(got) != waiters*rounds {
+			t.Fatalf("%d values received, want %d", len(got), waiters*rounds)
+		}
+		if len(ch.freeGet) != waiters {
+			t.Fatalf("%d getter records pooled at the end, want %d", len(ch.freeGet), waiters)
+		}
+	})
+	t.Run("putters", func(t *testing.T) {
+		k := NewKernel(1)
+		ch := NewChan[string](k, 0)
+		for i := 0; i < waiters; i++ {
+			name := fmt.Sprintf("p%d", i)
+			if i%2 == 0 {
+				k.Spawn(name, func(e *Env) {
+					for r := 0; r < rounds; r++ {
+						ch.Put(e, fmt.Sprintf("%s:%d", name, r))
+					}
+				})
+				continue
+			}
+			r := 0
+			var put Step
+			put = func(e *Env) Cont {
+				if r == rounds {
+					return Done()
+				}
+				r++
+				return ch.PutThen(e, fmt.Sprintf("%s:%d", name, r-1), put)
+			}
+			k.SpawnStep(name, put)
+		}
+		var got []string
+		k.Spawn("consumer", func(e *Env) {
+			for len(got) < waiters*rounds {
+				e.Sleep(1)
+				v, _ := ch.Get(e)
+				got = append(got, v)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range got {
+			if want := fmt.Sprintf("p%d:%d", i%waiters, i/waiters); s != want {
+				t.Fatalf("value %d is %s, want %s (all: %v)", i, s, want, got)
+			}
+		}
+		if len(ch.freePut) != waiters {
+			t.Fatalf("%d putter records pooled at the end, want %d", len(ch.freePut), waiters)
+		}
+	})
+}
+
+// TestChanCloseWakesPooledStepGetters: step getters whose pooled records
+// have already served several values are woken by Close with ok=false, as
+// is a fresh GetThen on the closed channel, and no record is lost.
+func TestChanCloseWakesPooledStepGetters(t *testing.T) {
+	k := NewKernel(1)
+	ch := NewChan[int](k, 1)
+	values := map[string]int{}
+	closed := map[string]int{}
+	for _, name := range []string{"a", "b", "c"} {
+		name := name
+		var recv func(e *Env, v int, ok bool) Cont
+		recv = func(e *Env, v int, ok bool) Cont {
+			if !ok {
+				closed[name]++
+				if closed[name] == 1 {
+					return ch.GetThen(e, recv) // closed and drained: ok=false at once
+				}
+				return Done()
+			}
+			values[name]++
+			return ch.GetThen(e, recv)
+		}
+		k.SpawnStep(name, func(e *Env) Cont { return ch.GetThen(e, recv) })
+	}
+	k.Spawn("producer", func(e *Env) {
+		for v := 0; v < 9; v++ {
+			e.Sleep(1)
+			ch.Put(e, v)
+		}
+		e.Sleep(1)
+		ch.Close(e)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if values[name] != 3 || closed[name] != 2 {
+			t.Errorf("%s: %d values and %d ok=false wakes, want 3 and 2", name, values[name], closed[name])
+		}
+	}
+	if len(ch.getQ) != 0 || len(ch.freeGet) != 3 {
+		t.Fatalf("after close: %d queued getters and %d pooled records, want 0 and 3", len(ch.getQ), len(ch.freeGet))
 	}
 }

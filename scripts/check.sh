@@ -34,8 +34,9 @@ go test -run '^$' -fuzz '^FuzzParseArrivals$' -fuzztime 10s ./internal/arrival
 go test -run '^$' -fuzz '^FuzzSketchDecode$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzWindowedSketch$' -fuzztime 10s ./internal/obs
 
-echo "== message-path alloc gates  (blocking + step flavours, without -race)"
+echo "== message-path alloc gates  (blocking + step flavours and the runtime's demand round, without -race)"
 go test -run '^TestMessagePath|^TestSpawnPooling|^TestEventLoop|^TestZero' -count=1 -timeout 5m ./internal/sim
+go test -run '^TestDemandRoundAllocs$' -count=1 -timeout 5m ./internal/core
 
 echo "== message-path golden traces  (full hook trace vs testdata, pipelined + serial requester)"
 go test -run '^TestGoldenMessagePath' -count=1 -timeout 10m ./internal/core
