@@ -4,12 +4,12 @@
 // worker pool, sweep points per second for both, the resulting speedup,
 // the cost of enabling the attribution/observability captures
 // (explain_overhead_pct — the price of -explain, paid only when asked
-// for), the cost of the live demo server's observability sink
-// (live_sink_overhead_pct — hooks + sketches + registry + collector on
-// versus off on the same serve-engine drain), and the simulation kernel's
-// allocation profile and ns/event on its hot-path workloads, one of them
-// with a deep event queue, and the cost of one demand-protocol round trip
-// in the runtime.
+// for), the cost of the live demo server's observability sink, one row per
+// subscriber (live_sink — serve sinks, span collector, obs registry, each
+// attached on top of the previous on the same serve-engine drain), the
+// simulation kernel's allocation profile and ns/event on its hot-path
+// workloads, one of them with a deep event queue, and the cost of one
+// demand-protocol round trip in the runtime.
 //
 // Usage:
 //
@@ -23,14 +23,18 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hw"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/span"
 	"repro/internal/task"
 )
 
@@ -74,6 +78,33 @@ type demandRoundBench struct {
 	AllocsPerRound float64 `json:"allocs_per_round"`
 }
 
+// drainStat is the wall time of repeated drains of one configuration.
+type drainStat struct {
+	Drains   int     `json:"drains"`
+	MedianMs float64 `json:"median_ms"`
+	MinMs    float64 `json:"min_ms"`
+	MaxMs    float64 `json:"max_ms"`
+}
+
+// sinkLayer is one live-sink subscriber's row: the drain with it and every
+// layer before it attached, and its marginal cost, the median drain over
+// the previous layer's median.
+type sinkLayer struct {
+	Subscriber  string    `json:"subscriber"`
+	Drain       drainStat `json:"drain"`
+	OverheadPct float64   `json:"overhead_pct"`
+}
+
+// liveSinkBench prices the live demo engine's observability sink on the
+// engine's drain workload (sinkDrain). Base is the hook-free drain; each
+// layer adds one subscriber in the engine's attachment order; TotalPct is
+// the full sink's median over the base median.
+type liveSinkBench struct {
+	Base     drainStat   `json:"base"`
+	Layers   []sinkLayer `json:"layers"`
+	TotalPct float64     `json:"total_overhead_pct"`
+}
+
 type summary struct {
 	GoVersion  string      `json:"go_version"`
 	GOOS       string      `json:"goos"`
@@ -99,17 +130,16 @@ type summary struct {
 	// is nil-guarded and costs nothing — this records the price actually
 	// paid when -explain/-trace are requested.
 	ExplainOverheadPct float64 `json:"explain_overhead_pct"`
-	// LiveSinkOverheadPct is the extra wall time of draining the live demo
-	// engine (cmd/anthill-serve's multi-policy serving simulation) with its
-	// observability sink attached — engine hook bus + windowed latency
-	// sketches + obs registry + span collector — relative to the identical
-	// engine with the sink disabled (serve.Config.DisableSink). This is the
+	// LiveSink is the extra wall time of draining the live demo engine's
+	// pipelines (cmd/anthill-serve's multi-policy serving simulation) with
+	// each subscriber of its observability sink attached, relative to the
+	// same drain with none (as serve.Config.DisableSink runs it): the
 	// per-event price of live observability, as opposed to
 	// explain_overhead_pct's price of the batch capture artifacts.
-	LiveSinkOverheadPct float64          `json:"live_sink_overhead_pct"`
-	SimAllocs           []allocResult    `json:"sim_kernel_allocs"`
-	KernelBench         []kernelBench    `json:"kernel_ns_per_event"`
-	DemandRound         demandRoundBench `json:"demand_round"`
+	LiveSink    liveSinkBench    `json:"live_sink"`
+	SimAllocs   []allocResult    `json:"sim_kernel_allocs"`
+	KernelBench []kernelBench    `json:"kernel_ns_per_event"`
+	DemandRound demandRoundBench `json:"demand_round"`
 }
 
 // timedRunAll regenerates the full report with the given pool size and
@@ -442,28 +472,92 @@ func deepQueueCost(reps int) kernelBench {
 	return b
 }
 
-// serveDrain builds the live demo engine — all three policies racing a
-// shared uniform schedule at ~0.9x one pipeline's capacity — and drains it
-// with a single Advance. sink toggles the live observability attachment;
-// everything else is identical, so the wall-time ratio prices the sink.
-func serveDrain(sink bool) {
+// sinkLayers names the live sink's subscribers in the order serve.New
+// attaches them.
+var sinkLayers = []string{"serve_sink", "span_collector", "obs_registry"}
+
+// sinkDrain drains the live demo engine's pipelines — all three paper
+// policies, each on its own two-node pool, racing a shared uniform schedule
+// at ~0.9x one pipeline's capacity — with the first layers of the engine's
+// live sink attached as serve.New attaches them: 0 is the hook-free
+// engine, 1 adds each pipeline's serve.Sink feeding a sliding-window
+// sketch, 2 the span collector the sinks keep request-scoped, 3 the obs
+// registry.
+func sinkDrain(layers int) {
 	const n = 4000
 	gap := sim.Time(1.0 / (0.9 * serve.Capacity(2, 1)))
 	times := make([]sim.Time, n)
 	for i := range times {
 		times[i] = sim.Time(i) * gap
 	}
-	e, err := serve.New(serve.Config{Seed: 1, Times: times, DisableSink: !sink})
-	if err != nil {
+	pols := policy.Paper()
+	var specs []hw.NodeSpec
+	for range pols {
+		specs = append(specs, serve.Pool()...)
+	}
+	cl := hw.NewCluster(sim.NewKernel(1), specs, nil)
+	for _, d := range cl.Devices() {
+		d.SetRecordIntervals(false)
+	}
+	rt := core.New(cl, nil)
+	var col *span.Collector
+	if layers >= 2 {
+		col = span.NewCollector()
+	}
+	pls := make([]serve.Pipeline, len(pols))
+	for i, c := range pols {
+		pls[i] = serve.Pipeline{
+			Suffix: strings.ToLower(c.Name), Gateway: 2 * i, Placement: []int{2 * i, 2*i + 1},
+			QueueLimit: serve.DefaultQueueLimit, Policy: c.New(), Times: times,
+		}
+		if layers >= 1 {
+			sk := serve.NewSink(pls[i], serve.DefaultSLO, col)
+			win := obs.NewWindowedSketch(obs.DefaultEps, serve.DefaultWindow, serve.DefaultWindows)
+			sk.OnServed = func(r serve.Request) { win.Add(r.End, float64(r.Latency())) }
+			sk.Attach(rt)
+		}
+	}
+	if layers >= 2 {
+		col.Attach(rt)
+	}
+	if layers >= 3 {
+		obs.NewRegistry().Attach(rt)
+	}
+	for _, pl := range pls {
+		serve.Build(rt, pl)
+	}
+	if _, err := rt.Run(); err != nil {
 		panic(err)
 	}
-	done, err := e.Advance(1000 * sim.Second)
-	if err != nil {
-		panic(err)
+}
+
+// liveSinkCost drains every sink layering reps times, the layerings in
+// turn within each round so host noise spreads over all of them, after one
+// warm-up round.
+func liveSinkCost(reps int) liveSinkBench {
+	walls := make([][]float64, len(sinkLayers)+1)
+	for round := -1; round < reps; round++ {
+		for l := range walls {
+			start := time.Now()
+			sinkDrain(l)
+			if round >= 0 {
+				walls[l] = append(walls[l], time.Since(start).Seconds()*1e3)
+			}
+		}
 	}
-	if !done {
-		panic("benchsweep: serve engine did not drain")
+	stat := func(ms []float64) drainStat {
+		sort.Float64s(ms)
+		return drainStat{Drains: len(ms), MedianMs: ms[len(ms)/2], MinMs: ms[0], MaxMs: ms[len(ms)-1]}
 	}
+	b := liveSinkBench{Base: stat(walls[0])}
+	prev := b.Base.MedianMs
+	for i, name := range sinkLayers {
+		d := stat(walls[i+1])
+		b.Layers = append(b.Layers, sinkLayer{Subscriber: name, Drain: d, OverheadPct: (d.MedianMs/prev - 1) * 100})
+		prev = d.MedianMs
+	}
+	b.TotalPct = (prev/b.Base.MedianMs - 1) * 100
+	return b
 }
 
 // secsPerRun times fn averaged over reps runs after one warm-up call.
@@ -525,11 +619,13 @@ func main() {
 	policylab := timedExtra("policylab", cfg, parWorkers)
 	fmt.Fprintf(os.Stderr, "benchsweep: policylab %.1fs, %d points (%.1f points/s)\n",
 		policylab.WallSeconds, policylab.Points, policylab.PointsPerSec)
-	fmt.Fprintf(os.Stderr, "benchsweep: live-sink overhead (serve engine drain, sink on vs off)...\n")
-	sinkOn := secsPerRun(5, func() { serveDrain(true) })
-	sinkOff := secsPerRun(5, func() { serveDrain(false) })
-	fmt.Fprintf(os.Stderr, "benchsweep: live sink on %.3fs, off %.3fs (%.1f%% overhead)\n",
-		sinkOn, sinkOff, (sinkOn/sinkOff-1)*100)
+	fmt.Fprintf(os.Stderr, "benchsweep: live-sink overhead (serve engine drain, one subscriber at a time)...\n")
+	liveSink := liveSinkCost(15)
+	for _, l := range liveSink.Layers {
+		fmt.Fprintf(os.Stderr, "benchsweep: + %s: median %.1f ms (%+.1f%%)\n", l.Subscriber, l.Drain.MedianMs, l.OverheadPct)
+	}
+	fmt.Fprintf(os.Stderr, "benchsweep: live sink %.1f%% over the hook-free %.1f ms drain\n",
+		liveSink.TotalPct, liveSink.Base.MedianMs)
 
 	effective := parWorkers
 	if mp := runtime.GOMAXPROCS(0); mp < effective {
@@ -549,7 +645,7 @@ func main() {
 		ParallelComparisonValid: effective > 1,
 		Identical:               serialOut == parOut,
 		ExplainOverheadPct:      (parExplain.WallSeconds/par.WallSeconds - 1) * 100,
-		LiveSinkOverheadPct:     (sinkOn/sinkOff - 1) * 100,
+		LiveSink:                liveSink,
 		SimAllocs: []allocResult{
 			{"event_loop_4procs_x_1000_sleeps", allocsPerRun(5, eventLoop)},
 			{"event_loop_step_4procs_x_1000_steps", allocsPerRun(5, eventLoopStep)},

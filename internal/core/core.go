@@ -29,7 +29,9 @@ const ctrlMsgBytes = 64
 
 // Handler processes one event (data buffer) on a device of the kind the
 // worker owns. It returns the buffers to emit; returning an empty Action
-// completes the task's lineage.
+// completes the task's lineage. ctx is valid only during the call: each
+// worker hands the same Ctx to every call, so a handler must copy any
+// field it wants to keep rather than the pointer.
 type Handler func(ctx *Ctx, t *task.Task) Action
 
 // Action is what a handler wants done with its results.
@@ -136,6 +138,7 @@ type Stream struct {
 	id      int
 	from    *Filter
 	to      *Filter
+	name    string // "from->to", the hook records' Stream field
 	pol     policy.StreamPolicy
 	labelFn func(*task.Task) uint64
 	stats   streamStats
@@ -339,7 +342,7 @@ func (rt *Runtime) Connect(from, to *Filter, pol policy.StreamPolicy) *Stream {
 	if !pol.Dynamic && pol.RequestSize < 1 {
 		panic("core: static stream policy needs RequestSize >= 1")
 	}
-	s := &Stream{id: len(rt.streams), from: from, to: to, pol: pol}
+	s := &Stream{id: len(rt.streams), from: from, to: to, name: from.Name() + "->" + to.Name(), pol: pol}
 	from.out = s
 	to.in = append(to.in, s)
 	rt.streams = append(rt.streams, s)

@@ -326,9 +326,8 @@ func (s *sender) noteSend(toInst int, taskID uint64, bytes int64, push bool) {
 	if h == nil {
 		return
 	}
-	out := s.inst.f.out
 	h(SendRecord{
-		Stream:       out.from.Name() + "->" + out.to.Name(),
+		Stream:       s.inst.f.out.name,
 		FromInstance: s.inst.idx,
 		ToInstance:   toInst,
 		TaskID:       taskID,
@@ -347,9 +346,8 @@ func (s *sender) noteEmit(t *task.Task) {
 	if h == nil {
 		return
 	}
-	out := s.inst.f.out
 	h(EmitRecord{
-		Stream:   out.from.Name() + "->" + out.to.Name(),
+		Stream:   s.inst.f.out.name,
 		Filter:   s.inst.f.Name(),
 		Instance: s.inst.idx,
 		TaskID:   t.ID,
@@ -365,9 +363,8 @@ func (inst *Instance) noteDeliver(qi int, t *task.Task, push bool) {
 	if h == nil {
 		return
 	}
-	s := inst.inputs[qi].s
 	h(DeliverRecord{
-		Stream:   s.from.Name() + "->" + s.to.Name(),
+		Stream:   inst.inputs[qi].s.name,
 		Filter:   inst.f.Name(),
 		Instance: inst.idx,
 		Input:    qi,

@@ -370,6 +370,8 @@ type worker struct {
 	procName  string
 	fetchName string
 	reqNames  []string // one per input stream
+	// ctx is the handler's context, built once; run sets its Env.
+	ctx Ctx
 }
 
 func (w *worker) name() string { return w.procName }
@@ -505,6 +507,7 @@ func (inst *Instance) buildWorkers() {
 			inst.f.Name(), inst.node.Name()))
 	}
 	for _, w := range inst.workers {
+		w.ctx = Ctx{Runtime: inst.rt, Filter: inst.f.Name(), Node: inst.node, Kind: w.kind, Instance: inst.idx}
 		w.procName = fmt.Sprintf("%s/%d/%s%d", inst.f.Name(), inst.idx, w.kind, w.tid)
 		w.fetchName = w.procName + "/fetch"
 		for qi, is := range inst.inputs {
@@ -708,6 +711,7 @@ func (w *worker) popBatch(e *sim.Env, n int) ([]*task.Task, []*reqState, []int) 
 // in asynchronous mode batch events through the transfer pipeline, with the
 // batch size driven by Algorithm 1's controller.
 func (w *worker) run(e *sim.Env) {
+	w.ctx.Env = e
 	for {
 		if w.kind == hw.GPU && w.exec.Async {
 			batch, states, qis := w.popBatch(e, w.ctrl.Concurrent())
@@ -787,15 +791,7 @@ func (w *worker) afterProcess(e *sim.Env, st *reqState, timeToProcess sim.Time) 
 // finish runs the application handler and applies its action.
 func (w *worker) finish(e *sim.Env, t *task.Task, start sim.Time) {
 	rt := w.inst.rt
-	ctx := &Ctx{
-		Env:      e,
-		Runtime:  rt,
-		Filter:   w.inst.f.Name(),
-		Node:     w.inst.node,
-		Kind:     w.kind,
-		Instance: w.inst.idx,
-	}
-	act := w.inst.f.spec.Handler(ctx, t)
+	act := w.inst.f.spec.Handler(&w.ctx, t)
 	now := e.Now()
 	for _, o := range act.Forward {
 		if w.inst.out == nil {

@@ -117,18 +117,27 @@ func (a neighbor) after(b neighbor) bool {
 	return a.dist > b.dist || (a.dist == b.dist && a.idx > b.idx)
 }
 
-// nearest returns the k nearest sample indices (excluding any index in
-// skip), breaking distance ties by insertion order for determinism.
+// smallK is the largest k whose neighbor selection the predictors keep in
+// a stack array, so a speedup estimate allocates nothing.
+const smallK = 8
+
+// nearest returns the k nearest samples (excluding any index in skip),
+// nearest first, breaking distance ties by insertion order for determinism.
+// The selection is built in buf's storage when k fits its capacity, so a
+// caller passing a stack array allocates nothing; a larger k allocates.
 //
 // It keeps a max-heap of the k best candidates seen so far (the heap top is
 // the current worst), so a query costs O(n log k) instead of the O(n log n)
 // of sorting every sample — the per-task kNN lookup is on the scheduler's
 // hot path.
-func (p *Profile) nearest(params []float64, cats []string, k int, skip func(int) bool) []int {
+func (p *Profile) nearest(params []float64, cats []string, k int, skip func(int) bool, buf []neighbor) []neighbor {
 	if k <= 0 {
 		return nil
 	}
-	best := make([]neighbor, 0, k)
+	best := buf[:0]
+	if cap(best) < k {
+		best = make([]neighbor, 0, k)
+	}
 	for i, s := range p.samples {
 		if skip != nil && skip(i) {
 			continue
@@ -177,11 +186,7 @@ func (p *Profile) nearest(params []float64, cats []string, k int, skip func(int)
 			best[j], best[j-1] = best[j-1], best[j]
 		}
 	}
-	out := make([]int, len(best))
-	for i, c := range best {
-		out[i] = c.idx
-	}
-	return out
+	return best
 }
 
 // PredictTime estimates the execution time on a device class as the mean of
@@ -191,15 +196,16 @@ func (p *Profile) PredictTime(params []float64, cats []string, kind hw.Kind, k i
 }
 
 func (p *Profile) predictTime(params []float64, cats []string, kind hw.Kind, k int, skip func(int) bool) float64 {
-	idxs := p.nearest(params, cats, k, skip)
-	if len(idxs) == 0 {
+	var buf [smallK]neighbor
+	best := p.nearest(params, cats, k, skip, buf[:0])
+	if len(best) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, i := range idxs {
-		sum += p.samples[i].Times[kind]
+	for _, c := range best {
+		sum += p.samples[c.idx].Times[kind]
 	}
-	return sum / float64(len(idxs))
+	return sum / float64(len(best))
 }
 
 // PredictSpeedup estimates how much faster target is than base for the given
@@ -210,14 +216,15 @@ func (p *Profile) PredictSpeedup(params []float64, cats []string, base, target h
 }
 
 func (p *Profile) predictSpeedup(params []float64, cats []string, base, target hw.Kind, k int, skip func(int) bool) float64 {
-	idxs := p.nearest(params, cats, k, skip)
-	if len(idxs) == 0 {
+	var buf [smallK]neighbor
+	best := p.nearest(params, cats, k, skip, buf[:0])
+	if len(best) == 0 {
 		return 1
 	}
 	var bt, tt float64
-	for _, i := range idxs {
-		bt += p.samples[i].Times[base]
-		tt += p.samples[i].Times[target]
+	for _, c := range best {
+		bt += p.samples[c.idx].Times[base]
+		tt += p.samples[c.idx].Times[target]
 	}
 	if tt == 0 {
 		return 1

@@ -136,7 +136,7 @@ func TestNearestDeterministicTieBreak(t *testing.T) {
 	p.Add(sample([]float64{5}, 1, 1))
 	p.Add(sample([]float64{5}, 2, 2))
 	p.Add(sample([]float64{5}, 3, 3))
-	got := p.nearest([]float64{5}, nil, 2, nil)
+	got := nearestIdx(p, []float64{5}, nil, 2, nil)
 	if got[0] != 0 || got[1] != 1 {
 		t.Fatalf("tie-break order = %v, want [0 1]", got)
 	}

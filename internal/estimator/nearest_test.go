@@ -32,10 +32,25 @@ func nearestReference(p *Profile, params []float64, cats []string, k int, skip f
 	return out
 }
 
+// nearestIdx runs nearest as the predictors do, on a stack buffer of smallK
+// neighbors, and returns the selected sample indices.
+func nearestIdx(p *Profile, params []float64, cats []string, k int, skip func(int) bool) []int {
+	var buf [smallK]neighbor
+	best := p.nearest(params, cats, k, skip, buf[:0])
+	if best == nil {
+		return nil
+	}
+	out := make([]int, len(best))
+	for i, c := range best {
+		out[i] = c.idx
+	}
+	return out
+}
+
 // TestNearestMatchesStableSort cross-checks the bounded k-selection against
 // the stable-sort reference on random profiles, including duplicate points
 // (distance ties) and a skip predicate, across the k range the estimator
-// uses.
+// uses and past smallK, where the selection leaves the caller's buffer.
 func TestNearestMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -53,7 +68,7 @@ func TestNearestMatchesStableSort(t *testing.T) {
 			skip = func(i int) bool { return i%4 == 1 }
 		}
 		for _, k := range []int{0, 1, 2, 3, 5, n, n + 3} {
-			got := p.nearest(query, nil, k, skip)
+			got := nearestIdx(p, query, nil, k, skip)
 			want := nearestReference(p, query, nil, k, skip)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, n=%d, k=%d: nearest=%v, reference=%v",

@@ -13,11 +13,22 @@ package obs
 // every sample with g=1, delta=0, and Quantile is exactly the nearest-rank
 // percentile — the property the equivalence tests pin against
 // ExactQuantile.
+//
+// Inserts are batched but exact. A one-at-a-time GK insert lands after every
+// tuple whose value is <= v, and its slack is 0 only when it lands first
+// (v below every value so far) or last (no value above v); otherwise it is
+// floor(2*eps*n). Both cases follow from a running min and max, so Add
+// decides each tuple completely and only queues it. Nothing else changes
+// the summary between compressions, so merging the queued tuples in stably
+// by value (existing tuples first on ties) at the next compression, or at
+// any read, yields exactly the tuples the one-at-a-time inserts would have.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -31,12 +42,20 @@ type gkEntry struct {
 	g, delta int64
 }
 
-// Sketch is a Greenwald-Khanna quantile summary.
+// Sketch is a Greenwald-Khanna quantile summary. Reads flush queued
+// inserts into the summary, so a Sketch is not safe for concurrent use,
+// reads included.
 type Sketch struct {
 	eps           float64
 	n             int64
 	entries       []gkEntry
 	sinceCompress int
+	// pending holds the inserts not yet merged into entries. Each is
+	// complete except g, which holds its arrival index among them until
+	// flush has sorted them by (value, arrival) and sets it to 1. min and
+	// max are the extreme values inserted so far (valid while n > 0).
+	pending  []gkEntry
+	min, max float64
 }
 
 // NewSketch creates a sketch with the given rank-error bound (0 < eps < 0.5).
@@ -67,38 +86,100 @@ func (s *Sketch) Add(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic("obs: sketch values must be finite")
 	}
-	// Insert after every entry <= v so equal values stay in arrival order.
-	pos := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].v > v })
 	var delta int64
-	if pos != 0 && pos != len(s.entries) {
+	switch {
+	case s.n == 0:
+		s.min, s.max = v, v
+	case v < s.min: // would land first
+		s.min = v
+	case v >= s.max: // would land last
+		s.max = v
+	default:
 		delta = int64(2 * s.eps * float64(s.n))
 	}
-	s.entries = append(s.entries, gkEntry{})
-	copy(s.entries[pos+1:], s.entries[pos:])
-	s.entries[pos] = gkEntry{v: v, g: 1, delta: delta}
+	s.pending = append(s.pending, gkEntry{v: v, g: int64(len(s.pending)), delta: delta})
 	s.n++
 	s.sinceCompress++
 	if s.sinceCompress >= s.compressEvery() {
+		s.flush()
 		s.compress()
 		s.sinceCompress = 0
 	}
 }
 
+// flush merges the pending inserts into entries: sorted by value, equal
+// values in arrival order, then merged from the back so that only the tail
+// past the smallest pending value moves, existing entries first on ties.
+func (s *Sketch) flush() {
+	p := s.pending
+	if len(p) == 0 {
+		return
+	}
+	slices.SortFunc(p, byValueThenArrival)
+	i := len(s.entries) - 1
+	s.entries = append(s.entries, p...)
+	e := s.entries
+	for j, w := len(p)-1, len(e)-1; j >= 0; w-- {
+		if i >= 0 && e[i].v > p[j].v {
+			e[w] = e[i]
+			i--
+		} else {
+			e[w] = p[j]
+			e[w].g = 1
+			j--
+		}
+	}
+	s.pending = p[:0]
+}
+
+// byValueThenArrival orders pending tuples by value, then by the arrival
+// index they carry in g.
+func byValueThenArrival(a, b gkEntry) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return cmp.Compare(a.g, b.g)
+}
+
 // compress merges adjacent tuples whose combined rank coverage stays within
-// the error budget, right to left, never touching the min or max entry.
+// the error budget, right to left, never touching the min or max entry. It
+// is one pass: each tuple is tested against its right neighbour as merged
+// so far, kept tuples are written down from the top, and the survivors are
+// then moved back to the front.
 func (s *Sketch) compress() {
-	if len(s.entries) < 3 {
+	e := s.entries
+	if len(e) < 3 {
 		return
 	}
 	limit := int64(2 * s.eps * float64(s.n))
-	out := s.entries
-	for i := len(out) - 2; i >= 1; i-- {
-		if out[i].g+out[i+1].g+out[i+1].delta <= limit {
-			out[i+1].g += out[i].g
-			out = append(out[:i], out[i+1:]...)
+	w := len(e) - 1 // the last kept tuple
+	for i := len(e) - 2; i >= 1; i-- {
+		if e[i].g+e[w].g+e[w].delta <= limit {
+			e[w].g += e[i].g
+		} else {
+			w--
+			e[w] = e[i]
 		}
 	}
-	s.entries = out
+	w--
+	e[w] = e[0]
+	s.entries = e[:copy(e, e[w:])]
+}
+
+// reset empties the sketch, keeping its eps and its storage.
+func (s *Sketch) reset() {
+	s.n, s.sinceCompress = 0, 0
+	s.entries, s.pending = s.entries[:0], s.pending[:0]
+}
+
+// setExtremes resets min and max from a summary with no pending inserts.
+func (s *Sketch) setExtremes() {
+	if len(s.entries) > 0 {
+		s.min, s.max = s.entries[0].v, s.entries[len(s.entries)-1].v
+	}
 }
 
 // Quantile returns the value at the nearest-rank quantile q in [0, 1],
@@ -108,6 +189,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
+	s.flush()
 	if q < 0 {
 		q = 0
 	}
@@ -158,6 +240,7 @@ type sketchJSON struct {
 
 // Encode renders the sketch as canonical JSON: same summary, same bytes.
 func (s *Sketch) Encode() []byte {
+	s.flush()
 	doc := sketchJSON{Eps: s.eps, N: s.n, Entries: make([][3]float64, len(s.entries))}
 	for i, e := range s.entries {
 		doc.Entries[i] = [3]float64{e.v, float64(e.g), float64(e.delta)}
@@ -215,5 +298,6 @@ func DecodeSketch(data []byte) (*Sketch, error) {
 	if sumG != doc.N {
 		return nil, fmt.Errorf("obs: sketch decode: ranks cover %d of %d values", sumG, doc.N)
 	}
+	s.setExtremes()
 	return s, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -117,5 +119,169 @@ func TestSketchDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeSketch([]byte(`{"eps":0.1,"n":0,"entries":[]}`)); err != nil {
 		t.Errorf("decoder rejected the canonical empty sketch: %v", err)
+	}
+}
+
+// gkRef is the one-at-a-time Greenwald-Khanna insert the batched Sketch
+// must reproduce tuple for tuple: every Add places its tuple at once, after
+// every tuple <= v, and every compressEvery inserts run one compression.
+type gkRef struct {
+	eps     float64
+	n       int64
+	entries []gkEntry
+	since   int
+}
+
+func (r *gkRef) add(v float64) {
+	pos := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].v > v })
+	var delta int64
+	if pos != 0 && pos != len(r.entries) {
+		delta = int64(2 * r.eps * float64(r.n))
+	}
+	r.entries = append(r.entries, gkEntry{})
+	copy(r.entries[pos+1:], r.entries[pos:])
+	r.entries[pos] = gkEntry{v: v, g: 1, delta: delta}
+	r.n++
+	r.since++
+	if every := max(1, int(1/(2*r.eps))); r.since >= every {
+		r.compress()
+		r.since = 0
+	}
+}
+
+func (r *gkRef) compress() {
+	if len(r.entries) < 3 {
+		return
+	}
+	limit := int64(2 * r.eps * float64(r.n))
+	out := r.entries
+	for i := len(out) - 2; i >= 1; i-- {
+		if out[i].g+out[i+1].g+out[i+1].delta <= limit {
+			out[i+1].g += out[i].g
+			out = append(out[:i], out[i+1:]...)
+		}
+	}
+	r.entries = out
+}
+
+// sketch returns a copy of the reference summary as a Sketch with nothing
+// pending.
+func (r *gkRef) sketch() *Sketch {
+	s := &Sketch{eps: r.eps, n: r.n, entries: slices.Clone(r.entries)}
+	s.setExtremes()
+	return s
+}
+
+// refOf returns a one-at-a-time reference holding s's summary, as Merge
+// and DecodeSketch leave it: nothing pending, no inserts since the last
+// compression.
+func refOf(s *Sketch) *gkRef {
+	return &gkRef{eps: s.eps, n: s.n, entries: slices.Clone(s.entries)}
+}
+
+// sameSummary reports whether s, once its pending inserts are merged in,
+// holds exactly r's tuples.
+func sameSummary(s *Sketch, r *gkRef) bool {
+	s.flush()
+	return s.eps == r.eps && s.n == r.n && slices.Equal(s.entries, r.entries)
+}
+
+// TestSketchBatchedMatchesOneAtATime drives random streams through the
+// batched Sketch and the one-at-a-time reference side by side, with
+// Quantile, Encode and Merge interleaved at random points (each flushes the
+// pending inserts early), and requires the two summaries to agree tuple
+// for tuple at every read; a merged or decoded sketch must keep taking
+// inserts exactly too. The streams mix fresh values, heavy duplicates,
+// ascending and descending runs (which land at the extremes) and signed
+// zeros.
+func TestSketchBatchedMatchesOneAtATime(t *testing.T) {
+	epsilons := []float64{DefaultEps, 0.002, 0.01, 0.05, 0.2, 0.49}
+	rng := rand.New(rand.NewSource(11))
+	value := func(i int) float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return float64(rng.Intn(8)) // heavy duplicates
+		case 1:
+			return float64(i) // ascending: lands last
+		case 2:
+			return -float64(i) // descending: lands first
+		case 3:
+			if rng.Intn(2) == 0 {
+				return math.Copysign(0, -1)
+			}
+			return 0
+		default:
+			return rng.NormFloat64() * 100
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		eps := epsilons[rng.Intn(len(epsilons))]
+		n := rng.Intn(4000)
+		readEvery := 20 + rng.Intn(1500)
+		s, ref := NewSketch(eps), &gkRef{eps: eps}
+		o, oref := NewSketch(eps), &gkRef{eps: eps} // a Merge partner
+		for i := 0; i < n; i++ {
+			v := value(i)
+			s.Add(v)
+			ref.add(v)
+			if rng.Intn(3) == 0 {
+				w := value(i)
+				o.Add(w)
+				oref.add(w)
+			}
+			if rng.Intn(readEvery) != 0 {
+				continue
+			}
+			switch rng.Intn(3) {
+			case 0:
+				q := rng.Float64()
+				if got, want := s.Quantile(q), ref.sketch().Quantile(q); got != want {
+					t.Fatalf("trial %d eps %g after %d adds: Quantile(%g) = %v, one at a time %v",
+						trial, eps, i+1, q, got, want)
+				}
+			case 1:
+				if got, want := s.Encode(), ref.sketch().Encode(); !bytes.Equal(got, want) {
+					t.Fatalf("trial %d eps %g after %d adds: summaries differ\nbatched  %s\nreference %s",
+						trial, eps, i+1, got, want)
+				}
+			case 2:
+				m := s.Merge(o)
+				if !sameSummary(m, refOf(ref.sketch().Merge(oref.sketch()))) {
+					t.Fatalf("trial %d eps %g after %d adds: merged summaries differ", trial, eps, i+1)
+				}
+				// A merged or decoded sketch keeps taking inserts exactly.
+				d, err := DecodeSketch(m.Encode())
+				if err != nil {
+					t.Fatal(err)
+				}
+				mref, dref := refOf(m), refOf(d)
+				for k := rng.Intn(50); k >= 0; k-- {
+					w := value(i + k)
+					m.Add(w)
+					mref.add(w)
+					d.Add(w)
+					dref.add(w)
+				}
+				if !sameSummary(m, mref) || !sameSummary(d, dref) {
+					t.Fatalf("trial %d eps %g after %d adds: inserts after Merge or DecodeSketch differ", trial, eps, i+1)
+				}
+			}
+		}
+		if !sameSummary(s, ref) || !sameSummary(o, oref) {
+			t.Fatalf("trial %d eps %g, %d adds: final summaries differ", trial, eps, n)
+		}
+	}
+}
+
+// TestSketchAddAllocs requires a steady-state Add, compressions included,
+// to allocate nothing once the summary and the pending buffer have grown.
+func TestSketchAddAllocs(t *testing.T) {
+	s := NewSketch(DefaultEps)
+	g := lcg(5)
+	for i := 0; i < 200000; i++ {
+		s.Add(g.next())
+	}
+	if n := testing.AllocsPerRun(5000, func() { s.Add(g.next()) }); n != 0 {
+		t.Fatalf("Add allocates %v times per insert, want 0", n)
 	}
 }

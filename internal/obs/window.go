@@ -15,7 +15,8 @@ import (
 )
 
 // Merge returns a new sketch summarizing the union of both inputs' samples;
-// neither input is modified. Entries are merge-sorted by value and each
+// neither input's summary changes beyond merging in its queued inserts,
+// as any read does. Entries are merge-sorted by value and each
 // entry's rank slack widens by the uncertainty of its successor in the
 // other sketch — the standard GK merge — so the result is accurate to
 // max(s.Eps(), o.Eps()) of the combined count. The merged summary is not
@@ -28,15 +29,19 @@ func (s *Sketch) Merge(o *Sketch) *Sketch {
 }
 
 // mergeOf overwrites m with s.Merge(o), reusing m's entry storage. m must
-// be neither s nor o.
+// be neither s nor o. The inputs' pending inserts are flushed first.
 func (m *Sketch) mergeOf(s, o *Sketch) {
+	s.flush()
+	o.flush()
 	m.eps = math.Max(s.eps, o.eps)
 	m.n = s.n + o.n
 	m.sinceCompress = 0
+	m.pending = m.pending[:0]
 	m.entries = m.entries[:0]
 	if s.n == 0 || o.n == 0 {
 		m.entries = append(m.entries, s.entries...)
 		m.entries = append(m.entries, o.entries...)
+		m.setExtremes()
 		return
 	}
 	a, b := s.entries, o.entries
@@ -63,6 +68,7 @@ func (m *Sketch) mergeOf(s, o *Sketch) {
 	// merged summary satisfies the same invariants Add/compress maintain.
 	m.entries[0].delta = 0
 	m.entries[len(m.entries)-1].delta = 0
+	m.setExtremes()
 }
 
 // WindowedSketch holds a ring of per-window GK sketches. A sample at time t
@@ -148,7 +154,7 @@ func (w *WindowedSketch) Add(at sim.Time, v float64) {
 	slot := w.slot(idx)
 	if slot.idx != idx {
 		slot.idx = idx
-		slot.sk = NewSketch(w.eps)
+		slot.sk.reset()
 	}
 	slot.sk.Add(v)
 }

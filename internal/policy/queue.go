@@ -277,10 +277,16 @@ func (q *Queue) PeekKeyFor(kind hw.Kind) (float64, bool) {
 }
 
 // compact clears tombstones and dead heap entries when the queue is empty.
+// The dropped entries are zeroed, so the backing arrays stop keeping popped
+// tasks reachable. The tombstone map is replaced rather than cleared: clear
+// costs time in proportion to the map's peak capacity, make only to what is
+// used next.
 func (q *Queue) compact() {
+	clear(q.fifo)
 	q.fifo = q.fifo[:0]
 	q.fifoHead = 0
 	for k := range q.heaps {
+		clear(q.heaps[k])
 		q.heaps[k] = q.heaps[k][:0]
 	}
 	q.gone = make(map[uint64]bool)

@@ -123,7 +123,10 @@ func (r Request) String() string {
 // gateway's send-queue depth, and the worst violator. It audits exactly-once
 // service without a per-request history: a request's admit and deliver
 // entries are dropped when it is served, so a second completion of the same
-// request finds none and counts as an orphan.
+// request finds none and counts as an orphan. With a span collector it
+// also keeps the collector request-scoped: a served request's lineage is
+// forgotten unless it is the worst violator, which is kept until a worse
+// one replaces it.
 type Sink struct {
 	gateway, serve string
 	slo            sim.Time
@@ -227,12 +230,17 @@ func (s *Sink) served(r core.ProcRecord) {
 	lat := req.Latency()
 	s.Served++
 	s.Latency.Add(float64(lat))
+	done := req.Task // the lineage Worst will never build
 	if lat > s.slo {
 		s.Violations++
 		if lat > s.worst.Latency() {
+			done = s.worst.Task // 0 before the first violator
 			s.worst = req
 			s.worstDirty = true
 		}
+	}
+	if s.col != nil && done != 0 {
+		s.col.Forget(done)
 	}
 	if s.OnServed != nil {
 		s.OnServed(req)

@@ -76,9 +76,8 @@ type Config struct {
 	EventCap   int
 	// DisableSink skips attaching the live sink (engine hook bus, obs
 	// registry, span collector), leaving the simulation hook-free: frames
-	// and /metrics stay empty. Benchmarks use it to price the sink —
-	// cmd/benchsweep's live_sink_overhead_pct row is Advance-to-drain with
-	// the sink on versus off on an otherwise identical engine.
+	// and /metrics stay empty. Benchmarks use it to price the sink: a
+	// drain with the sink on versus off on an otherwise identical engine.
 	DisableSink bool
 }
 
@@ -197,7 +196,11 @@ func New(cfg Config) (*Engine, error) {
 	for range ctors {
 		specs = append(specs, Pool()...)
 	}
-	e.rt = core.New(hw.NewCluster(e.k, specs, nil), nil)
+	cl := hw.NewCluster(e.k, specs, nil)
+	for _, d := range cl.Devices() {
+		d.SetRecordIntervals(false) // nothing here reads busy intervals
+	}
+	e.rt = core.New(cl, nil)
 	if !cfg.DisableSink {
 		e.col = span.NewCollector()
 	}

@@ -114,7 +114,7 @@ func (c *Collector) Build(makespan sim.Time) (*Attribution, error) {
 	processed := 0
 	for _, id := range c.order {
 		b := c.bufs[id]
-		if !b.Processed {
+		if b == nil || !b.Processed { // nil: forgotten
 			continue
 		}
 		processed++
@@ -126,7 +126,7 @@ func (c *Collector) Build(makespan sim.Time) (*Attribution, error) {
 		return nil, errors.New("span: no processed buffer collected")
 	}
 
-	chain, err := c.lineageChain(final, 0, len(c.order))
+	chain, err := c.lineageChain(final, 0, len(c.bufs))
 	if err != nil {
 		return nil, err
 	}

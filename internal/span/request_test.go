@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/xfer"
 )
 
 // openPipe describes one open-system test shape: Poisson arrivals at an
@@ -237,7 +239,8 @@ func TestBuildRequestRejectsNonRoots(t *testing.T) {
 func scanKids(c *Collector) map[uint64][]uint64 {
 	kids := make(map[uint64][]uint64)
 	for _, id := range c.order {
-		if p := c.bufs[id].Parent; p != 0 {
+		if b := c.bufs[id]; b != nil && b.Parent != 0 { // nil: forgotten
+			p := b.Parent
 			kids[p] = append(kids[p], id)
 		}
 	}
@@ -269,6 +272,132 @@ func TestChildrenIndexMatchesScan(t *testing.T) {
 		col, _, _ := runOpenPipe(t, p)
 		checkKids(t, p.name, col)
 	}
+}
+
+// TestForgetRetiresLineages forgets a random half of each open pipe's
+// requests, then the rest. Forgetting must leave every kept request's
+// attribution byte-identical and its children index exact, make the
+// forgotten roots unbuildable, ignore later records for forgotten IDs of
+// every kind, and end with no buffers, no first-seen order and one
+// forgotten-ID range.
+func TestForgetRetiresLineages(t *testing.T) {
+	for _, p := range openPipes {
+		col, _, res := runOpenPipe(t, p)
+		var roots []uint64
+		for id := range col.inject {
+			roots = append(roots, id)
+		}
+		slices.Sort(roots)
+		want := make(map[uint64][]byte)
+		for _, id := range roots {
+			if a, err := col.BuildRequest(id); err == nil {
+				if want[id], err = a.Encode(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(p.seed))
+		rng.Shuffle(len(roots), func(i, j int) { roots[i], roots[j] = roots[j], roots[i] })
+		half := len(roots) / 2
+		for _, id := range roots[:half] {
+			col.Forget(id)
+		}
+		checkKids(t, p.name, col)
+		kept := 0
+		for _, id := range roots[half:] {
+			a, err := col.BuildRequest(id)
+			if err != nil {
+				t.Fatalf("%s: kept request %d: %v", p.name, id, err)
+			}
+			got, err := a.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[id]) {
+				t.Errorf("%s: kept request %d attribution changed by forgetting others", p.name, id)
+			}
+			kept += a.Buffers
+		}
+		if col.Buffers() != kept {
+			t.Errorf("%s: %d buffers after forgetting, kept lineages hold %d", p.name, col.Buffers(), kept)
+		}
+		if a, err := col.Build(res.Makespan); err != nil || a.Buffers != kept {
+			t.Errorf("%s: batch Build over the kept buffers: %v, err %v", p.name, a, err)
+		}
+
+		// Late records of every kind for forgotten IDs change nothing.
+		rt := &core.Runtime{}
+		col.Attach(rt)
+		for _, id := range roots[:half] {
+			rt.Hooks.Admit(core.AdmitRecord{Filter: "gateway", TaskID: id, At: 1, Accepted: true})
+			rt.Hooks.Emit(core.EmitRecord{Stream: "gateway->serve", Filter: "gateway", TaskID: id, At: 1})
+			rt.Hooks.Send(core.SendRecord{Stream: "gateway->serve", TaskID: id, At: 1})
+			rt.Hooks.Deliver(core.DeliverRecord{Stream: "gateway->serve", Filter: "serve", TaskID: id, At: 1})
+			rt.Hooks.Span(core.SpanRecord{Filter: "serve", TaskID: id, Start: 1, End: 2})
+			rt.Hooks.Process(core.ProcRecord{TaskID: id, Filter: "serve", Start: 1, End: 2})
+			if _, ok := col.Injected(id); ok {
+				t.Fatalf("%s: a late Admit record brought back forgotten request %d", p.name, id)
+			}
+			if _, err := col.BuildRequest(id); err == nil {
+				t.Fatalf("%s: forgotten request %d still builds", p.name, id)
+			}
+		}
+		if col.Buffers() != kept {
+			t.Errorf("%s: late records for forgotten IDs brought back %d buffers", p.name, col.Buffers()-kept)
+		}
+
+		for _, id := range roots[half:] {
+			col.Forget(id)
+		}
+		if col.Buffers() != 0 || len(col.order) != 0 || len(col.kids) != 0 || len(col.inject) != 0 {
+			t.Errorf("%s: after forgetting every request: %d buffers, %d ordered IDs, %d parents, %d roots",
+				p.name, col.Buffers(), len(col.order), len(col.kids), len(col.inject))
+		}
+		if len(col.gone) != 1 {
+			t.Errorf("%s: every task ID forgotten, yet %d forgotten ranges: %v", p.name, len(col.gone), col.gone)
+		}
+
+		// New requests reuse the forgotten buffer records and must build
+		// exactly as on a fresh collector.
+		fresh := NewCollector()
+		frt := &core.Runtime{}
+		fresh.Attach(frt)
+		next := col.gone[0].hi + 1
+		for i := uint64(0); i < 4; i++ {
+			replayRequest(rt, next+2*i)
+			replayRequest(frt, next+2*i)
+		}
+		for i := uint64(0); i < 4; i++ {
+			got, err1 := col.BuildRequest(next + 2*i)
+			want, err2 := fresh.BuildRequest(next + 2*i)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: request after reuse: %v, fresh: %v", p.name, err1, err2)
+			}
+			gb, _ := got.Encode()
+			wb, _ := want.Encode()
+			if !bytes.Equal(gb, wb) {
+				t.Errorf("%s: request on reused buffer records\n%s\nwant\n%s", p.name, gb, wb)
+			}
+		}
+	}
+}
+
+// replayRequest feeds one two-hop request through rt's hooks: root is
+// admitted and processed by "mid", which forwards root+1 to a GPU worker
+// of "serve" whose service records one transfer-pipeline span.
+func replayRequest(rt *core.Runtime, root uint64) {
+	child := root + 1
+	rt.Hooks.Admit(core.AdmitRecord{Filter: "gateway", TaskID: root, At: 0.1, Accepted: true})
+	rt.Hooks.Emit(core.EmitRecord{Stream: "gateway->mid", Filter: "gateway", TaskID: root, Bytes: 64, At: 0.1})
+	rt.Hooks.Send(core.SendRecord{Stream: "gateway->mid", TaskID: root, At: 0.2})
+	rt.Hooks.Deliver(core.DeliverRecord{Stream: "gateway->mid", Filter: "mid", TaskID: root, At: 0.3})
+	rt.Hooks.Process(core.ProcRecord{TaskID: root, Filter: "mid", Start: 0.3, End: 0.5})
+	rt.Hooks.Emit(core.EmitRecord{Stream: "mid->serve", Filter: "mid", TaskID: child, Parent: root, At: 0.5})
+	rt.Hooks.Send(core.SendRecord{Stream: "mid->serve", TaskID: child, At: 0.6})
+	rt.Hooks.Deliver(core.DeliverRecord{Stream: "mid->serve", Filter: "serve", Instance: 1, TaskID: child, At: 0.7})
+	rt.Hooks.Span(core.SpanRecord{Filter: "serve", Instance: 1, TaskID: child, Kind: xfer.SpanH2D, Start: 0.7, End: 0.75})
+	rt.Hooks.Process(core.ProcRecord{TaskID: child, Parent: root, Filter: "serve", Instance: 1, Kind: hw.GPU,
+		Start: 0.7, End: 0.9})
 }
 
 // lineageStream replays one request on a bare bus: root 1, admitted at 0.1,

@@ -19,6 +19,8 @@
 package span
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/sim"
@@ -122,17 +124,33 @@ type Buffer struct {
 
 // Collector subscribes to a runtime's hook bus and assembles buffer
 // lineages. Attach before rt.Run; Build (batch runs) or BuildRequest
-// (open-system request roots) after.
+// (open-system request roots) after. A long-running open system keeps it
+// request-scoped with Forget.
 type Collector struct {
 	bufs  map[uint64]*Buffer
 	order []uint64 // first-seen order, for deterministic iteration
+	// dead counts the IDs in order that Forget has dropped from bufs.
+	dead int
 	// kids lists each parent's children, kept in step with every
 	// Buffer.Parent by setParent.
 	kids map[uint64][]uint64
 	// inject records the admission instant of every accepted open-system
 	// request root (Admit hook), the left edge of its per-request tiling.
 	inject map[uint64]sim.Time
+	// stack is Forget's reusable work stack; free holds forgotten buffer
+	// records, reset and kept with their span storage, for reuse.
+	stack []uint64
+	free  []*Buffer
+	// gone holds every forgotten task ID as sorted, disjoint, non-adjacent
+	// ranges, so no later record can bring a forgotten buffer back. Task
+	// IDs are handed out in sequence and requests finish roughly in order,
+	// so the ranges number about as many as the gaps between them: the
+	// buffers still tracked, not the buffers ever forgotten.
+	gone []idRange
 }
+
+// idRange is the closed task-ID interval [lo, hi].
+type idRange struct{ lo, hi uint64 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
@@ -147,15 +165,104 @@ func (c *Collector) Injected(id uint64) (sim.Time, bool) {
 	return t, ok
 }
 
-// buf returns (creating if needed) the buffer record for a task ID.
+// buf returns (creating if needed) the buffer record for a task ID, or nil
+// for a forgotten ID.
 func (c *Collector) buf(id uint64) *Buffer {
 	b := c.bufs[id]
 	if b == nil {
-		b = &Buffer{ID: id, ProducerInst: -1, ConsumerInst: -1}
+		if c.forgotten(id) {
+			return nil
+		}
+		if n := len(c.free); n > 0 {
+			b = c.free[n-1]
+			c.free = c.free[:n-1]
+		} else {
+			b = new(Buffer)
+		}
+		b.ID, b.ProducerInst, b.ConsumerInst = id, -1, -1
 		c.bufs[id] = b
 		c.order = append(c.order, id)
 	}
 	return b
+}
+
+// goneAt returns the index of the forgotten range holding id, or where one
+// would be inserted, and whether one holds it.
+func (c *Collector) goneAt(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(c.gone, id, func(r idRange, id uint64) int {
+		switch {
+		case r.hi < id:
+			return -1
+		case r.lo > id:
+			return 1
+		}
+		return 0
+	})
+}
+
+// forgotten reports whether Forget has dropped task id.
+func (c *Collector) forgotten(id uint64) bool {
+	_, ok := c.goneAt(id)
+	return ok
+}
+
+// bury adds id to the forgotten ranges, joining its neighbours.
+func (c *Collector) bury(id uint64) {
+	i, ok := c.goneAt(id)
+	if ok {
+		return
+	}
+	g := c.gone
+	// g[i-1].hi < id < g[i].lo, so neither difference wraps.
+	joinPrev := i > 0 && id-g[i-1].hi == 1
+	joinNext := i < len(g) && g[i].lo-id == 1
+	switch {
+	case joinPrev && joinNext:
+		g[i-1].hi = g[i].hi
+		c.gone = append(g[:i], g[i+1:]...)
+	case joinPrev:
+		g[i-1].hi = id
+	case joinNext:
+		g[i].lo = id
+	default:
+		c.gone = slices.Insert(g, i, idRange{id, id})
+	}
+}
+
+// Forget drops the lineage reachable from request root: every buffer in
+// it, their children lists, and the root's admission instant. Records that
+// arrive later for any of those task IDs are ignored, so call it once the
+// request has finished. It keeps the collector's memory proportional to
+// the requests still open plus those kept on purpose (a live view's worst
+// violator), however many have been served.
+func (c *Collector) Forget(root uint64) {
+	if b := c.bufs[root]; b != nil {
+		c.setParent(b, 0) // unlink the root from a parent outside the lineage
+	}
+	delete(c.inject, root)
+	stack := append(c.stack[:0], root)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = append(stack[:len(stack)-1], c.kids[id]...)
+		delete(c.kids, id)
+		if b := c.bufs[id]; b != nil {
+			delete(c.bufs, id)
+			c.dead++
+			*b = Buffer{X: b.X[:0]}
+			c.free = append(c.free, b)
+		}
+		c.bury(id)
+	}
+	c.stack = stack
+	if c.dead > len(c.bufs) {
+		live := c.order[:0]
+		for _, id := range c.order {
+			if _, ok := c.bufs[id]; ok {
+				live = append(live, id)
+			}
+		}
+		c.order, c.dead = live, 0
+	}
 }
 
 // setParent links b under parent p (0 for none), moving it in the children
@@ -187,8 +294,7 @@ func (c *Collector) Buffers() int { return len(c.bufs) }
 func (c *Collector) Attach(rt *core.Runtime) {
 	prevEmit := rt.Hooks.Emit
 	rt.Hooks.Emit = func(r core.EmitRecord) {
-		b := c.buf(r.TaskID)
-		if !b.HaveEmit {
+		if b := c.buf(r.TaskID); b != nil && !b.HaveEmit {
 			b.HaveEmit = true
 			b.Emit = r.At
 			c.setParent(b, r.Parent)
@@ -203,45 +309,48 @@ func (c *Collector) Attach(rt *core.Runtime) {
 	}
 	prevSend := rt.Hooks.Send
 	rt.Hooks.Send = func(r core.SendRecord) {
-		b := c.buf(r.TaskID)
-		b.Sent = r.At
-		b.HaveSent = true
+		if b := c.buf(r.TaskID); b != nil {
+			b.Sent = r.At
+			b.HaveSent = true
+		}
 		if prevSend != nil {
 			prevSend(r)
 		}
 	}
 	prevDeliver := rt.Hooks.Deliver
 	rt.Hooks.Deliver = func(r core.DeliverRecord) {
-		b := c.buf(r.TaskID)
-		b.Deliver = r.At
-		b.HaveDeliver = true
-		b.Consumer = r.Filter
-		b.ConsumerInst = r.Instance
-		b.Push = r.Push
+		if b := c.buf(r.TaskID); b != nil {
+			b.Deliver = r.At
+			b.HaveDeliver = true
+			b.Consumer = r.Filter
+			b.ConsumerInst = r.Instance
+			b.Push = r.Push
+		}
 		if prevDeliver != nil {
 			prevDeliver(r)
 		}
 	}
 	prevProc := rt.Hooks.Process
 	rt.Hooks.Process = func(r core.ProcRecord) {
-		b := c.buf(r.TaskID)
-		b.Processed = true
-		b.Start = r.Start
-		b.End = r.End
-		b.Device = r.Kind
-		b.NodeID = r.NodeID
-		if b.Parent == 0 {
-			c.setParent(b, r.Parent)
+		if b := c.buf(r.TaskID); b != nil {
+			b.Processed = true
+			b.Start = r.Start
+			b.End = r.End
+			b.Device = r.Kind
+			b.NodeID = r.NodeID
+			if b.Parent == 0 {
+				c.setParent(b, r.Parent)
+			}
+			b.Consumer = r.Filter
+			b.ConsumerInst = r.Instance
 		}
-		b.Consumer = r.Filter
-		b.ConsumerInst = r.Instance
 		if prevProc != nil {
 			prevProc(r)
 		}
 	}
 	prevAdmit := rt.Hooks.Admit
 	rt.Hooks.Admit = func(r core.AdmitRecord) {
-		if r.Accepted {
+		if r.Accepted && !c.forgotten(r.TaskID) {
 			// Rejected arrivals carry TaskID 0 and never enter the system;
 			// accepted ones become per-request lineage roots.
 			c.inject[r.TaskID] = r.At
@@ -252,8 +361,9 @@ func (c *Collector) Attach(rt *core.Runtime) {
 	}
 	prevSpan := rt.Hooks.Span
 	rt.Hooks.Span = func(r core.SpanRecord) {
-		b := c.buf(r.TaskID)
-		b.X = append(b.X, XSpan{Kind: r.Kind, Start: r.Start, End: r.End})
+		if b := c.buf(r.TaskID); b != nil {
+			b.X = append(b.X, XSpan{Kind: r.Kind, Start: r.Start, End: r.End})
+		}
 		if prevSpan != nil {
 			prevSpan(r)
 		}

@@ -45,6 +45,9 @@ go test -run '^TestSendThen|^TestCopyThen' -count=1 -timeout 5m ./internal/hw
 echo "== chaos determinism  (serial vs 4-worker fault-injection sweeps, seeds 1-3)"
 go test -run '^TestChaosDeterminism$' -timeout 20m ./internal/experiments
 
+echo "== live engine memory gate  (10^6 bursty arrivals: <= 1 span-collector buffer per pipe, <= 16 B of heap per extra arrival, without -race)"
+ANTHILL_SOAK_ARRIVALS=1000000 go test -run '^TestEngineMemoryBound$' -count=1 -timeout 10m ./internal/serve
+
 echo "== serve smoke  (live demo server: healthz, /metrics families, SSE frame, clean SIGTERM)"
 go test -run '^TestServeSmoke$' -count=1 -timeout 5m ./cmd/anthill-serve
 
