@@ -9,6 +9,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Tier-1: what must stay green on every change (1.5-3 min on 2 cores; -short
 # for 20-40 s).

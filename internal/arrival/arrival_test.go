@@ -163,23 +163,23 @@ func TestSpecRoundTrip(t *testing.T) {
 // TestParseRejects exercises the parser's validation.
 func TestParseRejects(t *testing.T) {
 	bad := []string{
-		"poisson",                        // no colon
-		"poisson:rate=100",               // missing n
-		"poisson:rate=0,n=5",             // rate must be positive
-		"poisson:rate=1e10,n=5",          // rate bound
-		"poisson:rate=100,n=0",           // n bound
-		"poisson:rate=100,n=2000000",     // n bound
-		"poisson:rate=100,n=5,start=-1",  // negative start
-		"poisson:rate=100,n=5,zzz=1",     // unknown key
-		"poisson:rate=100,n=5,rate=6",    // duplicate key
-		"gamma:rate=1,n=1",               // unknown kind
-		"burst:rate=1,n=1",               // missing peak/period
+		"poisson",                            // no colon
+		"poisson:rate=100",                   // missing n
+		"poisson:rate=0,n=5",                 // rate must be positive
+		"poisson:rate=1e10,n=5",              // rate bound
+		"poisson:rate=100,n=0",               // n bound
+		"poisson:rate=100,n=2000000",         // n bound
+		"poisson:rate=100,n=5,start=-1",      // negative start
+		"poisson:rate=100,n=5,zzz=1",         // unknown key
+		"poisson:rate=100,n=5,rate=6",        // duplicate key
+		"gamma:rate=1,n=1",                   // unknown kind
+		"burst:rate=1,n=1",                   // missing peak/period
 		"burst:rate=1,n=1,peak=0.5,period=1", // peak < 1
 		"burst:rate=1,n=1,peak=2,period=0",   // period must be positive
-		"trace:at=",                      // not a duration
-		"trace:at=2ms/1ms",               // decreasing
-		"trace:at=-1ms",                  // negative instant
-		"trace:",                         // empty kv entry
+		"trace:at=",                          // not a duration
+		"trace:at=2ms/1ms",                   // decreasing
+		"trace:at=-1ms",                      // negative instant
+		"trace:",                             // empty kv entry
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/estimator"
@@ -58,6 +59,41 @@ func TestLabeledStreamRoutesByLabel(t *testing.T) {
 	}
 	if len(usedInstances) != 3 {
 		t.Fatalf("labels spread over %d instances, want 3", len(usedInstances))
+	}
+}
+
+// TestLabeledDepthHookAllocs: publishing a labeled-stream partition's depth
+// to a QueueDepth subscriber allocates nothing; the partition queue names
+// are bound when the instance is built.
+func TestLabeledDepthHookAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	k := sim.NewKernel(1)
+	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 1}, {CPUCores: 1}, {CPUCores: 1}}, nil)
+	rt := New(c, nil)
+	src := rt.AddFilter(FilterSpec{Name: "source", Placement: []int{0}, Seed: func(int, func(*task.Task)) {}})
+	wf := rt.AddFilter(FilterSpec{
+		Name: "worker", Placement: []int{0, 1, 2}, CPUWorkers: 1,
+		Handler: func(*Ctx, *task.Task) Action { return Action{} },
+	})
+	rt.ConnectLabeled(src, wf, policy.DDFCFS(2), func(tk *task.Task) uint64 { return tk.ID })
+	var names []string
+	rt.Hooks.QueueDepth = func(r QueueDepthRecord) {
+		if len(names) < 3 {
+			names = append(names, r.Queue)
+		}
+	}
+	rt.Start()
+	s := src.Instances()[0].out
+	for part := range s.parts {
+		s.noteDepth(part)
+	}
+	if got := strings.Join(names, ","); got != "send.p0,send.p1,send.p2" {
+		t.Fatalf("partition queue names %q, want send.p0,send.p1,send.p2", got)
+	}
+	if a := testing.AllocsPerRun(100, func() { s.noteDepth(2) }); a != 0 {
+		t.Errorf("%.1f allocations per partition depth change, want 0", a)
 	}
 }
 

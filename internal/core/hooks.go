@@ -292,7 +292,7 @@ func (s *sender) noteDepth(part int) {
 	}
 	name, q := "send", s.queue
 	if part >= 0 {
-		name, q = fmt.Sprintf("send.p%d", part), s.parts[part]
+		name, q = s.partNames[part], s.parts[part]
 	}
 	h(QueueDepthRecord{
 		Filter:   s.inst.f.Name(),

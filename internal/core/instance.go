@@ -43,8 +43,11 @@ type sender struct {
 	name  string // proc name, precomputed at construction
 	queue *policy.Queue
 	parts []*policy.Queue // per-consumer partitions (labeled streams only)
-	reqCh *sim.Chan[*request]
-	gen   *generator // non-nil for lazy source filters
+	// partNames are the partitions' queue names ("send.p0", ...) for the
+	// QueueDepth hook, precomputed at construction.
+	partNames []string
+	reqCh     *sim.Chan[*request]
+	gen       *generator // non-nil for lazy source filters
 	// gotRequest is onRequest bound once, the continuation runStep parks
 	// on the request channel with; freeTx holds idle reply transmissions.
 	gotRequest func(*sim.Env, *request, bool) sim.Cont
@@ -431,8 +434,10 @@ func newInstance(rt *Runtime, f *Filter, idx int, node *hw.Node) *Instance {
 		inst.out.gotRequest = inst.out.onRequest
 		if f.out.labelFn != nil {
 			inst.out.parts = make([]*policy.Queue, len(f.out.to.spec.Placement))
+			inst.out.partNames = make([]string, len(inst.out.parts))
 			for i := range inst.out.parts {
 				inst.out.parts[i] = policy.NewQueue(f.out.pol.Sender)
+				inst.out.partNames[i] = fmt.Sprintf("send.p%d", i)
 			}
 		}
 	}

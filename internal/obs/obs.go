@@ -19,10 +19,8 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/xfer"
 )
 
 // Counter accumulates additive observations: N is the number of Add calls,
@@ -89,23 +87,43 @@ func (g *Gauge) Mean(horizon sim.Time) float64 {
 }
 
 // Hist is a time-weighted histogram of an integer-valued piecewise-constant
-// signal (queue depths, DQAA targets): weight[v] is the total virtual time
-// the signal spent at value v. Exact — no bucketing error — because the
-// signals it tracks take small integer values.
+// signal (queue depths, DQAA targets): the weight of level v is the total
+// virtual time the signal spent at v. Exact — no bucketing error — because
+// the signals it tracks take small integer values, which also lets the
+// levels index dense slices: pos[v] for v >= 0, neg[-1-v] below zero.
 type Hist struct {
-	lastT  sim.Time
-	lastV  int
-	weight map[int]float64
-	set    bool
+	lastT    sim.Time
+	lastV    int
+	pos, neg []histLevel
+	set      bool
+}
+
+// histLevel is one level's accumulated weight. seen marks a level the
+// signal has left or been closed at, even after zero time there, so the
+// rendered level set is the one the signal visited.
+type histLevel struct {
+	w    float64
+	seen bool
+}
+
+// add accumulates dt at level v, growing the slices the first time.
+func (h *Hist) add(v int, dt float64) {
+	s := &h.pos
+	if v < 0 {
+		s, v = &h.neg, -1-v
+	}
+	if v >= len(*s) {
+		*s = append(*s, make([]histLevel, v+1-len(*s))...)
+	}
+	l := &(*s)[v]
+	l.w += dt
+	l.seen = true
 }
 
 // Observe records that the signal changed to v at time at.
 func (h *Hist) Observe(at sim.Time, v int) {
-	if h.weight == nil {
-		h.weight = make(map[int]float64)
-	}
 	if h.set {
-		h.weight[h.lastV] += float64(at - h.lastT)
+		h.add(h.lastV, float64(at-h.lastT))
 	}
 	h.set = true
 	h.lastT, h.lastV = at, v
@@ -114,28 +132,32 @@ func (h *Hist) Observe(at sim.Time, v int) {
 // finish closes the current level's weight at the run horizon.
 func (h *Hist) finish(horizon sim.Time) {
 	if h.set && horizon > h.lastT {
-		h.weight[h.lastV] += float64(horizon - h.lastT)
+		h.add(h.lastV, float64(horizon-h.lastT))
 		h.lastT = horizon
 	}
 }
 
-// levels returns the observed values in sorted order. Aggregations iterate
-// in this order so floating-point sums are reproducible — Go map iteration
-// order is randomized and would perturb the last few bits run to run.
-func (h *Hist) levels() []int {
-	vals := make([]int, 0, len(h.weight))
-	for v := range h.weight {
-		vals = append(vals, v)
+// levels yields the seen levels in ascending order with their weights.
+// Aggregations sum in this order, so their floating-point results are
+// reproducible.
+func (h *Hist) levels(yield func(v int, w float64) bool) {
+	for i := len(h.neg) - 1; i >= 0; i-- {
+		if l := h.neg[i]; l.seen && !yield(-1-i, l.w) {
+			return
+		}
 	}
-	sort.Ints(vals)
-	return vals
+	for v, l := range h.pos {
+		if l.seen && !yield(v, l.w) {
+			return
+		}
+	}
 }
 
 // total is the histogram's total weight.
 func (h *Hist) total() float64 {
 	var t float64
-	for _, v := range h.levels() {
-		t += h.weight[v]
+	for _, w := range h.levels {
+		t += w
 	}
 	return t
 }
@@ -147,15 +169,15 @@ func (h *Hist) Quantile(q float64) int {
 	if tot == 0 {
 		return 0
 	}
-	vals := h.levels()
-	acc := 0.0
-	for _, v := range vals {
-		acc += h.weight[v]
+	acc, last := 0.0, 0
+	for v, w := range h.levels {
+		acc += w
 		if acc >= q*tot {
 			return v
 		}
+		last = v
 	}
-	return vals[len(vals)-1]
+	return last
 }
 
 // Mean is the time-weighted mean of the signal. Valid after Finish.
@@ -165,8 +187,8 @@ func (h *Hist) Mean() float64 {
 		return 0
 	}
 	var s float64
-	for _, v := range h.levels() {
-		s += float64(v) * h.weight[v]
+	for v, w := range h.levels {
+		s += float64(v) * w
 	}
 	return s / tot
 }
@@ -227,61 +249,50 @@ func (r *Registry) Hist(key string) *Hist {
 	return h
 }
 
-// handles memoizes one hook's metric handles per label tuple: resolve
-// formats the tuple's keys and looks the metrics up the first time the
-// tuple is seen, so later events of the tuple format no strings.
-type handles[K comparable, V any] struct {
-	m       map[K]V
-	resolve func(K) V
+// The Attach hooks resolve each record's metric handles through a small
+// index instead of a hash map: the filter or stream name and the worker or
+// queue name are found by == in short slices (a graph has few of each, and
+// the runtime hands its hooks the same few strings over and over), integer
+// labels index dense slices. A handle's keys are formatted once, the first
+// time its label tuple is seen; later events of the tuple format no strings
+// and hash nothing.
+
+// byName is a short list of string labels, one value slot each.
+type byName[V any] struct {
+	names []string
+	vals  []V
 }
 
-func newHandles[K comparable, V any](resolve func(K) V) *handles[K, V] {
-	return &handles[K, V]{m: make(map[K]V), resolve: resolve}
+// at returns name's slot, appending a zero one the first time.
+func (b *byName[V]) at(name string) *V {
+	for i := range b.names {
+		if b.names[i] == name {
+			return &b.vals[i]
+		}
+	}
+	var zero V
+	b.names = append(b.names, name)
+	b.vals = append(b.vals, zero)
+	return &b.vals[len(b.vals)-1]
 }
 
-// get returns the tuple's handles. Caller holds the registry mutex.
-func (h *handles[K, V]) get(k K) V {
-	v, ok := h.m[k]
-	if !ok {
-		v = h.resolve(k)
-		h.m[k] = v
-	}
-	return v
-}
+// byIndex is a dense slice of value slots indexed by an integer label: an
+// instance, input, node, device kind or demand event. The labels a runtime
+// produces are small and non-negative; a negative one (a hand-built record)
+// is interleaved with them, 0, -1, 1, -2, ... at slots 0, 1, 2, 3, ...
+type byIndex[V any] []V
 
-// Label tuples of the hooks' metric keys.
-type (
-	procLabels struct {
-		filter string
-		inst   int
-		dev    hw.Kind
+// at returns label i's slot, growing the slice the first time.
+func (b *byIndex[V]) at(i int) *V {
+	j := i << 1
+	if i < 0 {
+		j = ^j
 	}
-	// workerLabels serves both the Target (worker name) and QueueDepth
-	// (queue name) hooks.
-	workerLabels struct {
-		filter string
-		inst   int
-		name   string
+	if j >= len(*b) {
+		*b = append(*b, make([]V, j+1-len(*b))...)
 	}
-	demandLabels struct {
-		filter string
-		inst   int
-		input  int
-		event  core.DemandEvent
-	}
-	streamLabels struct {
-		stream string
-		inst   int
-		push   bool
-	}
-	faultLabels struct{ kind, phase string }
-	spanLabels  struct {
-		filter string
-		inst   int
-		node   int
-		kind   xfer.SpanKind
-	}
-)
+	return &(*b)[j]
+}
 
 // level is a gauge and a histogram fed the same integer signal.
 type level struct {
@@ -309,6 +320,14 @@ func mode(push bool) string {
 	return "demand"
 }
 
+// modeIdx indexes a stream transfer's path: 0 demand, 1 push.
+func modeIdx(push bool) int {
+	if push {
+		return 1
+	}
+	return 0
+}
+
 // Attach subscribes the registry to every hook of the runtime's bus,
 // chaining any subscriber already installed so multiple consumers (e.g. a
 // trace collector and a registry) can share one run. Call before rt.Run.
@@ -317,15 +336,16 @@ func mode(push bool) string {
 // before chaining to the previous subscriber), so Snapshot can read from
 // another goroutine mid-run.
 func (r *Registry) Attach(rt *core.Runtime) {
-	procs := newHandles(func(l procLabels) [2]*Counter {
-		k := fmt.Sprintf("filter=%s,inst=%d,dev=%s", l.filter, l.inst, l.dev)
-		return [2]*Counter{r.Counter("events_processed{" + k + "}"), r.Counter("service_time_s{" + k + "}")}
-	})
+	var procs byName[byIndex[byIndex[[2]*Counter]]] // filter, instance, device
 	prevProc := rt.Hooks.Process
 	rt.Hooks.Process = func(rec core.ProcRecord) {
 		dur := float64(rec.End - rec.Start)
 		r.mu.Lock()
-		c := procs.get(procLabels{rec.Filter, rec.Instance, rec.Kind})
+		c := procs.at(rec.Filter).at(rec.Instance).at(int(rec.Kind))
+		if c[0] == nil {
+			k := fmt.Sprintf("filter=%s,inst=%d,dev=%s", rec.Filter, rec.Instance, rec.Kind)
+			*c = [2]*Counter{r.Counter("events_processed{" + k + "}"), r.Counter("service_time_s{" + k + "}")}
+		}
 		c[0].Add(1)
 		c[1].Add(dur)
 		r.mu.Unlock()
@@ -333,53 +353,60 @@ func (r *Registry) Attach(rt *core.Runtime) {
 			prevProc(rec)
 		}
 	}
-	targets := newHandles(func(l workerLabels) level {
-		k := fmt.Sprintf("dqaa_target{filter=%s,inst=%d,worker=%s}", l.filter, l.inst, l.name)
-		return level{r.Gauge(k), r.Hist(k)}
-	})
+	var targets byName[byIndex[byName[level]]] // filter, instance, worker
 	prevTarget := rt.Hooks.Target
 	rt.Hooks.Target = func(rec core.TargetRecord) {
 		r.mu.Lock()
-		targets.get(workerLabels{rec.Filter, rec.Instance, rec.Worker}).observe(rec.At, rec.Target)
+		l := targets.at(rec.Filter).at(rec.Instance).at(rec.Worker)
+		if l.g == nil {
+			k := fmt.Sprintf("dqaa_target{filter=%s,inst=%d,worker=%s}", rec.Filter, rec.Instance, rec.Worker)
+			*l = level{r.Gauge(k), r.Hist(k)}
+		}
+		l.observe(rec.At, rec.Target)
 		r.mu.Unlock()
 		if prevTarget != nil {
 			prevTarget(rec)
 		}
 	}
-	depths := newHandles(func(l workerLabels) level {
-		k := fmt.Sprintf("queue_depth{filter=%s,inst=%d,queue=%s}", l.filter, l.inst, l.name)
-		return level{r.Gauge(k), r.Hist(k)}
-	})
+	var depths byName[byIndex[byName[level]]] // filter, instance, queue
 	prevDepth := rt.Hooks.QueueDepth
 	rt.Hooks.QueueDepth = func(rec core.QueueDepthRecord) {
 		r.mu.Lock()
-		depths.get(workerLabels{rec.Filter, rec.Instance, rec.Queue}).observe(rec.At, rec.Depth)
+		l := depths.at(rec.Filter).at(rec.Instance).at(rec.Queue)
+		if l.g == nil {
+			k := fmt.Sprintf("queue_depth{filter=%s,inst=%d,queue=%s}", rec.Filter, rec.Instance, rec.Queue)
+			*l = level{r.Gauge(k), r.Hist(k)}
+		}
+		l.observe(rec.At, rec.Depth)
 		r.mu.Unlock()
 		if prevDepth != nil {
 			prevDepth(rec)
 		}
 	}
-	demands := newHandles(func(l demandLabels) *Counter {
-		return r.Counter(fmt.Sprintf("demand{filter=%s,inst=%d,input=%d,event=%s}",
-			l.filter, l.inst, l.input, l.event))
-	})
+	var demands byName[byIndex[byIndex[byIndex[*Counter]]]] // filter, instance, input, event
 	prevDemand := rt.Hooks.Demand
 	rt.Hooks.Demand = func(rec core.DemandRecord) {
 		r.mu.Lock()
-		demands.get(demandLabels{rec.Filter, rec.Instance, rec.Input, rec.Event}).Add(1)
+		c := demands.at(rec.Filter).at(rec.Instance).at(rec.Input).at(int(rec.Event))
+		if *c == nil {
+			*c = r.Counter(fmt.Sprintf("demand{filter=%s,inst=%d,input=%d,event=%s}",
+				rec.Filter, rec.Instance, rec.Input, rec.Event))
+		}
+		(*c).Add(1)
 		r.mu.Unlock()
 		if prevDemand != nil {
 			prevDemand(rec)
 		}
 	}
-	sends := newHandles(func(l streamLabels) [2]*Counter {
-		k := fmt.Sprintf("stream=%s,inst=%d,mode=%s", l.stream, l.inst, mode(l.push))
-		return [2]*Counter{r.Counter("stream_sends{" + k + "}"), r.Counter("stream_bytes{" + k + "}")}
-	})
+	var sends byName[byIndex[[2][2]*Counter]] // stream, instance, mode
 	prevSend := rt.Hooks.Send
 	rt.Hooks.Send = func(rec core.SendRecord) {
 		r.mu.Lock()
-		c := sends.get(streamLabels{rec.Stream, rec.FromInstance, rec.Push})
+		c := &sends.at(rec.Stream).at(rec.FromInstance)[modeIdx(rec.Push)]
+		if c[0] == nil {
+			k := fmt.Sprintf("stream=%s,inst=%d,mode=%s", rec.Stream, rec.FromInstance, mode(rec.Push))
+			*c = [2]*Counter{r.Counter("stream_sends{" + k + "}"), r.Counter("stream_bytes{" + k + "}")}
+		}
 		c[0].Add(1)
 		c[1].Add(float64(rec.Bytes))
 		r.mu.Unlock()
@@ -387,50 +414,57 @@ func (r *Registry) Attach(rt *core.Runtime) {
 			prevSend(rec)
 		}
 	}
-	emits := newHandles(func(l streamLabels) *Counter {
-		return r.Counter(fmt.Sprintf("stream_emits{stream=%s,inst=%d}", l.stream, l.inst))
-	})
+	var emits byName[byIndex[*Counter]] // stream, instance
 	prevEmit := rt.Hooks.Emit
 	rt.Hooks.Emit = func(rec core.EmitRecord) {
 		r.mu.Lock()
-		emits.get(streamLabels{stream: rec.Stream, inst: rec.Instance}).Add(1)
+		c := emits.at(rec.Stream).at(rec.Instance)
+		if *c == nil {
+			*c = r.Counter(fmt.Sprintf("stream_emits{stream=%s,inst=%d}", rec.Stream, rec.Instance))
+		}
+		(*c).Add(1)
 		r.mu.Unlock()
 		if prevEmit != nil {
 			prevEmit(rec)
 		}
 	}
-	delivers := newHandles(func(l streamLabels) *Counter {
-		return r.Counter(fmt.Sprintf("stream_delivers{stream=%s,inst=%d,mode=%s}", l.stream, l.inst, mode(l.push)))
-	})
+	var delivers byName[byIndex[[2]*Counter]] // stream, instance, mode
 	prevDeliver := rt.Hooks.Deliver
 	rt.Hooks.Deliver = func(rec core.DeliverRecord) {
 		r.mu.Lock()
-		delivers.get(streamLabels{rec.Stream, rec.Instance, rec.Push}).Add(1)
+		c := &delivers.at(rec.Stream).at(rec.Instance)[modeIdx(rec.Push)]
+		if *c == nil {
+			*c = r.Counter(fmt.Sprintf("stream_delivers{stream=%s,inst=%d,mode=%s}", rec.Stream, rec.Instance, mode(rec.Push)))
+		}
+		(*c).Add(1)
 		r.mu.Unlock()
 		if prevDeliver != nil {
 			prevDeliver(rec)
 		}
 	}
-	faults := newHandles(func(l faultLabels) *Counter {
-		return r.Counter(fmt.Sprintf("faults{kind=%s,phase=%s}", l.kind, l.phase))
-	})
+	var faults byName[byName[*Counter]] // kind, phase
 	prevFault := rt.Hooks.Fault
 	rt.Hooks.Fault = func(rec core.FaultRecord) {
 		r.mu.Lock()
-		faults.get(faultLabels{rec.Kind, rec.Phase}).Add(1)
+		c := faults.at(rec.Kind).at(rec.Phase)
+		if *c == nil {
+			*c = r.Counter(fmt.Sprintf("faults{kind=%s,phase=%s}", rec.Kind, rec.Phase))
+		}
+		(*c).Add(1)
 		r.mu.Unlock()
 		if prevFault != nil {
 			prevFault(rec)
 		}
 	}
-	xfers := newHandles(func(l spanLabels) *xferHandles {
-		k := fmt.Sprintf("filter=%s,inst=%d,node=%d,kind=%s", l.filter, l.inst, l.node, l.kind)
-		return &xferHandles{key: k, spans: r.Counter("xfer_spans{" + k + "}"), busy: r.Counter("xfer_busy_s{" + k + "}")}
-	})
+	var xfers byName[byIndex[byIndex[byIndex[xferHandles]]]] // filter, instance, node, kind
 	prevSpan := rt.Hooks.Span
 	rt.Hooks.Span = func(rec core.SpanRecord) {
 		r.mu.Lock()
-		x := xfers.get(spanLabels{rec.Filter, rec.Instance, rec.NodeID, rec.Kind})
+		x := xfers.at(rec.Filter).at(rec.Instance).at(rec.NodeID).at(int(rec.Kind))
+		if x.spans == nil {
+			k := fmt.Sprintf("filter=%s,inst=%d,node=%d,kind=%s", rec.Filter, rec.Instance, rec.NodeID, rec.Kind)
+			*x = xferHandles{key: k, spans: r.Counter("xfer_spans{" + k + "}"), busy: r.Counter("xfer_busy_s{" + k + "}")}
+		}
 		x.spans.Add(1)
 		x.busy.Add(float64(rec.End - rec.Start))
 		if rec.Bytes > 0 {
@@ -560,8 +594,8 @@ func (r *Registry) JSON() ([]byte, error) {
 		doc.Gauges[k] = jsonGauge{Last: g.lastV, Mean: g.Mean(r.horizon), Min: g.min, Max: g.max}
 	}
 	for k, h := range r.hists {
-		w := make(map[string]float64, len(h.weight))
-		for v, t := range h.weight {
+		w := make(map[string]float64)
+		for v, t := range h.levels {
 			w[fmt.Sprintf("%d", v)] = t
 		}
 		doc.Hists[k] = jsonHist{

@@ -8,7 +8,7 @@ package obs
 // registry. Output order is deterministic: every slice is sorted by key.
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -89,22 +89,19 @@ func (r *Registry) Snapshot(at sim.Time) Snapshot {
 	}
 	for _, k := range sortedKeys(r.hists) {
 		h := r.hists[k]
-		levels := make([]int, 0, len(h.weight))
-		for v := range h.weight {
+		var levels []int
+		var weights []float64
+		for v, w := range h.levels {
 			levels = append(levels, v)
+			weights = append(weights, w)
 		}
 		if h.set && at > h.lastT {
-			if _, ok := h.weight[h.lastV]; !ok {
-				levels = append(levels, h.lastV)
+			i, ok := slices.BinarySearch(levels, h.lastV)
+			if !ok {
+				levels = slices.Insert(levels, i, h.lastV)
+				weights = slices.Insert(weights, i, 0)
 			}
-		}
-		sort.Ints(levels)
-		weights := make([]float64, len(levels))
-		for i, v := range levels {
-			weights[i] = h.weight[v]
-			if h.set && v == h.lastV && at > h.lastT {
-				weights[i] += float64(at - h.lastT)
-			}
+			weights[i] += float64(at - h.lastT)
 		}
 		s.Hists = append(s.Hists, HistSnap{Key: k, Levels: levels, Weights: weights})
 	}

@@ -26,30 +26,43 @@ func (h *refHeap) Pop() any {
 }
 
 // refQueue is the Sorted side of Queue on container/heap: the same lazy
-// deletion, the same compaction when the queue empties.
+// deletion by push stamp, the same compaction when the queue empties. Live
+// stamps are a set and each queued task's current stamp a map, so the
+// reference shares none of the bitset's arithmetic.
 type refQueue struct {
 	heaps [hw.NumKinds]refHeap
-	gone  map[uint64]bool
+	live  map[uint64]bool       // stamps of the queued pushes
+	cur   map[*task.Task]uint64 // each queued task's stamp
+	stamp uint64
 	n     int
+}
+
+func newRefQueue() *refQueue {
+	return &refQueue{live: map[uint64]bool{}, cur: map[*task.Task]uint64{}}
 }
 
 func (r *refQueue) push(t *task.Task) {
 	r.n++
-	delete(r.gone, t.ID)
+	s := r.stamp
+	r.stamp++
+	r.live[s] = true
+	r.cur[t] = s
 	for _, k := range hw.Kinds {
-		heap.Push(&r.heaps[k], heapItem{t: t, key: t.Key[k]})
+		heap.Push(&r.heaps[k], heapItem{t: t, key: t.Key[k], seq: t.Seq, stamp: s})
 	}
 }
 
 // remove is what a pop through any view does to the other views.
 func (r *refQueue) remove(t *task.Task) {
 	r.n--
-	r.gone[t.ID] = true
+	delete(r.live, r.cur[t])
+	delete(r.cur, t)
 	if r.n == 0 {
 		for k := range r.heaps {
 			r.heaps[k] = r.heaps[k][:0]
 		}
-		r.gone = map[uint64]bool{}
+		r.live = map[uint64]bool{}
+		r.stamp = 0
 	}
 }
 
@@ -59,7 +72,7 @@ func (r *refQueue) popFor(kind hw.Kind) *task.Task {
 	}
 	h := &r.heaps[kind]
 	for h.Len() > 0 {
-		if it := heap.Pop(h).(heapItem); !r.gone[it.t.ID] {
+		if it := heap.Pop(h).(heapItem); r.live[it.stamp] {
 			r.remove(it.t)
 			return it.t
 		}
@@ -73,7 +86,7 @@ func (r *refQueue) peekKeyFor(kind hw.Kind) (float64, bool) {
 	}
 	h := &r.heaps[kind]
 	for h.Len() > 0 {
-		if !r.gone[(*h)[0].t.ID] {
+		if r.live[(*h)[0].stamp] {
 			return (*h)[0].key, true
 		}
 		heap.Pop(h)
@@ -86,12 +99,12 @@ func (r *refQueue) peekKeyFor(kind hw.Kind) (float64, bool) {
 // with tied keys, re-pushes of popped tasks (with and without a new Seq),
 // PopFor and PeekKeyFor on either kind, and lazy deletions through
 // PopRanked — and requires the same pop sequence and, after every step, the
-// same per-kind heap arrays entry for entry.
+// same per-kind heap arrays entry for entry, compared by (task, key).
 func TestTaskHeapMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewQueue(Sorted)
-		ref := &refQueue{gone: map[uint64]bool{}}
+		ref := newRefQueue()
 		var popped []*task.Task // candidates for re-push
 		var nextID, seq uint64
 		for op := 0; op < 600; op++ {
@@ -143,10 +156,93 @@ func TestTaskHeapMatchesContainerHeap(t *testing.T) {
 					t.Fatalf("seed %d op %d: %v heap has %d entries, reference %d", seed, op, k, len(gh), len(rh))
 				}
 				for i := range gh {
-					if gh[i] != rh[i] {
+					if gh[i].t != rh[i].t || gh[i].key != rh[i].key {
 						t.Fatalf("seed %d op %d: %v heap entry %d is task %d, reference task %d",
 							seed, op, k, i, gh[i].t.ID, rh[i].t.ID)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestRepushKeepsStaleEntriesDead pins the FIFO tie rule across a crash
+// re-enqueue: X is popped through the CPU view and pushed again with a
+// newer Seq, so an older task Y with the same GPU key must come first. X's
+// GPU entry from its first push sits above Y's in the heap, and it must
+// stay dead after the re-push.
+func TestRepushKeepsStaleEntriesDead(t *testing.T) {
+	q := NewQueue(Sorted)
+	x := &task.Task{ID: 1, Seq: 1}
+	x.Key[hw.GPU], x.Key[hw.CPU] = 5, 9
+	y := &task.Task{ID: 2, Seq: 2}
+	y.Key[hw.GPU], y.Key[hw.CPU] = 5, 1
+	q.Push(x)
+	q.Push(y)
+	if got := q.PopFor(hw.CPU); got != x {
+		t.Fatalf("PopFor(CPU) = task %d, want X", got.ID)
+	}
+	x.Seq = 3 // crash re-enqueue
+	q.Push(x)
+	if got := q.PopFor(hw.GPU); got != y {
+		t.Fatalf("PopFor(GPU) = task %d (Seq %d), want Y (Seq 2): a stale entry came back to life", got.ID, got.Seq)
+	}
+	if got := q.PopFor(hw.GPU); got != x {
+		t.Fatalf("second PopFor(GPU) = %v, want X", got)
+	}
+	if got := q.PopFor(hw.GPU); got != nil || q.Len() != 0 {
+		t.Fatalf("drained queue pops %v, Len %d", got, q.Len())
+	}
+}
+
+// TestSortedPopOrderMatchesModel checks every PopFor of a Sorted queue
+// against a brute-force model, the highest key for the kind and then the
+// lowest Seq, over random pushes with tied keys and crash re-enqueues that
+// give popped tasks a new Seq. Entries ordered by the task's current Seq
+// rather than the one it was pushed with fail this: the re-enqueue changes
+// the order of the task's dead entries in place and breaks the heap.
+func TestSortedPopOrderMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := NewQueue(Sorted)
+		live := map[*task.Task]bool{}
+		var popped []*task.Task
+		var nextID, seq uint64
+		for op := 0; op < 60; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				nextID++
+				seq++
+				tk := &task.Task{ID: nextID, Seq: seq}
+				for _, k := range hw.Kinds {
+					tk.Key[k] = float64(rng.Intn(2))
+				}
+				q.Push(tk)
+				live[tk] = true
+			case r < 6 && len(popped) > 0:
+				i := rng.Intn(len(popped))
+				tk := popped[i]
+				popped = append(popped[:i], popped[i+1:]...)
+				seq++
+				tk.Seq = seq
+				q.Push(tk)
+				live[tk] = true
+			default:
+				kind := hw.Kinds[rng.Intn(len(hw.Kinds))]
+				var want *task.Task
+				for tk := range live {
+					if want == nil || tk.Key[kind] > want.Key[kind] ||
+						(tk.Key[kind] == want.Key[kind] && tk.Seq < want.Seq) {
+						want = tk
+					}
+				}
+				got := q.PopFor(kind)
+				if got != want {
+					t.Fatalf("seed %d op %d: PopFor(%v) = %+v, model %+v", seed, op, kind, got, want)
+				}
+				if got != nil {
+					delete(live, got)
+					popped = append(popped, got)
 				}
 			}
 		}

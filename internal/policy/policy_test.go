@@ -231,7 +231,7 @@ func TestStreamPolicyConstructors(t *testing.T) {
 
 func TestRepushAfterPop(t *testing.T) {
 	// A task that cycles back into a queue it previously visited must be
-	// poppable again (its tombstone is cleared on Push).
+	// poppable again (the re-push takes a fresh stamp).
 	for _, ord := range []Ordering{FCFS, Sorted} {
 		q := NewQueue(ord)
 		tk := mkTask(42, 5)

@@ -22,7 +22,7 @@ func newTask(rng *rand.Rand, id uint64, seq uint64) *task.Task {
 // TestQueueNoLossNoDuplication drives each queue ordering with seeded random
 // sequences of the events the runtime generates — demand (pop), delivery
 // (push), and crash recovery (evacuate-and-re-push, which exercises the
-// tombstone pass-through rule) — against a model set, checking that no task
+// re-push rule) — against a model set, checking that no task
 // is ever lost, duplicated, or returned while absent.
 func TestQueueNoLossNoDuplication(t *testing.T) {
 	for _, ord := range []Ordering{FCFS, Sorted} {

@@ -28,10 +28,16 @@ func (o Ordering) String() string {
 	return "Sorted"
 }
 
-// heapItem is an entry in a per-device priority heap.
+// heapItem is an entry in a per-device priority heap. key and seq are the
+// task's Key and Seq when it was pushed: a crash re-enqueue gives the task
+// a new Seq while its popped entries may still sit in the heaps, and an
+// entry whose order changed in place would break the heap for the live
+// ones.
 type heapItem struct {
-	t   *task.Task
-	key float64
+	t     *task.Task
+	key   float64
+	seq   uint64
+	stamp uint64 // the Push that made the entry (see Queue)
 }
 
 // taskHeap is a binary max-heap on key with FIFO ties. Its sift-up and
@@ -45,7 +51,7 @@ func (h taskHeap) less(i, j int) bool {
 	if h[i].key != h[j].key {
 		return h[i].key > h[j].key // max-heap on key
 	}
-	return h[i].t.Seq < h[j].t.Seq // FIFO tie-break
+	return h[i].seq < h[j].seq // FIFO tie-break
 }
 
 // up is container/heap's up.
@@ -99,23 +105,38 @@ func (h *taskHeap) pop() heapItem {
 	return it
 }
 
+// fifoItem is an entry in the FIFO view.
+type fifoItem struct {
+	t     *task.Task
+	stamp uint64 // the Push that made the entry (see Queue)
+}
+
 // Queue is a multi-view task queue: one logical set of tasks that can be
 // popped either FIFO or per-device-class by descending relative advantage.
 // A task popped through one view disappears from all views (the paper's
 // DBSA "removes the same buffer from all other sorted queues"); this is
 // implemented with lazy deletion, so Push and PopFor are O(log n) amortized.
+//
+// Liveness is by push stamp: each Push takes the next stamp, every view's
+// entry for that push carries it, and the entry is live while the stamp's
+// bit is set in live. A pop through any view clears the bit, which kills
+// the push's entries in the other views at once. A task popped earlier and
+// pushed again gets a fresh stamp, so its old entries stay dead and it sits
+// in each view where the new push put it. When the queue empties, the views,
+// the bitset and the stamp counter are reset and their arrays reused.
 type Queue struct {
 	ordering Ordering
-	fifo     []*task.Task
+	fifo     []fifoItem
 	fifoHead int
 	heaps    [hw.NumKinds]taskHeap
-	gone     map[uint64]bool // task IDs already popped
+	live     []uint64 // bitset over stamps: bit s is set while push s is queued
+	stamp    uint64   // stamps handed out since the queue last emptied
 	n        int
 }
 
 // NewQueue creates an empty queue with the given ordering.
 func NewQueue(o Ordering) *Queue {
-	return &Queue{ordering: o, gone: make(map[uint64]bool)}
+	return &Queue{ordering: o}
 }
 
 // Ordering returns the queue's ordering mode.
@@ -124,19 +145,31 @@ func (q *Queue) Ordering() Ordering { return q.ordering }
 // Len returns the number of tasks currently in the queue.
 func (q *Queue) Len() int { return q.n }
 
-// Push inserts a task. A task ID that was popped from this queue earlier
-// may be pushed again (pass-through forwarding around a cycle); its old
-// tombstone is cleared. Pushing a task that is *currently* in the queue is
-// a caller error and corrupts lazy deletion.
+// isLive reports whether push s is still queued.
+func (q *Queue) isLive(s uint64) bool { return q.live[s>>6]&(1<<(s&63)) != 0 }
+
+// kill marks push s popped in every view.
+func (q *Queue) kill(s uint64) { q.live[s>>6] &^= 1 << (s & 63) }
+
+// Push inserts a task. A task popped from this queue earlier may be pushed
+// again (pass-through forwarding around a cycle, crash re-enqueue); it is
+// ordered by its current Key and Seq, never by its earlier entries. Pushing
+// a task that is *currently* in the queue is a caller error: it would be
+// queued twice.
 func (q *Queue) Push(t *task.Task) {
 	q.n++
-	delete(q.gone, t.ID)
+	s := q.stamp
+	q.stamp++
+	if int(s>>6) == len(q.live) {
+		q.live = append(q.live, 0)
+	}
+	q.live[s>>6] |= 1 << (s & 63)
 	if q.ordering == FCFS {
-		q.fifo = append(q.fifo, t)
+		q.fifo = append(q.fifo, fifoItem{t: t, stamp: s})
 		return
 	}
 	for _, k := range hw.Kinds {
-		q.heaps[k].push(heapItem{t: t, key: t.Key[k]})
+		q.heaps[k].push(heapItem{t: t, key: t.Key[k], seq: t.Seq, stamp: s})
 	}
 }
 
@@ -153,26 +186,28 @@ func (q *Queue) PopFor(kind hw.Kind) *task.Task {
 		t = q.popHeap(kind)
 	}
 	if t != nil {
-		q.n--
-		q.gone[t.ID] = true
-		// Bound the tombstone set: once every live structure has been
-		// drained of ghosts we can forget them.
-		if q.n == 0 {
-			q.compact()
-		}
+		q.popped()
 	}
 	return t
 }
 
+// popped accounts for one removed task, compacting the views once none is
+// left.
+func (q *Queue) popped() {
+	q.n--
+	if q.n == 0 {
+		q.compact()
+	}
+}
+
 func (q *Queue) popFIFO() *task.Task {
 	for q.fifoHead < len(q.fifo) {
-		t := q.fifo[q.fifoHead]
-		q.fifo[q.fifoHead] = nil
+		e := q.fifo[q.fifoHead]
+		q.fifo[q.fifoHead] = fifoItem{}
 		q.fifoHead++
-		// A nil slot is a task PopRanked removed from the middle of the
-		// window; a tombstone is one removed through another view.
-		if t != nil && !q.gone[t.ID] {
-			return t
+		if q.isLive(e.stamp) {
+			q.kill(e.stamp)
+			return e.t
 		}
 	}
 	return nil
@@ -184,18 +219,12 @@ func (q *Queue) popFIFO() *task.Task {
 // indexed by the per-kind heaps, so the selection is an O(n) scan over the
 // live tasks.
 func (q *Queue) PopRanked(score func(*task.Task) float64) *task.Task {
-	t, idx := q.bestRanked(score)
+	t, s := q.bestRanked(score)
 	if t == nil {
 		return nil
 	}
-	if idx >= 0 {
-		q.fifo[idx] = nil // keep re-Push of this ID safe under lazy deletion
-	}
-	q.n--
-	q.gone[t.ID] = true
-	if q.n == 0 {
-		q.compact()
-	}
+	q.kill(s)
+	q.popped()
 	return t
 }
 
@@ -209,43 +238,44 @@ func (q *Queue) PeekRanked(score func(*task.Task) float64) (float64, bool) {
 	return score(t), true
 }
 
-// bestRanked scans the live tasks for the score maximum. The second result
-// is the winner's fifo index (FCFS ordering only; -1 otherwise).
-func (q *Queue) bestRanked(score func(*task.Task) float64) (*task.Task, int) {
+// bestRanked scans the live entries of one view for the score maximum and
+// returns the winner with its stamp.
+func (q *Queue) bestRanked(score func(*task.Task) float64) (*task.Task, uint64) {
 	if q.n == 0 {
-		return nil, -1
+		return nil, 0
 	}
 	var best *task.Task
-	bestIdx, bestScore := -1, 0.0
-	consider := func(t *task.Task, idx int) {
-		if t == nil || q.gone[t.ID] || t == best {
+	var bestStamp uint64
+	bestScore := 0.0
+	consider := func(t *task.Task, stamp uint64) {
+		if !q.isLive(stamp) {
 			return
 		}
 		if s := score(t); best == nil || s > bestScore ||
 			(s == bestScore && t.Seq < best.Seq) {
-			best, bestIdx, bestScore = t, idx, s
+			best, bestStamp, bestScore = t, stamp, s
 		}
 	}
 	if q.ordering == FCFS {
-		for i := q.fifoHead; i < len(q.fifo); i++ {
-			consider(q.fifo[i], i)
+		for _, e := range q.fifo[q.fifoHead:] {
+			consider(e.t, e.stamp)
 		}
-		return best, bestIdx
+		return best, bestStamp
 	}
-	// Every live task has exactly one live entry in each per-kind heap;
-	// scanning any single heap enumerates them all (duplicated IDs from
-	// re-pushes collapse through the t == best guard and lazy deletion).
+	// Every queued task has exactly one live entry in each per-kind heap;
+	// scanning any single heap enumerates them all.
 	for _, it := range q.heaps[hw.Kinds[0]] {
-		consider(it.t, -1)
+		consider(it.t, it.stamp)
 	}
-	return best, -1
+	return best, bestStamp
 }
 
 func (q *Queue) popHeap(kind hw.Kind) *task.Task {
 	h := &q.heaps[kind]
 	for len(*h) > 0 {
 		it := h.pop()
-		if !q.gone[it.t.ID] {
+		if q.isLive(it.stamp) {
+			q.kill(it.stamp)
 			return it.t
 		}
 	}
@@ -259,16 +289,16 @@ func (q *Queue) PeekKeyFor(kind hw.Kind) (float64, bool) {
 		return 0, false
 	}
 	if q.ordering == FCFS {
-		for i := q.fifoHead; i < len(q.fifo); i++ {
-			if t := q.fifo[i]; t != nil && !q.gone[t.ID] {
-				return t.Key[kind], true
+		for _, e := range q.fifo[q.fifoHead:] {
+			if q.isLive(e.stamp) {
+				return e.t.Key[kind], true
 			}
 		}
 		return 0, false
 	}
 	h := &q.heaps[kind]
 	for len(*h) > 0 {
-		if !q.gone[(*h)[0].t.ID] {
+		if q.isLive((*h)[0].stamp) {
 			return (*h)[0].key, true
 		}
 		h.pop()
@@ -276,11 +306,10 @@ func (q *Queue) PeekKeyFor(kind hw.Kind) (float64, bool) {
 	return 0, false
 }
 
-// compact clears tombstones and dead heap entries when the queue is empty.
-// The dropped entries are zeroed, so the backing arrays stop keeping popped
-// tasks reachable. The tombstone map is replaced rather than cleared: clear
-// costs time in proportion to the map's peak capacity, make only to what is
-// used next.
+// compact drops the dead entries of every view and resets the stamps when
+// the queue is empty. The dropped entries are zeroed, so the backing arrays
+// stop keeping popped tasks reachable; every array keeps its capacity, so
+// a queue that fills and drains over and over allocates nothing once warm.
 func (q *Queue) compact() {
 	clear(q.fifo)
 	q.fifo = q.fifo[:0]
@@ -289,5 +318,7 @@ func (q *Queue) compact() {
 		clear(q.heaps[k])
 		q.heaps[k] = q.heaps[k][:0]
 	}
-	q.gone = make(map[uint64]bool)
+	clear(q.live)
+	q.live = q.live[:0]
+	q.stamp = 0
 }

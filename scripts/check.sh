@@ -13,6 +13,9 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l .  (every Go file gofmt-clean)"
+test -z "$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
 echo "== go build ./..."
 go build ./...
 
@@ -34,9 +37,10 @@ go test -run '^$' -fuzz '^FuzzParseArrivals$' -fuzztime 10s ./internal/arrival
 go test -run '^$' -fuzz '^FuzzSketchDecode$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzWindowedSketch$' -fuzztime 10s ./internal/obs
 
-echo "== message-path alloc gates  (blocking + step flavours and the runtime's demand round, without -race)"
+echo "== message-path alloc gates  (blocking + step flavours, the runtime's demand round, labeled-partition depth hook, task-queue fill/drain, without -race)"
 go test -run '^TestMessagePath|^TestSpawnPooling|^TestEventLoop|^TestZero' -count=1 -timeout 5m ./internal/sim
-go test -run '^TestDemandRoundAllocs$' -count=1 -timeout 5m ./internal/core
+go test -run '^TestDemandRoundAllocs$|^TestLabeledDepthHookAllocs$' -count=1 -timeout 5m ./internal/core
+go test -run '^TestQueueFillDrainAllocs$' -count=1 -timeout 5m ./internal/policy
 
 echo "== message-path golden traces  (full hook trace vs testdata, pipelined + serial requester)"
 go test -run '^TestGoldenMessagePath' -count=1 -timeout 10m ./internal/core
