@@ -67,12 +67,11 @@ serve-smoke:
 byte-identity:
 	./scripts/byte-identity.sh
 
-# Mid-weight verification: vet + tier-1 tests + fuzz smoke + the chaos
-# fault-injection determinism check (serial vs 4 workers, seeds 1-3) + the
-# trace/metrics, explain-artifact, serving, policy-lab and full-report
-# byte-identity gates + the live demo-server smoke test.
+# Mid-weight verification: vet + tier-1 tests (which include the chaos
+# fault-injection determinism check, serial vs 4 workers, seeds 1-3) + fuzz
+# smoke + the trace/metrics, explain-artifact, serving, policy-lab and
+# full-report byte-identity gates + the live demo-server smoke test.
 verify: vet test fuzz-smoke determinism serve-smoke byte-identity
-	$(GO) test -run '^TestChaosDeterminism$$' -timeout 20m ./internal/experiments
 
 # Tier-1+ pre-merge verification (vet, build, race, determinism seeds 1-3,
 # sweep benchmark). See scripts/check.sh for knobs.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/apps/microbench"
 	"repro/internal/apps/vi"
 	"repro/internal/experiments"
+	"repro/internal/parallel"
 )
 
 var fullScale = flag.Bool("anthill-full", false, "run benchmarks at paper scale")
@@ -172,8 +173,8 @@ func BenchmarkChaos(b *testing.B) { benchExperiment(b, "chaos") }
 // benchRunAll regenerates the whole report once per iteration with the
 // given worker-pool size (0 = default: ANTHILL_WORKERS or GOMAXPROCS).
 func benchRunAll(b *testing.B, workers int) {
-	experiments.SetWorkers(workers)
-	defer experiments.SetWorkers(0)
+	parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		failed, err := experiments.RunAll(cfg(), io.Discard)

@@ -55,6 +55,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 )
 
 // Profiling state, package-level so exit can flush it: os.Exit bypasses
@@ -102,7 +103,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		jsonOut  = flag.String("json", "", "also write a machine-readable check summary to this file")
 		svgDir   = flag.String("svg", "", "write each figure's curves as an SVG chart into this directory")
-		parallel = flag.Bool("parallel", true, "run independent sweep points on all cores (output is byte-identical to serial)")
+		par      = flag.Bool("parallel", true, "run independent sweep points on all cores (output is byte-identical to serial)")
 		workers  = flag.Int("workers", 0, "sweep worker count (0 = GOMAXPROCS, or the ANTHILL_WORKERS env var)")
 		faults   = flag.String("faults", "", "scripted fault schedule for -exp chaos, e.g. 'slow:node=0,at=100ms,for=500ms,x=4;crash:filter=nbia,inst=3,at=200ms'")
 		arrivals = flag.String("arrivals", "", "scripted arrival schedule for -exp serving, e.g. 'poisson:rate=4000,n=800;trace:at=1ms/2ms'")
@@ -143,10 +144,10 @@ func main() {
 	}
 
 	switch {
-	case !*parallel:
-		experiments.SetWorkers(1)
+	case !*par:
+		parallel.SetWorkers(1)
 	case *workers > 0:
-		experiments.SetWorkers(*workers)
+		parallel.SetWorkers(*workers)
 	}
 
 	if *cpuProf != "" {

@@ -31,6 +31,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -145,9 +146,9 @@ type summary struct {
 // timedRunAll regenerates the full report with the given pool size and
 // returns the wall time, the sweep-point count and the rendered bytes.
 func timedRunAll(cfg experiments.Config, workers int) (runResult, string) {
-	experiments.SetWorkers(workers)
-	defer experiments.SetWorkers(0)
-	experiments.ResetPointCount()
+	parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(0)
+	parallel.ResetPointCount()
 	var buf writerCounter
 	start := time.Now()
 	failed, err := experiments.RunAll(cfg, &buf)
@@ -167,7 +168,7 @@ func timedRunAll(cfg experiments.Config, workers int) (runResult, string) {
 	if cfg.Observe {
 		mode += "+explain"
 	}
-	points := experiments.PointCount()
+	points := parallel.PointCount()
 	return runResult{
 		Mode: mode, Workers: workers, WallSeconds: wall,
 		Points: points, PointsPerSec: float64(points) / wall,
@@ -183,9 +184,9 @@ func timedExtra(id string, cfg experiments.Config, workers int) runResult {
 		fmt.Fprintf(os.Stderr, "benchsweep: %s experiment not registered\n", id)
 		os.Exit(1)
 	}
-	experiments.SetWorkers(workers)
-	defer experiments.SetWorkers(0)
-	experiments.ResetPointCount()
+	parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(0)
+	parallel.ResetPointCount()
 	start := time.Now()
 	rep := e.Run(cfg)
 	wall := time.Since(start).Seconds()
@@ -193,7 +194,7 @@ func timedExtra(id string, cfg experiments.Config, workers int) runResult {
 		fmt.Fprintf(os.Stderr, "benchsweep: %s shape checks failed\n", id)
 		os.Exit(1)
 	}
-	points := experiments.PointCount()
+	points := parallel.PointCount()
 	return runResult{
 		Mode: id, Workers: workers, WallSeconds: wall,
 		Points: points, PointsPerSec: float64(points) / wall,
@@ -593,8 +594,8 @@ func main() {
 	cfg := experiments.Config{Full: *full, Seed: *seed}
 	parWorkers := *workers
 	if parWorkers <= 0 {
-		experiments.SetWorkers(0) // resolve the default
-		parWorkers = experiments.Workers()
+		parallel.SetWorkers(0) // resolve the default
+		parWorkers = parallel.Workers()
 	}
 
 	fmt.Fprintf(os.Stderr, "benchsweep: serial run (1 worker)...\n")

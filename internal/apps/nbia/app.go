@@ -405,22 +405,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// The record subscribers chain in front of cfg.Hooks' subscribers.
 	if cfg.RecordProcs {
-		prev := rt.Hooks.Process
-		rt.Hooks.Process = func(r core.ProcRecord) {
+		core.Subscribe(&rt.Hooks.Process, func(r core.ProcRecord) {
 			res.Records = append(res.Records, r)
-			if prev != nil {
-				prev(r)
-			}
-		}
+		})
 	}
 	if cfg.RecordTargets {
-		prev := rt.Hooks.Target
-		rt.Hooks.Target = func(r core.TargetRecord) {
+		core.Subscribe(&rt.Hooks.Target, func(r core.TargetRecord) {
 			res.Targets = append(res.Targets, r)
-			if prev != nil {
-				prev(r)
-			}
-		}
+		})
 	}
 	if cfg.Faults != nil {
 		if err := fault.Apply(rt, cfg.Faults); err != nil {

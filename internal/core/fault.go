@@ -61,10 +61,7 @@ func (rt *Runtime) CrashInstance(e *sim.Env, f *Filter, idx int) {
 				break
 			}
 			inst.noteInputDepth(qi)
-			if fs, ok := inst.fetcher[t.ID]; ok {
-				delete(inst.fetcher, t.ID)
-				fs.requestSize--
-			}
+			inst.creditFetcher(t) // wakeAll below notifies
 			is.s.stats.delivered--
 			is.s.stats.reenqueued++
 			inst.liveUpstream(qi).out.push(t)
@@ -88,13 +85,10 @@ func (rt *Runtime) CrashInstance(e *sim.Env, f *Filter, idx int) {
 				if t == nil {
 					break
 				}
-				inst.out.noteDepth(part)
+				inst.out.took(t, part)
 				if len(sibs) == 0 {
 					panic(fmt.Sprintf("core: crash of %s/%d strands output buffers: no live sibling",
 						f.Name(), idx))
-				}
-				if inst.out.gen != nil {
-					delete(inst.out.gen.fresh, t.ID)
 				}
 				sibs[rr%len(sibs)].out.push(t)
 				rr++

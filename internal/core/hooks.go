@@ -23,8 +23,7 @@ import (
 // trace) produce byte-identical output across repeated runs.
 
 // Bus is the set of runtime hooks. Fields may be set any time before Run;
-// helpers that need to chain an existing subscriber should wrap the previous
-// value (see trace.Collector.Attach for the pattern).
+// subscribers that share a run compose through Subscribe.
 type Bus struct {
 	// Process fires after every processed event (handler completed).
 	Process func(ProcRecord)
@@ -61,6 +60,23 @@ type Bus struct {
 	// host-to-device copy, one kernel execution, or one device-to-host
 	// copy (see xfer.Span).
 	Span func(SpanRecord)
+}
+
+// Subscribe installs f on the hook ahead of the subscribers already there:
+// f sees each record first, then the earlier subscribers in their own
+// order, so the subscriber attached last fires first. On a nil hook f is
+// installed as given. The composing closure is allocated here, once per
+// subscription; firing the hook allocates nothing.
+func Subscribe[R any](hook *func(R), f func(R)) {
+	prev := *hook
+	if prev == nil {
+		*hook = f
+		return
+	}
+	*hook = func(r R) {
+		f(r)
+		prev(r)
+	}
 }
 
 // QueueDepthRecord traces one change of a runtime queue's length.
@@ -232,11 +248,10 @@ func (rt *Runtime) EmitFault(r FaultRecord) {
 
 // noteAdmit publishes one open-arrival admission decision.
 func (rt *Runtime) noteAdmit(f *Filter, inst int, id uint64, at sim.Time, depth, limit int, accepted bool) {
-	h := rt.Hooks.Admit
-	if h == nil {
+	if rt.Hooks.Admit == nil {
 		return
 	}
-	h(AdmitRecord{
+	rt.Hooks.Admit(AdmitRecord{
 		Filter:   f.Name(),
 		Instance: inst,
 		TaskID:   id,

@@ -128,12 +128,19 @@ func (s *sender) popFor(req *request) *task.Task {
 		t = q.PopFor(req.kind)
 	}
 	if t != nil {
-		if s.gen != nil {
-			delete(s.gen.fresh, t.ID)
-		}
-		s.noteDepth(pi)
+		s.took(t, pi)
 	}
 	return t
+}
+
+// took is the bookkeeping of buffer t leaving send-queue partition part
+// (-1 for the main queue): it no longer counts as fresh generator output,
+// and the queue's depth changed.
+func (s *sender) took(t *task.Task, part int) {
+	if s.gen != nil {
+		delete(s.gen.fresh, t.ID)
+	}
+	s.noteDepth(part)
 }
 
 // answer serves one data request: refill the queue (lazy sources), select
@@ -261,12 +268,6 @@ func (s *sender) runPush(e *sim.Env) {
 	for !rt.track.done.Fired() && !s.inst.dead {
 		s.refill(e.Now())
 		t := s.queue.PopFor(hw.CPU) // FIFO pop: kind is irrelevant
-		if t != nil {
-			if s.gen != nil {
-				delete(s.gen.fresh, t.ID)
-			}
-			s.noteDepth(-1)
-		}
 		if t == nil {
 			e.Sleep(backoff)
 			if backoff < maxBackoff {
@@ -274,6 +275,7 @@ func (s *sender) runPush(e *sim.Env) {
 			}
 			continue
 		}
+		s.took(t, -1)
 		backoff = minBackoff
 		if dp != nil {
 			if i := dp.PickDest(t, len(consumers), pushView, rr); i >= 0 {
@@ -573,17 +575,35 @@ func (w *worker) tryPop() (*task.Task, *reqState, int) {
 	for i := 0; i < n; i++ {
 		qi := (inst.rrQueue + i) % n
 		if t := w.popInput(qi); t != nil {
-			inst.rrQueue = (qi + 1) % n
-			inst.noteInputDepth(qi)
-			if fs, ok := inst.fetcher[t.ID]; ok {
-				delete(inst.fetcher, t.ID)
-				fs.requestSize--
-				inst.demand.NotifyAll()
-			}
-			return t, w.reqStates[qi], qi
+			return w.popped(qi, t)
 		}
 	}
 	return nil, nil, -1
+}
+
+// popped is the bookkeeping shared by tryPop and tryPopAtLeast once t left
+// input queue qi: the round robin moves past qi, the depth is published,
+// and the worker whose request fetched t gets its credit back.
+func (w *worker) popped(qi int, t *task.Task) (*task.Task, *reqState, int) {
+	inst := w.inst
+	inst.rrQueue = (qi + 1) % len(inst.inputs)
+	inst.noteInputDepth(qi)
+	if inst.creditFetcher(t) {
+		inst.demand.NotifyAll()
+	}
+	return t, w.reqStates[qi], qi
+}
+
+// creditFetcher settles t's fetcher accounting as t leaves an input queue:
+// the worker whose request fetched t has one buffer fewer outstanding,
+// whoever consumes it. It reports whether t had a fetcher.
+func (inst *Instance) creditFetcher(t *task.Task) bool {
+	fs, ok := inst.fetcher[t.ID]
+	if ok {
+		delete(inst.fetcher, t.ID)
+		fs.requestSize--
+	}
+	return ok
 }
 
 // consumer is the worker's identity for pluggable-scheduler decisions.
@@ -667,14 +687,7 @@ func (w *worker) tryPopAtLeast(minKey float64) (*task.Task, *reqState, int) {
 			continue
 		}
 		if t := w.popInput(qi); t != nil {
-			inst.rrQueue = (qi + 1) % n
-			inst.noteInputDepth(qi)
-			if fs, ok := inst.fetcher[t.ID]; ok {
-				delete(inst.fetcher, t.ID)
-				fs.requestSize--
-				inst.demand.NotifyAll()
-			}
-			return t, w.reqStates[qi], qi
+			return w.popped(qi, t)
 		}
 	}
 	return nil, nil, -1

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -76,7 +77,7 @@ func runAblation(cfg Config) *Report {
 		Header:  []string{"Variant", "Speedup", "vs defaults"},
 		Caption: "Each row flips one of the implementation decisions recorded in DESIGN.md.",
 	}
-	perVariant := SweepMap(len(variants), func(i int) float64 {
+	perVariant := parallel.SweepMap(len(variants), func(i int) float64 {
 		return ablationNBIA(cfg, variants[i].tun, variants[i].weights).Speedup
 	})
 	speedups := map[string]float64{}

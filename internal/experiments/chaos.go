@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps/nbia"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -125,9 +126,9 @@ func runChaos(cfg Config) *Report {
 	// Point grid: (intensity, policy), policies contiguous per intensity.
 	// Each point draws its own schedule from (seed, point index), so the
 	// sweep is deterministic on any worker count.
-	points := SweepMap(len(chaosIntensities)*np, func(i int) chaosPoint {
+	points := parallel.SweepMap(len(chaosIntensities)*np, func(i int) chaosPoint {
 		intensity := chaosIntensities[i/np]
-		seed := PointSeed(cfg.Seed, i)
+		seed := parallel.PointSeed(cfg.Seed, i)
 		return runChaosPoint(cfg, paperPols[i%np].New, func(horizon sim.Time) *fault.Schedule {
 			return fault.Random(seed, intensity, fault.Shape{
 				Nodes:     chaosNodes,
@@ -215,7 +216,7 @@ func runChaosScripted(cfg Config) *Report {
 		rep.Checks = []Check{check("fault spec parses", false, "%v", perr)}
 		return rep
 	}
-	points := SweepMap(len(paperPols), func(i int) chaosPoint {
+	points := parallel.SweepMap(len(paperPols), func(i int) chaosPoint {
 		return runChaosPoint(cfg, paperPols[i].New,
 			func(sim.Time) *fault.Schedule { return sched })
 	})

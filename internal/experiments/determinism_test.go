@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // renderMany runs the given experiments with the given worker-pool size and
@@ -12,8 +16,8 @@ import (
 // the default afterwards.
 func renderMany(t *testing.T, cfg Config, exps []Experiment, workers int) string {
 	t.Helper()
-	SetWorkers(workers)
-	defer SetWorkers(0)
+	parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(0)
 	var b strings.Builder
 	for _, rep := range RunMany(cfg, exps) {
 		b.WriteString(rep.Render())
@@ -78,10 +82,54 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllDeterminism checks byte-identity for the full registry. Seed 1
-// always runs (outside -short); additional seeds are enabled with e.g.
-// ANTHILL_DETERMINISM_SEEDS=3, which scripts/check.sh sets for the
-// pre-merge verification pass.
+// determinismSeeds is how many seeds the full-registry tests cover: 1, or
+// ANTHILL_DETERMINISM_SEEDS (scripts/check.sh sets 3).
+func determinismSeeds(t *testing.T) int64 {
+	t.Helper()
+	s := os.Getenv("ANTHILL_DETERMINISM_SEEDS")
+	if s == "" {
+		return 1
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || n < 1 {
+		t.Fatalf("bad ANTHILL_DETERMINISM_SEEDS=%q", s)
+	}
+	return n
+}
+
+// serialRuns holds one serial run of the full registry per seed. Reports
+// do not depend on the pool size (TestRunAllDeterminism asserts it), so
+// the digest, the serial-vs-pool comparison and the shape checks all read
+// this one pass.
+var serialRuns = map[int64][]*Report{}
+
+// serialRun returns the seed's full-registry reports, run serially the
+// first time they are asked for.
+func serialRun(seed int64) []*Report {
+	if reps, ok := serialRuns[seed]; ok {
+		return reps
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	reps := RunMany(Config{Seed: seed}, All())
+	serialRuns[seed] = reps
+	return reps
+}
+
+// document renders reports as anthill-sim -exp all writes them.
+func document(cfg Config, reps []*Report) string {
+	var b strings.Builder
+	b.WriteString(Preamble(cfg))
+	for _, rep := range reps {
+		b.WriteString(rep.Render())
+	}
+	return b.String()
+}
+
+// TestRunAllDeterminism checks byte-identity for the full registry: the
+// seed-1 document must hash to scripts/exp_all_seed1.sha256, and every
+// covered seed's 4-worker document must equal the serial one. Seed 1
+// always runs (outside -short); more seeds with ANTHILL_DETERMINISM_SEEDS.
 func TestRunAllDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry determinism check skipped in -short mode")
@@ -90,20 +138,22 @@ func TestRunAllDeterminism(t *testing.T) {
 		t.Skip("full-registry determinism check skipped under -race " +
 			"(TestSweepDeterminismQuick covers the pool under the detector)")
 	}
-	seeds := int64(1)
-	if s := os.Getenv("ANTHILL_DETERMINISM_SEEDS"); s != "" {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil || n < 1 {
-			t.Fatalf("bad ANTHILL_DETERMINISM_SEEDS=%q", s)
-		}
-		seeds = n
+	pin, err := os.ReadFile("../../scripts/exp_all_seed1.sha256")
+	if err != nil {
+		t.Fatal(err)
 	}
-	exps := All()
+	want, _, _ := strings.Cut(string(pin), " ")
+	seeds := determinismSeeds(t)
 	for seed := int64(1); seed <= seeds; seed++ {
 		cfg := Config{Seed: seed}
-		serial := renderMany(t, cfg, exps, 1)
-		par := renderMany(t, cfg, exps, 4)
-		if serial != par {
+		serial := document(cfg, serialRun(seed))
+		if seed == 1 {
+			sum := sha256.Sum256([]byte(serial))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("seed 1: -exp all document hashes to %s, scripts/exp_all_seed1.sha256 pins %s", got, want)
+			}
+		}
+		if par := Preamble(cfg) + renderMany(t, cfg, All(), 4); serial != par {
 			t.Errorf("seed %d: parallel full report differs from serial (%d vs %d bytes)",
 				seed, len(par), len(serial))
 		}
@@ -121,8 +171,8 @@ func TestRunAllDeterminism(t *testing.T) {
 func TestExplainDeterminism(t *testing.T) {
 	captureAll := func(cfg Config, exps []Experiment, workers int) []*ObsCapture {
 		t.Helper()
-		SetWorkers(workers)
-		defer SetWorkers(0)
+		parallel.SetWorkers(workers)
+		defer parallel.SetWorkers(0)
 		var out []*ObsCapture
 		for _, rep := range RunMany(cfg, exps) {
 			if rep.Obs == nil {

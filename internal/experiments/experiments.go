@@ -204,9 +204,9 @@ identity on every run.
 // RunAll executes every experiment and writes a complete EXPERIMENTS.md
 // style document to w. It returns the number of failed checks.
 //
-// Experiments run on the sweep worker pool (see Sweep); the document is
-// assembled in paper order afterwards, so the output is byte-identical
-// whatever the pool size.
+// Experiments run on the sweep worker pool (see parallel.Sweep); the
+// document is assembled in paper order afterwards, so the output is
+// byte-identical whatever the pool size.
 func RunAll(cfg Config, w io.Writer) (int, error) {
 	if _, err := io.WriteString(w, Preamble(cfg)); err != nil {
 		return 0, err

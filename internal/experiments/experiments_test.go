@@ -85,17 +85,21 @@ func TestFig12Experiment(t *testing.T) {
 	}
 }
 
+// TestAllExperimentShapes asserts every experiment's shape checks on the
+// serial full-registry pass TestRunAllDeterminism shares, for each seed it
+// covers; one subtest per experiment names a failure.
 func TestAllExperimentShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: full shape suite takes ~3 minutes")
 	}
-	for _, e := range All() {
-		e := e
+	seeds := determinismSeeds(t)
+	for i, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			rep := e.Run(Config{Seed: 1})
-			for _, c := range rep.Checks {
-				if !c.Pass {
-					t.Errorf("%s: %s — %s", e.ID, c.Name, c.Detail)
+			for seed := int64(1); seed <= seeds; seed++ {
+				for _, c := range serialRun(seed)[i].Checks {
+					if !c.Pass {
+						t.Errorf("seed %d: %s: %s — %s", seed, e.ID, c.Name, c.Detail)
+					}
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 )
 
@@ -36,7 +37,7 @@ func runFig11(cfg Config) *Report {
 	mks := []func(int) policy.StreamPolicy{policy.DDFCFS, policy.DDWRR}
 	// Point grid: (rate, policy, size) — the full exhaustive search is one
 	// flat sweep; the per-(rate, policy) argmin reduction happens below.
-	makespans := SweepMap(len(rates)*len(mks)*len(sizes), func(i int) float64 {
+	makespans := parallel.SweepMap(len(rates)*len(mks)*len(sizes), func(i int) float64 {
 		rate := rates[i/(len(mks)*len(sizes))]
 		mk := mks[i/len(sizes)%len(mks)]
 		size := sizes[i%len(sizes)]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 )
 
@@ -63,7 +64,7 @@ func runFig13(cfg Config) *Report {
 	speedups := map[string]map[int]float64{}
 	pols := scalingPolicies()
 	// Point grid: (policy, node count), node counts contiguous per policy.
-	points := SweepMap(len(pols)*len(nodes), func(i int) float64 {
+	points := parallel.SweepMap(len(pols)*len(nodes), func(i int) float64 {
 		sc, n := pols[i/len(nodes)], nodes[i%len(nodes)]
 		c := nbiaCase{nodes: n, tiles: tiles, rate: 0.08,
 			useGPU: true, cpuWorkers: sc.cpus, seed: cfg.Seed}
@@ -119,7 +120,7 @@ func runFig14(cfg Config) *Report {
 	speedups := map[string]map[int]float64{}
 	pols := scalingPolicies()
 	// Point grid: (policy, node count), node counts contiguous per policy.
-	points := SweepMap(len(pols)*len(nodes), func(i int) float64 {
+	points := parallel.SweepMap(len(pols)*len(nodes), func(i int) float64 {
 		sc, n := pols[i/len(nodes)], nodes[i%len(nodes)]
 		c := nbiaCase{hetero: true, nodes: n, tiles: tiles, rate: 0.08,
 			useGPU: true, cpuWorkers: sc.cpus, seed: cfg.Seed}

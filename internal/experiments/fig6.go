@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 )
 
 func init() {
@@ -21,7 +22,7 @@ func runFig6(cfg Config) *Report {
 	syncS := metrics.Series{Label: "Synchronous copy", XLabel: "tile edge (px)"}
 	asyncS := metrics.Series{Label: "Asynchronous copy"}
 	// Point grid: (edge, sync) pairs, sync first within each edge.
-	speedups := SweepMap(2*len(sizes), func(i int) float64 {
+	speedups := parallel.SweepMap(2*len(sizes), func(i int) float64 {
 		c := nbiaCase{
 			nodes: 1, tiles: tiles, levels: []int{sizes[i/2]}, rate: 0,
 			pol: gpuOnlyPol(), useGPU: true, cpuWorkers: 0,

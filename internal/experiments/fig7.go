@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apps/vi"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 )
 
 func init() {
@@ -36,7 +37,7 @@ func runFig7(cfg Config) *Report {
 	var series []metrics.Series
 	checks := []Check{}
 	// Point grid: (chunk, stream count), stream counts contiguous per chunk.
-	elapsed := SweepMap(len(viChunks)*len(viCounts), func(i int) float64 {
+	elapsed := parallel.SweepMap(len(viChunks)*len(viCounts), func(i int) float64 {
 		r := vi.Run(vi.Config{
 			VectorInts: vec,
 			ChunkInts:  viChunks[i/len(viCounts)],
@@ -90,7 +91,7 @@ func runTable2(cfg Config) *Report {
 		bestN      int
 		bestT, dyn float64
 	}
-	points := SweepMap(len(viChunks), func(i int) t2point {
+	points := parallel.SweepMap(len(viChunks), func(i int) t2point {
 		chunk := viChunks[i]
 		bestN, bestT := vi.BestStatic(vi.Config{VectorInts: vec, ChunkInts: chunk}, viCounts)
 		dyn := vi.Run(vi.Config{VectorInts: vec, ChunkInts: chunk})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 )
 
@@ -31,7 +32,7 @@ func runFig8(cfg Config) *Report {
 	ddfcfs := metrics.Series{Label: "GPU+CPU DDFCFS"}
 	ddwrr := metrics.Series{Label: "GPU+CPU DDWRR"}
 	// Point grid: (rate, policy) with the three policies per rate.
-	speedups := SweepMap(3*len(recalcRates), func(i int) float64 {
+	speedups := parallel.SweepMap(3*len(recalcRates), func(i int) float64 {
 		c := nbiaCase{nodes: 1, tiles: tiles, rate: recalcRates[i/3],
 			useGPU: true, cpuWorkers: 1, seed: cfg.Seed}
 		switch i % 3 {
@@ -99,7 +100,7 @@ func runTable4(cfg Config) *Report {
 		name string
 		pol  policy.StreamPolicy
 	}{{"DDFCFS", policy.DDFCFS(ddfcfsReq)}, {"DDWRR", policy.DDWRR(ddwrrReq)}}
-	perPolicy := SweepMap(len(policies), func(i int) [2]float64 {
+	perPolicy := parallel.SweepMap(len(policies), func(i int) [2]float64 {
 		res := nbiaCase{nodes: 1, tiles: tiles, rate: 0.16,
 			pol: policies[i].pol, useGPU: true, cpuWorkers: 1, records: true, seed: cfg.Seed}.run()
 		prof := metrics.ProfileBy(res.Records, func(r core.ProcRecord) int {

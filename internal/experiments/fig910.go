@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 )
 
@@ -37,7 +38,7 @@ func runFig9(cfg Config) *Report {
 	wrrAsync := metrics.Series{Label: "DDWRR (async copy)"}
 	odds := metrics.Series{Label: "ODDS (async copy)"}
 	// Point grid: (rate, variant) with the three variants per rate.
-	speedups := SweepMap(3*len(recalcRates), func(i int) float64 {
+	speedups := parallel.SweepMap(3*len(recalcRates), func(i int) float64 {
 		c := nbiaCase{nodes: 1, tiles: tiles, rate: recalcRates[i/3],
 			useGPU: true, cpuWorkers: 1, seed: cfg.Seed}
 		switch i % 3 {
@@ -94,7 +95,7 @@ func runFig10(cfg Config) *Report {
 	sizes := searchSizes(cfg)
 	// Point grid: (rate, policy); each static-policy point runs its own
 	// request-size search.
-	speedups := SweepMap(3*len(recalcRates), func(i int) float64 {
+	speedups := parallel.SweepMap(3*len(recalcRates), func(i int) float64 {
 		base := nbiaCase{hetero: true, nodes: 2, tiles: tiles, rate: recalcRates[i/3],
 			useGPU: true, cpuWorkers: -1, seed: cfg.Seed}
 		switch i % 3 {
@@ -169,7 +170,7 @@ func runTable6(cfg Config) *Report {
 		nodes  int
 	}{{"homo", false, 1}, {"hetero", true, 2}}
 	// Point grid: (environment, policy), policies contiguous per environment.
-	shares := SweepMap(len(envs)*len(paperPols), func(i int) [2]float64 {
+	shares := parallel.SweepMap(len(envs)*len(paperPols), func(i int) [2]float64 {
 		env, p := envs[i/len(paperPols)], paperPols[i%len(paperPols)]
 		res := nbiaCase{hetero: env.hetero, nodes: env.nodes, tiles: tiles, rate: 0.08,
 			pol: p.New(), useGPU: true, cpuWorkers: -1, records: true, seed: cfg.Seed}.run()

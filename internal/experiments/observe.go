@@ -27,6 +27,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -122,12 +123,8 @@ func captureServing(cfg Config) *ObsCapture {
 	k := sim.NewKernel(cfg.Seed)
 	cl := hw.NewCluster(k, serve.Pool(), nil)
 	rt := core.New(cl, nil)
-	log := trace.NewChromeLog()
-	reg := obs.NewRegistry()
-	col := span.NewCollector()
-	log.Attach(rt)
-	reg.Attach(rt)
-	col.Attach(rt)
+	obsc := newCapture()
+	obsc.attach(rt)
 	serve.Build(rt, serve.Pipeline{
 		Placement: []int{0, 1}, QueueLimit: serve.DefaultQueueLimit,
 		Policy: policy.ODDS(), Times: times,
@@ -136,8 +133,7 @@ func captureServing(cfg Config) *ObsCapture {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: serving capture failed: %v", err))
 	}
-	log.AddCluster(cl)
-	return renderCapture(log, reg, col, res.Makespan, k.Now())
+	return obsc.render(cl, res.Makespan, k.Now())
 }
 
 // capturePolicylab runs the lab's batch leg on the balanced shape with the
@@ -157,9 +153,7 @@ func capturePolicylab(cfg Config) *ObsCapture {
 	hooks := labHooks(pol)
 	k := sim.NewKernel(cfg.Seed)
 	cl := s.cluster(k)
-	log := trace.NewChromeLog()
-	reg := obs.NewRegistry()
-	col := span.NewCollector()
+	obsc := newCapture()
 	res, err := nbia.Run(nbia.Config{
 		Cluster:    cl,
 		Tiles:      captureTiles,
@@ -171,9 +165,7 @@ func capturePolicylab(cfg Config) *ObsCapture {
 		Weights:    nbia.WeightEstimator,
 		Seed:       cfg.Seed + 17,
 		Hooks: func(rt *core.Runtime) {
-			log.Attach(rt)
-			reg.Attach(rt)
-			col.Attach(rt)
+			obsc.attach(rt)
 			if hooks != nil {
 				hooks(rt)
 			}
@@ -182,8 +174,7 @@ func capturePolicylab(cfg Config) *ObsCapture {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: policylab capture failed: %v", err))
 	}
-	log.AddCluster(cl)
-	return renderCapture(log, reg, col, res.Makespan, k.Now())
+	return obsc.render(cl, res.Makespan, k.Now())
 }
 
 // captureNBIA runs one NBIA configuration with the observability layer
@@ -194,9 +185,7 @@ func captureNBIA(c nbiaCase, sched *fault.Schedule) *ObsCapture {
 	if c.hetero {
 		cl = nbia.HeteroCluster(k, c.nodes)
 	}
-	log := trace.NewChromeLog()
-	reg := obs.NewRegistry()
-	col := span.NewCollector()
+	obsc := newCapture()
 	res, err := nbia.Run(nbia.Config{
 		Cluster:    cl,
 		Tiles:      c.tiles,
@@ -210,17 +199,12 @@ func captureNBIA(c nbiaCase, sched *fault.Schedule) *ObsCapture {
 		Weights:    nbia.WeightEstimator,
 		Seed:       c.seed + 17,
 		Faults:     sched,
-		Hooks: func(rt *core.Runtime) {
-			log.Attach(rt)
-			reg.Attach(rt)
-			col.Attach(rt)
-		},
+		Hooks:      obsc.attach,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: observability capture failed: %v", err))
 	}
-	log.AddCluster(cl)
-	return renderCapture(log, reg, col, res.Makespan, k.Now())
+	return obsc.render(cl, res.Makespan, k.Now())
 }
 
 // captureVI replays the Figure 7 workload — vector chunks incremented on a
@@ -241,12 +225,8 @@ func captureVI(seed int64) *ObsCapture {
 		{CPUCores: 2, HasGPU: true, Link: &lc},
 	}, nil)
 	rt := core.New(cl, nil)
-	log := trace.NewChromeLog()
-	reg := obs.NewRegistry()
-	col := span.NewCollector()
-	log.Attach(rt)
-	reg.Attach(rt)
-	col.Attach(rt)
+	obsc := newCapture()
+	obsc.attach(rt)
 	src := rt.AddFilter(core.FilterSpec{
 		Name: "vector", Placement: []int{0},
 		SourceCount: func(int) int { return chunks },
@@ -264,8 +244,7 @@ func captureVI(seed int64) *ObsCapture {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: VI capture failed: %v", err))
 	}
-	log.AddCluster(cl)
-	return renderCapture(log, reg, col, res.Makespan, k.Now())
+	return obsc.render(cl, res.Makespan, k.Now())
 }
 
 // captureChaos runs the chaos workload under a fault schedule so crash and
@@ -286,7 +265,7 @@ func captureChaos(cfg Config) *ObsCapture {
 		}
 	} else {
 		base := c.run()
-		sched = fault.Random(PointSeed(cfg.Seed, 1<<20), 0.5, fault.Shape{
+		sched = fault.Random(parallel.PointSeed(cfg.Seed, 1<<20), 0.5, fault.Shape{
 			Nodes:     c.nodes,
 			GPUNodes:  gpuNodes(c.nodes),
 			Horizon:   base.Makespan,
@@ -297,21 +276,41 @@ func captureChaos(cfg Config) *ObsCapture {
 	return captureNBIA(c, sched)
 }
 
-// renderCapture closes the registry at the run horizon and renders every
-// artifact, including the critical-path attribution built from the span
-// collector at the run's makespan.
-func renderCapture(log *trace.ChromeLog, reg *obs.Registry, col *span.Collector,
-	makespan, horizon sim.Time) *ObsCapture {
+// capture is the observability layer of one capture run: a Chrome
+// trace-event log, a metrics registry and a span-lineage collector.
+type capture struct {
+	log *trace.ChromeLog
+	reg *obs.Registry
+	col *span.Collector
+}
+
+func newCapture() *capture {
+	return &capture{log: trace.NewChromeLog(), reg: obs.NewRegistry(), col: span.NewCollector()}
+}
+
+// attach subscribes the layer to rt's hook bus; it doubles as the Hooks
+// func of an nbia run.
+func (c *capture) attach(rt *core.Runtime) {
+	c.log.Attach(rt)
+	c.reg.Attach(rt)
+	c.col.Attach(rt)
+}
+
+// render adds the cluster's device tracks, closes the registry at the run
+// horizon and renders every artifact, including the critical-path
+// attribution built from the span collector at the run's makespan.
+func (c *capture) render(cl *hw.Cluster, makespan, horizon sim.Time) *ObsCapture {
+	c.log.AddCluster(cl)
 	var buf bytes.Buffer
-	if err := log.WriteJSON(&buf); err != nil {
+	if err := c.log.WriteJSON(&buf); err != nil {
 		panic(fmt.Sprintf("experiments: trace render failed: %v", err))
 	}
-	reg.Finish(horizon)
-	mj, err := reg.JSON()
+	c.reg.Finish(horizon)
+	mj, err := c.reg.JSON()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: metrics render failed: %v", err))
 	}
-	attr, err := col.Build(makespan)
+	attr, err := c.col.Build(makespan)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: attribution build failed: %v", err))
 	}

@@ -9,44 +9,20 @@ package experiments
 // parallel report byte-identical to the serial one.
 //
 // The pool itself lives in internal/parallel (it is shared with the
-// microbench profiling sweeps); this file is the experiments-facing API.
+// microbench profiling sweeps); experiments call it directly.
 
 import "repro/internal/parallel"
 
-// Workers returns the current sweep worker-pool size.
-func Workers() int { return parallel.Workers() }
-
-// SetWorkers sets the sweep worker-pool size; n <= 0 restores the default
-// (ANTHILL_WORKERS or GOMAXPROCS). A pool of 1 is the serial path.
-func SetWorkers(n int) { parallel.SetWorkers(n) }
-
-// PointCount returns the number of sweep points executed so far.
-func PointCount() int64 { return parallel.PointCount() }
-
-// ResetPointCount zeroes the sweep-point counter.
-func ResetPointCount() { parallel.ResetPointCount() }
-
-// PointSeed derives a deterministic per-point seed from a sweep's base
-// seed, for sweeps whose points need distinct randomness.
-func PointSeed(base int64, point int) int64 { return parallel.PointSeed(base, point) }
-
-// Sweep runs fn(i) for every point i in [0, n) on the bounded worker pool;
-// see the package comment for the determinism rules points must follow.
-func Sweep(n int, fn func(i int)) { parallel.Sweep(n, fn) }
-
-// SweepMap runs fn over every point and returns the results in point order.
-func SweepMap[T any](n int, fn func(i int) T) []T { return parallel.SweepMap(n, fn) }
-
 // RunMany executes the given experiments — each itself a parallel sweep —
 // and returns their reports in input order. Experiments are coarse and few,
-// so they share the same pool machinery; with Workers() == 1 everything
-// runs inline, which is the serial reference path.
+// so they share the same pool machinery; with parallel.Workers() == 1
+// everything runs inline, which is the serial reference path.
 //
 // With cfg.Observe set, the observability captures run serially here,
 // after every sweep has drained: capture output order and content never
 // depend on the worker-pool size.
 func RunMany(cfg Config, exps []Experiment) []*Report {
-	reps := SweepMap(len(exps), func(i int) *Report { return exps[i].Run(cfg) })
+	reps := parallel.SweepMap(len(exps), func(i int) *Report { return exps[i].Run(cfg) })
 	if cfg.Observe {
 		for _, rep := range reps {
 			rep.Obs = RunCapture(cfg, rep.ID)

@@ -24,6 +24,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -144,13 +145,9 @@ func labHooks(pol policy.StreamPolicy) func(rt *core.Runtime) {
 		return nil
 	}
 	return func(rt *core.Runtime) {
-		prev := rt.Hooks.Process
-		rt.Hooks.Process = func(r core.ProcRecord) {
+		core.Subscribe(&rt.Hooks.Process, func(r core.ProcRecord) {
 			a.SetHome(r.TaskID, r.NodeID)
-			if prev != nil {
-				prev(r)
-			}
-		}
+		})
 	}
 }
 
@@ -318,9 +315,9 @@ func runPolicylab(cfg Config) *Report {
 	// The policy list depends only on names; build it once with throwaway
 	// parameters to size the grid (each point constructs its own).
 	np := len(labPolicies(0, nil))
-	points := SweepMap(len(labShapes)*np, func(i int) labPoint {
+	points := parallel.SweepMap(len(labShapes)*np, func(i int) labPoint {
 		s := labShapes[i/np]
-		seed := PointSeed(cfg.Seed, i)
+		seed := parallel.PointSeed(cfg.Seed, i)
 		// The bandit's feature map is the estimator's own normalization,
 		// trained on the same profile the batch run's estimator uses
 		// (nbia.Run derives its profile seed as config seed + 1).

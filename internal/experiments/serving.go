@@ -23,6 +23,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -135,9 +136,9 @@ func runServing(cfg Config) *Report {
 	// Point grid: (load, policy), policies contiguous per load. Each point
 	// draws its arrival instants from (seed, point index), so the sweep is
 	// deterministic on any worker count.
-	points := SweepMap(len(servingLoads)*np, func(i int) servingPoint {
+	points := parallel.SweepMap(len(servingLoads)*np, func(i int) servingPoint {
 		load := servingLoads[i/np]
-		seed := PointSeed(cfg.Seed, i)
+		seed := parallel.PointSeed(cfg.Seed, i)
 		rate := load * servingCapacity
 		sched := &arrival.Schedule{Procs: []arrival.Proc{{
 			Kind: arrival.Poisson, Rate: rate, N: int(rate * float64(horizon)),
@@ -234,8 +235,8 @@ func runServingScripted(cfg Config) *Report {
 		rep.Checks = []Check{check("arrival spec parses", false, "%v", perr)}
 		return rep
 	}
-	points := SweepMap(len(paperPols), func(i int) servingPoint {
-		seed := PointSeed(cfg.Seed, i)
+	points := parallel.SweepMap(len(paperPols), func(i int) servingPoint {
+		seed := parallel.PointSeed(cfg.Seed, i)
 		return runServingPoint(seed, paperPols[i].New, sched.Times(seed))
 	})
 	tb := metrics.Table{

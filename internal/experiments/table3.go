@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps/nbia"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 )
 
@@ -35,7 +36,7 @@ func runTable3(cfg Config) *Report {
 			"one CPU worker (the difference is runtime overhead, which must be negligible).",
 	}
 	type t3point struct{ analytic, simulated float64 }
-	points := SweepMap(len(recalcRates), func(i int) t3point {
+	points := parallel.SweepMap(len(recalcRates), func(i int) t3point {
 		rate := recalcRates[i]
 		a := nbia.CPUOnlyTime(tiles, nbia.DefaultLevels, rate)
 		c := nbiaCase{

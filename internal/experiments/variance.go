@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apps/nbia"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -32,7 +33,7 @@ func runVariance(cfg Config) *Report {
 	// Point grid: (policy, repeat); each repeat derives its own kernel seed,
 	// run seed and slide region from its repeat index, exactly as the
 	// serial loop did.
-	speedups := SweepMap(len(pols)*runs, func(i int) float64 {
+	speedups := parallel.SweepMap(len(pols)*runs, func(i int) float64 {
 		pol, r := pols[i/runs], i%runs
 		k := sim.NewKernel(cfg.Seed + int64(r)*101)
 		cl := nbia.HeteroCluster(k, 2)

@@ -83,114 +83,81 @@ func attachRef(r *Registry, rt *core.Runtime) {
 		k := fmt.Sprintf("filter=%s,inst=%d,dev=%s", l.filter, l.inst, l.dev)
 		return [2]*Counter{r.Counter("events_processed{" + k + "}"), r.Counter("service_time_s{" + k + "}")}
 	})
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(rec core.ProcRecord) {
+	core.Subscribe(&rt.Hooks.Process, func(rec core.ProcRecord) {
 		dur := float64(rec.End - rec.Start)
 		r.mu.Lock()
 		c := procs.get(refProcLabels{rec.Filter, rec.Instance, rec.Kind})
 		c[0].Add(1)
 		c[1].Add(dur)
 		r.mu.Unlock()
-		if prevProc != nil {
-			prevProc(rec)
-		}
-	}
+	})
 	targets := newRefHandles(func(l refWorkerLabels) level {
 		k := fmt.Sprintf("dqaa_target{filter=%s,inst=%d,worker=%s}", l.filter, l.inst, l.name)
 		return level{r.Gauge(k), r.Hist(k)}
 	})
-	prevTarget := rt.Hooks.Target
-	rt.Hooks.Target = func(rec core.TargetRecord) {
+	core.Subscribe(&rt.Hooks.Target, func(rec core.TargetRecord) {
 		r.mu.Lock()
 		targets.get(refWorkerLabels{rec.Filter, rec.Instance, rec.Worker}).observe(rec.At, rec.Target)
 		r.mu.Unlock()
-		if prevTarget != nil {
-			prevTarget(rec)
-		}
-	}
+	})
 	depths := newRefHandles(func(l refWorkerLabels) level {
 		k := fmt.Sprintf("queue_depth{filter=%s,inst=%d,queue=%s}", l.filter, l.inst, l.name)
 		return level{r.Gauge(k), r.Hist(k)}
 	})
-	prevDepth := rt.Hooks.QueueDepth
-	rt.Hooks.QueueDepth = func(rec core.QueueDepthRecord) {
+	core.Subscribe(&rt.Hooks.QueueDepth, func(rec core.QueueDepthRecord) {
 		r.mu.Lock()
 		depths.get(refWorkerLabels{rec.Filter, rec.Instance, rec.Queue}).observe(rec.At, rec.Depth)
 		r.mu.Unlock()
-		if prevDepth != nil {
-			prevDepth(rec)
-		}
-	}
+	})
 	demands := newRefHandles(func(l refDemandLabels) *Counter {
 		return r.Counter(fmt.Sprintf("demand{filter=%s,inst=%d,input=%d,event=%s}",
 			l.filter, l.inst, l.input, l.event))
 	})
-	prevDemand := rt.Hooks.Demand
-	rt.Hooks.Demand = func(rec core.DemandRecord) {
+	core.Subscribe(&rt.Hooks.Demand, func(rec core.DemandRecord) {
 		r.mu.Lock()
 		demands.get(refDemandLabels{rec.Filter, rec.Instance, rec.Input, rec.Event}).Add(1)
 		r.mu.Unlock()
-		if prevDemand != nil {
-			prevDemand(rec)
-		}
-	}
+	})
 	sends := newRefHandles(func(l refStreamLabels) [2]*Counter {
 		k := fmt.Sprintf("stream=%s,inst=%d,mode=%s", l.stream, l.inst, mode(l.push))
 		return [2]*Counter{r.Counter("stream_sends{" + k + "}"), r.Counter("stream_bytes{" + k + "}")}
 	})
-	prevSend := rt.Hooks.Send
-	rt.Hooks.Send = func(rec core.SendRecord) {
+	core.Subscribe(&rt.Hooks.Send, func(rec core.SendRecord) {
 		r.mu.Lock()
 		c := sends.get(refStreamLabels{rec.Stream, rec.FromInstance, rec.Push})
 		c[0].Add(1)
 		c[1].Add(float64(rec.Bytes))
 		r.mu.Unlock()
-		if prevSend != nil {
-			prevSend(rec)
-		}
-	}
+	})
 	emits := newRefHandles(func(l refStreamLabels) *Counter {
 		return r.Counter(fmt.Sprintf("stream_emits{stream=%s,inst=%d}", l.stream, l.inst))
 	})
-	prevEmit := rt.Hooks.Emit
-	rt.Hooks.Emit = func(rec core.EmitRecord) {
+	core.Subscribe(&rt.Hooks.Emit, func(rec core.EmitRecord) {
 		r.mu.Lock()
 		emits.get(refStreamLabels{stream: rec.Stream, inst: rec.Instance}).Add(1)
 		r.mu.Unlock()
-		if prevEmit != nil {
-			prevEmit(rec)
-		}
-	}
+	})
 	delivers := newRefHandles(func(l refStreamLabels) *Counter {
 		return r.Counter(fmt.Sprintf("stream_delivers{stream=%s,inst=%d,mode=%s}", l.stream, l.inst, mode(l.push)))
 	})
-	prevDeliver := rt.Hooks.Deliver
-	rt.Hooks.Deliver = func(rec core.DeliverRecord) {
+	core.Subscribe(&rt.Hooks.Deliver, func(rec core.DeliverRecord) {
 		r.mu.Lock()
 		delivers.get(refStreamLabels{rec.Stream, rec.Instance, rec.Push}).Add(1)
 		r.mu.Unlock()
-		if prevDeliver != nil {
-			prevDeliver(rec)
-		}
-	}
+	})
 	faults := newRefHandles(func(l refFaultLabels) *Counter {
 		return r.Counter(fmt.Sprintf("faults{kind=%s,phase=%s}", l.kind, l.phase))
 	})
-	prevFault := rt.Hooks.Fault
-	rt.Hooks.Fault = func(rec core.FaultRecord) {
+	core.Subscribe(&rt.Hooks.Fault, func(rec core.FaultRecord) {
 		r.mu.Lock()
 		faults.get(refFaultLabels{rec.Kind, rec.Phase}).Add(1)
 		r.mu.Unlock()
-		if prevFault != nil {
-			prevFault(rec)
-		}
-	}
+	})
 	xfers := newRefHandles(func(l refSpanLabels) *xferHandles {
 		k := fmt.Sprintf("filter=%s,inst=%d,node=%d,kind=%s", l.filter, l.inst, l.node, l.kind)
 		return &xferHandles{key: k, spans: r.Counter("xfer_spans{" + k + "}"), busy: r.Counter("xfer_busy_s{" + k + "}")}
 	})
-	prevSpan := rt.Hooks.Span
-	rt.Hooks.Span = func(rec core.SpanRecord) {
+	core.Subscribe(&rt.Hooks.Span, func(rec core.SpanRecord) {
 		r.mu.Lock()
 		x := xfers.get(refSpanLabels{rec.Filter, rec.Instance, rec.NodeID, rec.Kind})
 		x.spans.Add(1)
@@ -202,10 +169,7 @@ func attachRef(r *Registry, rt *core.Runtime) {
 			x.bytes.Add(float64(rec.Bytes))
 		}
 		r.mu.Unlock()
-		if prevSpan != nil {
-			prevSpan(rec)
-		}
-	}
+	})
 }
 
 // TestRegistryMatchesMapHandles feeds the same seeded random record stream
@@ -455,12 +419,13 @@ func TestHistMatchesMapReference(t *testing.T) {
 		horizon := at + sim.Time(rng.Intn(2))
 		r.Finish(horizon)
 		ref.finish(horizon)
+		closed := r.Snapshot(horizon).Hists[0]
 		for _, q := range []float64{0, 0.5, 0.95, 1} {
-			if g, w := h.Quantile(q), ref.quantile(q); g != w {
+			if g, w := closed.Quantile(q), ref.quantile(q); g != w {
 				t.Fatalf("seed %d: Quantile(%v) = %d, reference %d", seed, q, g, w)
 			}
 		}
-		if g, w := h.Mean(), ref.mean(); g != w {
+		if g, w := closed.Mean(), ref.mean(); g != w {
 			t.Fatalf("seed %d: Mean = %v, reference %v", seed, g, w)
 		}
 		raw, err := r.JSON()

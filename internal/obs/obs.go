@@ -69,23 +69,6 @@ func (g *Gauge) Set(at sim.Time, v float64) {
 	}
 }
 
-// finish closes the integral at the run horizon.
-func (g *Gauge) finish(horizon sim.Time) {
-	if g.set && horizon > g.lastT {
-		g.integral += g.lastV * float64(horizon-g.lastT)
-		g.lastT = horizon
-	}
-}
-
-// Mean is the time-weighted mean of the signal over the closed window.
-// Valid after Registry.Finish.
-func (g *Gauge) Mean(horizon sim.Time) float64 {
-	if !g.set || horizon <= 0 {
-		return 0
-	}
-	return g.integral / float64(horizon)
-}
-
 // Hist is a time-weighted histogram of an integer-valued piecewise-constant
 // signal (queue depths, DQAA targets): the weight of level v is the total
 // virtual time the signal spent at v. Exact — no bucketing error — because
@@ -99,8 +82,8 @@ type Hist struct {
 }
 
 // histLevel is one level's accumulated weight. seen marks a level the
-// signal has left or been closed at, even after zero time there, so the
-// rendered level set is the one the signal visited.
+// signal has left, even after zero time there; Snapshot adds the current
+// level, so the rendered level set is the one the signal visited.
 type histLevel struct {
 	w    float64
 	seen bool
@@ -129,14 +112,6 @@ func (h *Hist) Observe(at sim.Time, v int) {
 	h.lastT, h.lastV = at, v
 }
 
-// finish closes the current level's weight at the run horizon.
-func (h *Hist) finish(horizon sim.Time) {
-	if h.set && horizon > h.lastT {
-		h.add(h.lastV, float64(horizon-h.lastT))
-		h.lastT = horizon
-	}
-}
-
 // levels yields the seen levels in ascending order with their weights.
 // Aggregations sum in this order, so their floating-point results are
 // reproducible.
@@ -153,61 +128,20 @@ func (h *Hist) levels(yield func(v int, w float64) bool) {
 	}
 }
 
-// total is the histogram's total weight.
-func (h *Hist) total() float64 {
-	var t float64
-	for _, w := range h.levels {
-		t += w
-	}
-	return t
-}
-
-// Quantile returns the smallest value v such that at least q of the total
-// weight lies at values <= v. Valid after Registry.Finish.
-func (h *Hist) Quantile(q float64) int {
-	tot := h.total()
-	if tot == 0 {
-		return 0
-	}
-	acc, last := 0.0, 0
-	for v, w := range h.levels {
-		acc += w
-		if acc >= q*tot {
-			return v
-		}
-		last = v
-	}
-	return last
-}
-
-// Mean is the time-weighted mean of the signal. Valid after Finish.
-func (h *Hist) Mean() float64 {
-	tot := h.total()
-	if tot == 0 {
-		return 0
-	}
-	var s float64
-	for v, w := range h.levels {
-		s += float64(v) * w
-	}
-	return s / tot
-}
-
 // Registry aggregates one run's hook stream.
 //
-// Mutation through the Attach hooks and reads through Snapshot share an
-// internal mutex, so a live consumer (the serve demo's /metrics handler)
-// can snapshot the registry from another goroutine while the simulation is
-// still feeding it. Direct use of the Counter/Gauge/Hist accessors is not
-// synchronized — that path is for single-goroutine post-run aggregation,
-// where the lock would buy nothing.
+// Mutation through the Attach hooks and every read (Snapshot, and Summary
+// and JSON through it) share an internal mutex, so a live consumer (the
+// serve demo's /metrics handler) can snapshot the registry from another
+// goroutine while the simulation is still feeding it. Direct use of the
+// Counter/Gauge/Hist accessors is not synchronized — that path is for
+// single-goroutine feeding, where the lock would buy nothing.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Hist
 	horizon  sim.Time
-	finished bool
 }
 
 // NewRegistry creates an empty registry.
@@ -337,8 +271,7 @@ func modeIdx(push bool) int {
 // another goroutine mid-run.
 func (r *Registry) Attach(rt *core.Runtime) {
 	var procs byName[byIndex[byIndex[[2]*Counter]]] // filter, instance, device
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(rec core.ProcRecord) {
+	core.Subscribe(&rt.Hooks.Process, func(rec core.ProcRecord) {
 		dur := float64(rec.End - rec.Start)
 		r.mu.Lock()
 		c := procs.at(rec.Filter).at(rec.Instance).at(int(rec.Kind))
@@ -349,13 +282,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		c[0].Add(1)
 		c[1].Add(dur)
 		r.mu.Unlock()
-		if prevProc != nil {
-			prevProc(rec)
-		}
-	}
+	})
 	var targets byName[byIndex[byName[level]]] // filter, instance, worker
-	prevTarget := rt.Hooks.Target
-	rt.Hooks.Target = func(rec core.TargetRecord) {
+	core.Subscribe(&rt.Hooks.Target, func(rec core.TargetRecord) {
 		r.mu.Lock()
 		l := targets.at(rec.Filter).at(rec.Instance).at(rec.Worker)
 		if l.g == nil {
@@ -364,13 +293,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		}
 		l.observe(rec.At, rec.Target)
 		r.mu.Unlock()
-		if prevTarget != nil {
-			prevTarget(rec)
-		}
-	}
+	})
 	var depths byName[byIndex[byName[level]]] // filter, instance, queue
-	prevDepth := rt.Hooks.QueueDepth
-	rt.Hooks.QueueDepth = func(rec core.QueueDepthRecord) {
+	core.Subscribe(&rt.Hooks.QueueDepth, func(rec core.QueueDepthRecord) {
 		r.mu.Lock()
 		l := depths.at(rec.Filter).at(rec.Instance).at(rec.Queue)
 		if l.g == nil {
@@ -379,13 +304,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		}
 		l.observe(rec.At, rec.Depth)
 		r.mu.Unlock()
-		if prevDepth != nil {
-			prevDepth(rec)
-		}
-	}
+	})
 	var demands byName[byIndex[byIndex[byIndex[*Counter]]]] // filter, instance, input, event
-	prevDemand := rt.Hooks.Demand
-	rt.Hooks.Demand = func(rec core.DemandRecord) {
+	core.Subscribe(&rt.Hooks.Demand, func(rec core.DemandRecord) {
 		r.mu.Lock()
 		c := demands.at(rec.Filter).at(rec.Instance).at(rec.Input).at(int(rec.Event))
 		if *c == nil {
@@ -394,13 +315,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		}
 		(*c).Add(1)
 		r.mu.Unlock()
-		if prevDemand != nil {
-			prevDemand(rec)
-		}
-	}
+	})
 	var sends byName[byIndex[[2][2]*Counter]] // stream, instance, mode
-	prevSend := rt.Hooks.Send
-	rt.Hooks.Send = func(rec core.SendRecord) {
+	core.Subscribe(&rt.Hooks.Send, func(rec core.SendRecord) {
 		r.mu.Lock()
 		c := &sends.at(rec.Stream).at(rec.FromInstance)[modeIdx(rec.Push)]
 		if c[0] == nil {
@@ -410,13 +327,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		c[0].Add(1)
 		c[1].Add(float64(rec.Bytes))
 		r.mu.Unlock()
-		if prevSend != nil {
-			prevSend(rec)
-		}
-	}
+	})
 	var emits byName[byIndex[*Counter]] // stream, instance
-	prevEmit := rt.Hooks.Emit
-	rt.Hooks.Emit = func(rec core.EmitRecord) {
+	core.Subscribe(&rt.Hooks.Emit, func(rec core.EmitRecord) {
 		r.mu.Lock()
 		c := emits.at(rec.Stream).at(rec.Instance)
 		if *c == nil {
@@ -424,13 +337,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		}
 		(*c).Add(1)
 		r.mu.Unlock()
-		if prevEmit != nil {
-			prevEmit(rec)
-		}
-	}
+	})
 	var delivers byName[byIndex[[2]*Counter]] // stream, instance, mode
-	prevDeliver := rt.Hooks.Deliver
-	rt.Hooks.Deliver = func(rec core.DeliverRecord) {
+	core.Subscribe(&rt.Hooks.Deliver, func(rec core.DeliverRecord) {
 		r.mu.Lock()
 		c := &delivers.at(rec.Stream).at(rec.Instance)[modeIdx(rec.Push)]
 		if *c == nil {
@@ -438,13 +347,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		}
 		(*c).Add(1)
 		r.mu.Unlock()
-		if prevDeliver != nil {
-			prevDeliver(rec)
-		}
-	}
+	})
 	var faults byName[byName[*Counter]] // kind, phase
-	prevFault := rt.Hooks.Fault
-	rt.Hooks.Fault = func(rec core.FaultRecord) {
+	core.Subscribe(&rt.Hooks.Fault, func(rec core.FaultRecord) {
 		r.mu.Lock()
 		c := faults.at(rec.Kind).at(rec.Phase)
 		if *c == nil {
@@ -452,13 +357,9 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		}
 		(*c).Add(1)
 		r.mu.Unlock()
-		if prevFault != nil {
-			prevFault(rec)
-		}
-	}
+	})
 	var xfers byName[byIndex[byIndex[byIndex[xferHandles]]]] // filter, instance, node, kind
-	prevSpan := rt.Hooks.Span
-	rt.Hooks.Span = func(rec core.SpanRecord) {
+	core.Subscribe(&rt.Hooks.Span, func(rec core.SpanRecord) {
 		r.mu.Lock()
 		x := xfers.at(rec.Filter).at(rec.Instance).at(rec.NodeID).at(int(rec.Kind))
 		if x.spans == nil {
@@ -474,71 +375,53 @@ func (r *Registry) Attach(rt *core.Runtime) {
 			x.bytes.Add(float64(rec.Bytes))
 		}
 		r.mu.Unlock()
-		if prevSpan != nil {
-			prevSpan(rec)
-		}
-	}
+	})
 }
 
-// Finish closes every time-weighted aggregate at the run horizon
-// (typically rt.K.Now() after Run returns). Must be called exactly once,
-// before Summary or JSON.
+// Finish records the run horizon (typically rt.K.Now() after Run returns)
+// that Summary and JSON close the time-weighted aggregates at.
 func (r *Registry) Finish(horizon sim.Time) {
-	if r.finished {
-		panic("obs: Finish called twice")
-	}
-	r.finished = true
 	r.horizon = horizon
-	for _, g := range r.gauges {
-		g.finish(horizon)
-	}
-	for _, h := range r.hists {
-		h.finish(horizon)
-	}
 }
 
-// Summary renders the registry as markdown tables: one for counters, one
-// for gauges, one for histograms. Rows are sorted by key, values printed
-// with fixed precision, so the output is byte-stable per seed.
+// Summary renders the registry's snapshot at the horizon as markdown
+// tables: one for counters, one for gauges, one for histograms. Rows are
+// sorted by key, values printed with fixed precision, so the output is
+// byte-stable per seed.
 func (r *Registry) Summary() string {
-	if !r.finished {
-		panic("obs: Summary before Finish")
-	}
+	s := r.Snapshot(r.horizon)
 	out := ""
-	if len(r.counters) > 0 {
+	if len(s.Counters) > 0 {
 		t := metrics.Table{
 			Title:  "Counters",
 			Header: []string{"metric", "n", "sum", "mean"},
 		}
-		for _, k := range sortedKeys(r.counters) {
-			c := r.counters[k]
+		for _, c := range s.Counters {
 			mean := 0.0
 			if c.N > 0 {
 				mean = c.Sum / float64(c.N)
 			}
-			t.AddRow(k, fmt.Sprintf("%d", c.N), fmtF(c.Sum), fmtF(mean))
+			t.AddRow(c.Key, fmt.Sprintf("%d", c.N), fmtF(c.Sum), fmtF(mean))
 		}
 		out += t.Render() + "\n"
 	}
-	if len(r.gauges) > 0 {
+	if len(s.Gauges) > 0 {
 		t := metrics.Table{
 			Title:  "Gauges (time-weighted)",
 			Header: []string{"metric", "last", "mean", "min", "max"},
 		}
-		for _, k := range sortedKeys(r.gauges) {
-			g := r.gauges[k]
-			t.AddRow(k, fmtF(g.lastV), fmtF(g.Mean(r.horizon)), fmtF(g.min), fmtF(g.max))
+		for _, g := range s.Gauges {
+			t.AddRow(g.Key, fmtF(g.Last), fmtF(g.Mean), fmtF(g.Min), fmtF(g.Max))
 		}
 		out += t.Render() + "\n"
 	}
-	if len(r.hists) > 0 {
+	if len(s.Hists) > 0 {
 		t := metrics.Table{
 			Title:  "Histograms (time-weighted)",
 			Header: []string{"metric", "mean", "p50", "p95", "max"},
 		}
-		for _, k := range sortedKeys(r.hists) {
-			h := r.hists[k]
-			t.AddRow(k, fmtF(h.Mean()),
+		for _, h := range s.Hists {
+			t.AddRow(h.Key, fmtF(h.Mean()),
 				fmt.Sprintf("%d", h.Quantile(0.50)),
 				fmt.Sprintf("%d", h.Quantile(0.95)),
 				fmt.Sprintf("%d", h.Quantile(1.0)))
@@ -571,11 +454,10 @@ type jsonHist struct {
 	Weight map[string]float64 `json:"weight"`
 }
 
-// JSON renders the registry as an indented, key-sorted JSON document.
+// JSON renders the registry's snapshot at the horizon as an indented,
+// key-sorted JSON document.
 func (r *Registry) JSON() ([]byte, error) {
-	if !r.finished {
-		panic("obs: JSON before Finish")
-	}
+	s := r.Snapshot(r.horizon)
 	doc := struct {
 		HorizonS float64                `json:"horizon_s"`
 		Counters map[string]jsonCounter `json:"counters"`
@@ -583,22 +465,22 @@ func (r *Registry) JSON() ([]byte, error) {
 		Hists    map[string]jsonHist    `json:"hists"`
 	}{
 		HorizonS: float64(r.horizon),
-		Counters: make(map[string]jsonCounter, len(r.counters)),
-		Gauges:   make(map[string]jsonGauge, len(r.gauges)),
-		Hists:    make(map[string]jsonHist, len(r.hists)),
+		Counters: make(map[string]jsonCounter, len(s.Counters)),
+		Gauges:   make(map[string]jsonGauge, len(s.Gauges)),
+		Hists:    make(map[string]jsonHist, len(s.Hists)),
 	}
-	for k, c := range r.counters {
-		doc.Counters[k] = jsonCounter{N: c.N, Sum: c.Sum}
+	for _, c := range s.Counters {
+		doc.Counters[c.Key] = jsonCounter{N: c.N, Sum: c.Sum}
 	}
-	for k, g := range r.gauges {
-		doc.Gauges[k] = jsonGauge{Last: g.lastV, Mean: g.Mean(r.horizon), Min: g.min, Max: g.max}
+	for _, g := range s.Gauges {
+		doc.Gauges[g.Key] = jsonGauge{Last: g.Last, Mean: g.Mean, Min: g.Min, Max: g.Max}
 	}
-	for k, h := range r.hists {
-		w := make(map[string]float64)
-		for v, t := range h.levels {
-			w[fmt.Sprintf("%d", v)] = t
+	for _, h := range s.Hists {
+		w := make(map[string]float64, len(h.Levels))
+		for i, v := range h.Levels {
+			w[fmt.Sprintf("%d", v)] = h.Weights[i]
 		}
-		doc.Hists[k] = jsonHist{
+		doc.Hists[h.Key] = jsonHist{
 			Mean: h.Mean(), P50: h.Quantile(0.50), P95: h.Quantile(0.95),
 			Max: h.Quantile(1.0), Weight: w,
 		}

@@ -21,52 +21,55 @@ func TestCounter(t *testing.T) {
 }
 
 func TestGaugeTimeWeightedMean(t *testing.T) {
-	var g Gauge
+	r := NewRegistry()
+	g := r.Gauge("g")
 	// Signal: undefined on [0,1), 2 on [1,3), 6 on [3,4). Horizon 4.
 	g.Set(1, 2)
 	g.Set(3, 6)
-	g.finish(4)
 	// Integral = 2*2 + 6*1 = 10; mean over horizon 4 = 2.5.
-	if got := g.Mean(4); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("mean = %g, want 2.5", got)
+	s := r.Snapshot(4).Gauges[0]
+	if math.Abs(s.Mean-2.5) > 1e-12 {
+		t.Fatalf("mean = %g, want 2.5", s.Mean)
 	}
-	if g.min != 2 || g.max != 6 {
-		t.Fatalf("extrema = (%g, %g), want (2, 6)", g.min, g.max)
+	if s.Min != 2 || s.Max != 6 {
+		t.Fatalf("extrema = (%g, %g), want (2, 6)", s.Min, s.Max)
 	}
 }
 
+// TestGaugeFinishIdempotentWindow checks that closing a gauge's window
+// leaves the live gauge untouched: closing it twice at the horizon, or
+// recording the horizon with Finish in between, reads the same mean.
 func TestGaugeFinishIdempotentWindow(t *testing.T) {
-	var g Gauge
-	g.Set(0, 5)
-	g.finish(2)
-	if got := g.Mean(2); math.Abs(got-5) > 1e-12 {
+	r := NewRegistry()
+	r.Gauge("g").Set(0, 5)
+	if got := r.Snapshot(2).Gauges[0].Mean; math.Abs(got-5) > 1e-12 {
 		t.Fatalf("constant signal mean = %g, want 5", got)
 	}
-	// finish at a horizon not past lastT adds nothing.
-	g.finish(2)
-	if got := g.Mean(2); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("after second finish mean = %g, want 5", got)
+	r.Finish(2)
+	if got := r.Snapshot(2).Gauges[0].Mean; math.Abs(got-5) > 1e-12 {
+		t.Fatalf("after Finish mean = %g, want 5", got)
 	}
 }
 
 func TestHistQuantilesAndMean(t *testing.T) {
-	var h Hist
+	r := NewRegistry()
+	h := r.Hist("h")
 	// Depth 0 on [0,6), depth 3 on [6,8), depth 1 on [8,10). Horizon 10.
 	h.Observe(0, 0)
 	h.Observe(6, 3)
 	h.Observe(8, 1)
-	h.finish(10)
+	s := r.Snapshot(10).Hists[0]
 	// Weights: 0 -> 6, 3 -> 2, 1 -> 2. Mean = (0*6 + 3*2 + 1*2)/10 = 0.8.
-	if got := h.Mean(); math.Abs(got-0.8) > 1e-12 {
+	if got := s.Mean(); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("mean = %g, want 0.8", got)
 	}
-	if q := h.Quantile(0.5); q != 0 {
+	if q := s.Quantile(0.5); q != 0 {
 		t.Fatalf("p50 = %d, want 0 (60%% of time at depth 0)", q)
 	}
-	if q := h.Quantile(0.95); q != 3 {
+	if q := s.Quantile(0.95); q != 3 {
 		t.Fatalf("p95 = %d, want 3", q)
 	}
-	if q := h.Quantile(1.0); q != 3 {
+	if q := s.Quantile(1.0); q != 3 {
 		t.Fatalf("max = %d, want 3", q)
 	}
 }

@@ -1,11 +1,12 @@
 package obs
 
-// Point-in-time, copy-on-read views of the registry for the live serving
-// path. Snapshot takes the registry mutex, copies every aggregate, and
-// closes the time-weighted integrals at the snapshot instant without
-// mutating the live state — so a /metrics scrape mid-run sees the same
-// shapes Finish/Summary would produce, while the hooks keep feeding the
-// registry. Output order is deterministic: every slice is sorted by key.
+// Point-in-time, copy-on-read views of the registry: the one read path.
+// Snapshot takes the registry mutex, copies every aggregate, and closes the
+// time-weighted integrals at the snapshot instant without mutating the live
+// state — so a /metrics scrape mid-run and the post-run Summary and JSON
+// (a snapshot at the horizon) share one closing rule, while the hooks keep
+// feeding the registry. Output order is deterministic: every slice is
+// sorted by key.
 
 import (
 	"slices"
@@ -49,6 +50,37 @@ func (h HistSnap) Total() float64 {
 	return t
 }
 
+// Quantile returns the smallest level v such that at least q of the total
+// weight lies at levels <= v.
+func (h HistSnap) Quantile(q float64) int {
+	tot := h.Total()
+	if tot == 0 {
+		return 0
+	}
+	acc, last := 0.0, 0
+	for i, v := range h.Levels {
+		acc += h.Weights[i]
+		if acc >= q*tot {
+			return v
+		}
+		last = v
+	}
+	return last
+}
+
+// Mean is the histogram's time-weighted mean level.
+func (h HistSnap) Mean() float64 {
+	tot := h.Total()
+	if tot == 0 {
+		return 0
+	}
+	var s float64
+	for i, v := range h.Levels {
+		s += float64(v) * h.Weights[i]
+	}
+	return s / tot
+}
+
 // Snapshot is a consistent copy of the registry at one instant.
 type Snapshot struct {
 	At       sim.Time
@@ -59,7 +91,7 @@ type Snapshot struct {
 
 // Snapshot copies the registry under the mutex, closing every time-weighted
 // aggregate at the given instant. The live aggregates are not mutated, so
-// snapshots compose with a later Finish and with each other. Slices are
+// snapshots compose with each other and with further hook records. Slices are
 // sorted by key; for a fixed hook stream and instant the result is
 // byte-identical run to run.
 func (r *Registry) Snapshot(at sim.Time) Snapshot {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -11,8 +13,8 @@ import (
 )
 
 // TestSnapshotMatchesFinish checks that a snapshot taken at the horizon
-// reports the same closed aggregates Finish would produce, without mutating
-// the live registry (Finish still works afterwards).
+// reports the closed aggregates the post-run JSON renders, without
+// mutating the live registry.
 func TestSnapshotMatchesFinish(t *testing.T) {
 	rt := &core.Runtime{}
 	r := NewRegistry()
@@ -37,12 +39,24 @@ func TestSnapshotMatchesFinish(t *testing.T) {
 		t.Fatalf("hist weights = %v, want [0.5 0.5]", h.Weights)
 	}
 
-	// The snapshot closed its own copy; the live registry is untouched and
-	// Finish must produce the identical numbers.
+	// The snapshot closed its own copy; the live registry is untouched, and
+	// the JSON rendered at the Finish horizon carries the identical mean.
 	r.Finish(sim.Time(1.0))
-	g := r.Gauge("queue_depth{filter=f,inst=0,queue=in0}")
-	if math.Abs(g.Mean(1.0)-snap.Gauges[0].Mean) > 1e-12 {
-		t.Fatalf("finished mean %g != snapshot mean %g", g.Mean(1.0), snap.Gauges[0].Mean)
+	if again := r.Snapshot(sim.Time(1.0)); fmt.Sprint(again) != fmt.Sprint(snap) {
+		t.Fatalf("snapshot after Finish %+v != snapshot before %+v", again, snap)
+	}
+	raw, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Gauges map[string]struct{ Mean float64 } `json:"gauges"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if g := doc.Gauges["queue_depth{filter=f,inst=0,queue=in0}"]; g.Mean != snap.Gauges[0].Mean {
+		t.Fatalf("JSON mean %g != snapshot mean %g", g.Mean, snap.Gauges[0].Mean)
 	}
 	if !sort.SliceIsSorted(snap.Counters, func(i, j int) bool { return snap.Counters[i].Key < snap.Counters[j].Key }) {
 		t.Fatal("counter snaps not key-sorted")

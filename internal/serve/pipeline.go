@@ -171,8 +171,7 @@ func NewSink(p Pipeline, slo sim.Time, col *span.Collector) *Sink {
 // Attach subscribes the sink to rt's hook bus, chaining the subscribers
 // already installed (they fire after the sink's own handler).
 func (s *Sink) Attach(rt *core.Runtime) {
-	prevAdmit := rt.Hooks.Admit
-	rt.Hooks.Admit = func(r core.AdmitRecord) {
+	core.Subscribe(&rt.Hooks.Admit, func(r core.AdmitRecord) {
 		if r.Filter == s.gateway {
 			if r.Accepted {
 				s.admitAt[r.TaskID] = r.At
@@ -180,40 +179,25 @@ func (s *Sink) Attach(rt *core.Runtime) {
 				s.OnShed(r)
 			}
 		}
-		if prevAdmit != nil {
-			prevAdmit(r)
-		}
-	}
-	prevDepth := rt.Hooks.QueueDepth
-	rt.Hooks.QueueDepth = func(r core.QueueDepthRecord) {
+	})
+	core.Subscribe(&rt.Hooks.QueueDepth, func(r core.QueueDepthRecord) {
 		if r.Filter == s.gateway && r.Queue == "send" {
 			s.Depth = r.Depth
 			if r.Depth > s.MaxDepth {
 				s.MaxDepth = r.Depth
 			}
 		}
-		if prevDepth != nil {
-			prevDepth(r)
-		}
-	}
-	prevDeliver := rt.Hooks.Deliver
-	rt.Hooks.Deliver = func(r core.DeliverRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Deliver, func(r core.DeliverRecord) {
 		if r.Filter == s.serve {
 			s.deliverAt[r.TaskID] = r.At
 		}
-		if prevDeliver != nil {
-			prevDeliver(r)
-		}
-	}
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(r core.ProcRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Process, func(r core.ProcRecord) {
 		if r.Filter == s.serve {
 			s.served(r)
 		}
-		if prevProc != nil {
-			prevProc(r)
-		}
-	}
+	})
 }
 
 // served records one serve completion.

@@ -33,25 +33,24 @@ type Recorder struct {
 	lines []string
 }
 
-// Record subscribes a fresh Recorder to every hook of rt. It overwrites
-// rt.Hooks; call it before Run and before any other hook attachment.
+// Record subscribes a fresh Recorder to every hook of rt, ahead of the
+// subscribers already attached (see core.Subscribe). Call it before Run.
 func Record(rt *core.Runtime) *Recorder {
 	r := &Recorder{}
 	add := func(kind string, rec any) {
 		r.lines = append(r.lines, fmt.Sprintf("%s %+v", kind, rec))
 	}
-	rt.Hooks = core.Bus{
-		Process:    func(rec core.ProcRecord) { add("process", rec) },
-		Target:     func(rec core.TargetRecord) { add("target", rec) },
-		QueueDepth: func(rec core.QueueDepthRecord) { add("depth", rec) },
-		Demand:     func(rec core.DemandRecord) { add("demand", rec) },
-		Send:       func(rec core.SendRecord) { add("send", rec) },
-		Emit:       func(rec core.EmitRecord) { add("emit", rec) },
-		Deliver:    func(rec core.DeliverRecord) { add("deliver", rec) },
-		Fault:      func(rec core.FaultRecord) { add("fault", rec) },
-		Admit:      func(rec core.AdmitRecord) { add("admit", rec) },
-		Span:       func(rec core.SpanRecord) { add("span", rec) },
-	}
+	h := &rt.Hooks
+	core.Subscribe(&h.Process, func(rec core.ProcRecord) { add("process", rec) })
+	core.Subscribe(&h.Target, func(rec core.TargetRecord) { add("target", rec) })
+	core.Subscribe(&h.QueueDepth, func(rec core.QueueDepthRecord) { add("depth", rec) })
+	core.Subscribe(&h.Demand, func(rec core.DemandRecord) { add("demand", rec) })
+	core.Subscribe(&h.Send, func(rec core.SendRecord) { add("send", rec) })
+	core.Subscribe(&h.Emit, func(rec core.EmitRecord) { add("emit", rec) })
+	core.Subscribe(&h.Deliver, func(rec core.DeliverRecord) { add("deliver", rec) })
+	core.Subscribe(&h.Fault, func(rec core.FaultRecord) { add("fault", rec) })
+	core.Subscribe(&h.Admit, func(rec core.AdmitRecord) { add("admit", rec) })
+	core.Subscribe(&h.Span, func(rec core.SpanRecord) { add("span", rec) })
 	return r
 }
 

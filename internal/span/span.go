@@ -292,8 +292,7 @@ func (c *Collector) Buffers() int { return len(c.bufs) }
 // Attach subscribes the collector to the runtime's bus, chaining any
 // subscriber already installed. Call before rt.Run.
 func (c *Collector) Attach(rt *core.Runtime) {
-	prevEmit := rt.Hooks.Emit
-	rt.Hooks.Emit = func(r core.EmitRecord) {
+	core.Subscribe(&rt.Hooks.Emit, func(r core.EmitRecord) {
 		if b := c.buf(r.TaskID); b != nil && !b.HaveEmit {
 			b.HaveEmit = true
 			b.Emit = r.At
@@ -303,22 +302,14 @@ func (c *Collector) Attach(rt *core.Runtime) {
 			b.ProducerInst = r.Instance
 			b.Bytes = r.Bytes
 		}
-		if prevEmit != nil {
-			prevEmit(r)
-		}
-	}
-	prevSend := rt.Hooks.Send
-	rt.Hooks.Send = func(r core.SendRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Send, func(r core.SendRecord) {
 		if b := c.buf(r.TaskID); b != nil {
 			b.Sent = r.At
 			b.HaveSent = true
 		}
-		if prevSend != nil {
-			prevSend(r)
-		}
-	}
-	prevDeliver := rt.Hooks.Deliver
-	rt.Hooks.Deliver = func(r core.DeliverRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Deliver, func(r core.DeliverRecord) {
 		if b := c.buf(r.TaskID); b != nil {
 			b.Deliver = r.At
 			b.HaveDeliver = true
@@ -326,12 +317,8 @@ func (c *Collector) Attach(rt *core.Runtime) {
 			b.ConsumerInst = r.Instance
 			b.Push = r.Push
 		}
-		if prevDeliver != nil {
-			prevDeliver(r)
-		}
-	}
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(r core.ProcRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Process, func(r core.ProcRecord) {
 		if b := c.buf(r.TaskID); b != nil {
 			b.Processed = true
 			b.Start = r.Start
@@ -344,28 +331,17 @@ func (c *Collector) Attach(rt *core.Runtime) {
 			b.Consumer = r.Filter
 			b.ConsumerInst = r.Instance
 		}
-		if prevProc != nil {
-			prevProc(r)
-		}
-	}
-	prevAdmit := rt.Hooks.Admit
-	rt.Hooks.Admit = func(r core.AdmitRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Admit, func(r core.AdmitRecord) {
 		if r.Accepted && !c.forgotten(r.TaskID) {
 			// Rejected arrivals carry TaskID 0 and never enter the system;
 			// accepted ones become per-request lineage roots.
 			c.inject[r.TaskID] = r.At
 		}
-		if prevAdmit != nil {
-			prevAdmit(r)
-		}
-	}
-	prevSpan := rt.Hooks.Span
-	rt.Hooks.Span = func(r core.SpanRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Span, func(r core.SpanRecord) {
 		if b := c.buf(r.TaskID); b != nil {
 			b.X = append(b.X, XSpan{Kind: r.Kind, Start: r.Start, End: r.End})
 		}
-		if prevSpan != nil {
-			prevSpan(r)
-		}
-	}
+	})
 }

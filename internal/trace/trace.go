@@ -28,20 +28,12 @@ type Collector struct {
 // Attach registers the collector's hooks on a runtime (chaining any hooks
 // already installed).
 func (c *Collector) Attach(rt *core.Runtime) {
-	prevP := rt.Hooks.Process
-	rt.Hooks.Process = func(r core.ProcRecord) {
+	core.Subscribe(&rt.Hooks.Process, func(r core.ProcRecord) {
 		c.Procs = append(c.Procs, r)
-		if prevP != nil {
-			prevP(r)
-		}
-	}
-	prevT := rt.Hooks.Target
-	rt.Hooks.Target = func(r core.TargetRecord) {
+	})
+	core.Subscribe(&rt.Hooks.Target, func(r core.TargetRecord) {
 		c.Targets = append(c.Targets, r)
-		if prevT != nil {
-			prevT(r)
-		}
-	}
+	})
 }
 
 // WriteProcsCSV exports processing records as CSV with a header row.

@@ -25,7 +25,7 @@ go test -race -timeout 20m ./...
 echo "== kernel golden traces + properties  (scenario corpora vs testdata, flavour agreement, invariants, -race)"
 go test -race -run '^TestDiff|^TestProperty' -count=1 -timeout 10m ./internal/sim
 
-echo "== go test ./...  (tier-1 suite + full-report determinism, seeds 1-${ANTHILL_DETERMINISM_SEEDS:-3})"
+echo "== go test ./...  (tier-1 suite + full-report determinism, digest and shape checks, seeds 1-${ANTHILL_DETERMINISM_SEEDS:-3})"
 ANTHILL_DETERMINISM_SEEDS="${ANTHILL_DETERMINISM_SEEDS:-3}" go test -timeout 40m ./...
 
 echo "== fuzz smoke  (-faults parser, estimator profile decoder, explain JSON decoder, kernel scenarios, -arrivals parser, quantile-sketch decoder, windowed-sketch fold)"
@@ -45,9 +45,6 @@ go test -run '^TestQueueFillDrainAllocs$' -count=1 -timeout 5m ./internal/policy
 echo "== message-path golden traces  (full hook trace vs testdata, pipelined + serial requester)"
 go test -run '^TestGoldenMessagePath' -count=1 -timeout 10m ./internal/core
 go test -run '^TestSendThen|^TestCopyThen' -count=1 -timeout 5m ./internal/hw
-
-echo "== chaos determinism  (serial vs 4-worker fault-injection sweeps, seeds 1-3)"
-go test -run '^TestChaosDeterminism$' -timeout 20m ./internal/experiments
 
 echo "== live engine memory gate  (10^6 bursty arrivals: <= 1 span-collector buffer per pipe, <= 16 B of heap per extra arrival, without -race)"
 ANTHILL_SOAK_ARRIVALS=1000000 go test -run '^TestEngineMemoryBound$' -count=1 -timeout 10m ./internal/serve
