@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // goldenRegistry replays a fixed synthetic event stream covering every
@@ -41,30 +41,13 @@ func goldenRegistry() *Registry {
 
 // TestJSONGolden pins the registry's JSON rendering byte-for-byte against
 // a checked-in golden file. Regenerate deliberately with
-// ANTHILL_REGEN_GOLDEN=1 go test ./internal/obs -run TestJSONGolden.
+// go test ./internal/obs -run TestJSONGolden -update.
 func TestJSONGolden(t *testing.T) {
 	raw, err := goldenRegistry().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "registry_golden.json")
-	if os.Getenv("ANTHILL_REGEN_GOLDEN") == "1" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", path, len(raw))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden: %v (regenerate with ANTHILL_REGEN_GOLDEN=1)", err)
-	}
-	if !bytes.Equal(raw, want) {
-		t.Fatalf("JSON drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", raw, want)
-	}
+	simtest.GoldenBytes(t, filepath.Join("testdata", "registry_golden.json"), raw)
 }
 
 // TestJSONKeyOrderStable asserts the raw JSON bytes list metric keys in

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -10,31 +9,18 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // TestPromGolden pins the Prometheus text exposition of the shared golden
 // registry byte-for-byte. Regenerate deliberately with
-// ANTHILL_REGEN_GOLDEN=1 go test ./internal/obs -run TestPromGolden.
+// go test ./internal/obs -run TestPromGolden -update.
 func TestPromGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenRegistry().Snapshot(sim.Time(1.0)).WritePromText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "prom_golden.txt")
-	if os.Getenv("ANTHILL_REGEN_GOLDEN") == "1" {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", path, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with ANTHILL_REGEN_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("prom exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
-	}
+	simtest.GoldenBytes(t, filepath.Join("testdata", "prom_golden.txt"), buf.Bytes())
 }
 
 // promSample is one parsed exposition line.

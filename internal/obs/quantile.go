@@ -56,6 +56,9 @@ type Sketch struct {
 	// max are the extreme values inserted so far (valid while n > 0).
 	pending  []gkEntry
 	min, max float64
+	// gd is an upper bound on g+delta over the summary's tuples, pending
+	// ones included (0 while empty). Quantile's top-down scan stops on it.
+	gd int64
 }
 
 // NewSketch creates a sketch with the given rank-error bound (0 < eps < 0.5).
@@ -97,6 +100,7 @@ func (s *Sketch) Add(v float64) {
 	default:
 		delta = int64(2 * s.eps * float64(s.n))
 	}
+	s.gd = max(s.gd, 1+delta)
 	s.pending = append(s.pending, gkEntry{v: v, g: int64(len(s.pending)), delta: delta})
 	s.n++
 	s.sinceCompress++
@@ -148,7 +152,7 @@ func byValueThenArrival(a, b gkEntry) int {
 // the error budget, right to left, never touching the min or max entry. It
 // is one pass: each tuple is tested against its right neighbour as merged
 // so far, kept tuples are written down from the top, and the survivors are
-// then moved back to the front.
+// then moved back to the front. gd is then recomputed over the survivors.
 func (s *Sketch) compress() {
 	e := s.entries
 	if len(e) < 3 {
@@ -167,47 +171,80 @@ func (s *Sketch) compress() {
 	w--
 	e[w] = e[0]
 	s.entries = e[:copy(e, e[w:])]
+	s.setSlack()
 }
 
 // reset empties the sketch, keeping its eps and its storage.
 func (s *Sketch) reset() {
-	s.n, s.sinceCompress = 0, 0
+	s.n, s.sinceCompress, s.gd = 0, 0, 0
 	s.entries, s.pending = s.entries[:0], s.pending[:0]
 }
 
-// setExtremes resets min and max from a summary with no pending inserts.
-func (s *Sketch) setExtremes() {
+// resync resets min, max and gd from a summary with no pending inserts,
+// such as one built or decoded directly from its tuples.
+func (s *Sketch) resync() {
 	if len(s.entries) > 0 {
 		s.min, s.max = s.entries[0].v, s.entries[len(s.entries)-1].v
+	}
+	s.setSlack()
+}
+
+// setSlack sets gd to the largest g+delta over the summary's tuples.
+func (s *Sketch) setSlack() {
+	s.gd = 0
+	for _, e := range s.entries {
+		s.gd = max(s.gd, e.g+e.delta)
 	}
 }
 
 // Quantile returns the value at the nearest-rank quantile q in [0, 1],
 // within the sketch's rank-error bound (exact below the first compression).
 // An empty sketch returns 0.
+//
+// The answer is the first tuple i, in value order, whose rank bound
+// rmin_i+delta_i reaches the target rank r, where rmin_i is the g of
+// tuples 0..i summed. A rank in the lower half is found by that forward
+// scan. A rank in the upper half is found from the top: rmin_i is n minus
+// the g above i, and every tuple below i has rmin+delta <= rmin_i-1+gd,
+// so once that falls short of r no lower tuple can qualify and the lowest
+// qualifying tuple seen is the forward scan's first. p99 and p999 then
+// touch about 1% of the tuples.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
 	s.flush()
+	r, e := rank(q, s.n), s.entries
+	if 2*r <= s.n {
+		var rmin int64
+		for i := range e {
+			rmin += e[i].g
+			if rmin+e[i].delta >= r {
+				return e[i].v
+			}
+		}
+		return e[len(e)-1].v
+	}
+	best, rmin := len(e)-1, s.n
+	for i := len(e) - 1; i >= 0 && rmin+s.gd-1 >= r; i-- {
+		if rmin+e[i].delta >= r {
+			best = i
+		}
+		rmin -= e[i].g
+	}
+	return e[best].v
+}
+
+// rank returns the nearest rank ceil(q*n) of quantile q, q clamped to
+// [0, 1] and the rank to at least 1.
+func rank(q float64, n int64) int64 {
 	if q < 0 {
 		q = 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	r := int64(math.Ceil(q * float64(s.n)))
-	if r < 1 {
-		r = 1
-	}
-	var rmin int64
-	for i := range s.entries {
-		rmin += s.entries[i].g
-		if rmin+s.entries[i].delta >= r {
-			return s.entries[i].v
-		}
-	}
-	return s.entries[len(s.entries)-1].v
+	return max(1, int64(math.Ceil(q*float64(n))))
 }
 
 // ExactQuantile is the nearest-rank percentile computed from the full
@@ -298,6 +335,6 @@ func DecodeSketch(data []byte) (*Sketch, error) {
 	if sumG != doc.N {
 		return nil, fmt.Errorf("obs: sketch decode: ranks cover %d of %d values", sumG, doc.N)
 	}
-	s.setExtremes()
+	s.resync()
 	return s, nil
 }

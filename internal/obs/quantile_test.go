@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -122,6 +123,30 @@ func TestSketchDecodeRejects(t *testing.T) {
 	}
 }
 
+// sketchEpsilons are the rank-error bounds the exactness tests cover.
+var sketchEpsilons = []float64{DefaultEps, 0.002, 0.01, 0.05, 0.2, 0.49}
+
+// streamValue is the i-th value of a random test stream: fresh values
+// mixed with heavy duplicates, ascending and descending runs (which land at
+// the extremes) and signed zeros.
+func streamValue(rng *rand.Rand, i int) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return float64(rng.Intn(8)) // heavy duplicates
+	case 1:
+		return float64(i) // ascending: lands last
+	case 2:
+		return -float64(i) // descending: lands first
+	case 3:
+		if rng.Intn(2) == 0 {
+			return math.Copysign(0, -1)
+		}
+		return 0
+	default:
+		return rng.NormFloat64() * 100
+	}
+}
+
 // gkRef is the one-at-a-time Greenwald-Khanna insert the batched Sketch
 // must reproduce tuple for tuple: every Add places its tuple at once, after
 // every tuple <= v, and every compressEvery inserts run one compression.
@@ -168,7 +193,7 @@ func (r *gkRef) compress() {
 // pending.
 func (r *gkRef) sketch() *Sketch {
 	s := &Sketch{eps: r.eps, n: r.n, entries: slices.Clone(r.entries)}
-	s.setExtremes()
+	s.resync()
 	return s
 }
 
@@ -195,27 +220,10 @@ func sameSummary(s *Sketch, r *gkRef) bool {
 // ascending and descending runs (which land at the extremes) and signed
 // zeros.
 func TestSketchBatchedMatchesOneAtATime(t *testing.T) {
-	epsilons := []float64{DefaultEps, 0.002, 0.01, 0.05, 0.2, 0.49}
 	rng := rand.New(rand.NewSource(11))
-	value := func(i int) float64 {
-		switch rng.Intn(6) {
-		case 0:
-			return float64(rng.Intn(8)) // heavy duplicates
-		case 1:
-			return float64(i) // ascending: lands last
-		case 2:
-			return -float64(i) // descending: lands first
-		case 3:
-			if rng.Intn(2) == 0 {
-				return math.Copysign(0, -1)
-			}
-			return 0
-		default:
-			return rng.NormFloat64() * 100
-		}
-	}
+	value := func(i int) float64 { return streamValue(rng, i) }
 	for trial := 0; trial < 300; trial++ {
-		eps := epsilons[rng.Intn(len(epsilons))]
+		eps := sketchEpsilons[rng.Intn(len(sketchEpsilons))]
 		n := rng.Intn(4000)
 		readEvery := 20 + rng.Intn(1500)
 		s, ref := NewSketch(eps), &gkRef{eps: eps}
@@ -283,5 +291,145 @@ func TestSketchAddAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5000, func() { s.Add(g.next()) }); n != 0 {
 		t.Fatalf("Add allocates %v times per insert, want 0", n)
+	}
+}
+
+// qEdges are the quantiles the exactness tests read: both ends, out of
+// range on either side, NaN, the serving percentiles, and a fixed spread
+// of random ones.
+var qEdges = func() []float64 {
+	qs := []float64{0, 1, -0.5, 1.5, math.Inf(-1), math.Inf(1), math.NaN(), 0.001, 0.25, 0.5, 0.75, 0.99, 0.999}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 16; i++ {
+		qs = append(qs, rng.Float64())
+	}
+	return qs
+}()
+
+// forwardQuantile is the plain forward rank scan: the first tuple whose
+// rmin+delta reaches the target rank. It is the reference Quantile's
+// top-down scan and the fused windowed read must equal bit for bit.
+func forwardQuantile(s *Sketch, q float64) float64 {
+	if s.n == 0 {
+		return 0
+	}
+	s.flush()
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	r := int64(math.Ceil(q * float64(s.n)))
+	if r < 1 {
+		r = 1
+	}
+	var rmin int64
+	for i := range s.entries {
+		rmin += s.entries[i].g
+		if rmin+s.entries[i].delta >= r {
+			return s.entries[i].v
+		}
+	}
+	return s.entries[len(s.entries)-1].v
+}
+
+// tupleSketch builds a summary directly from random tuples: mostly few of
+// them, sorted values with duplicates and signed zeros, g in 1..8, delta
+// in 0..6 except at the extremes, n the sum of g. It need not be reachable
+// by Add; it exercises the stop rule and the clamps at slack values a real
+// stream rarely reaches.
+func tupleSketch(rng *rand.Rand, eps float64) *Sketch {
+	k := 1 + rng.Intn(1+rng.Intn(60))
+	s := &Sketch{eps: eps, entries: make([]gkEntry, k)}
+	v := rng.NormFloat64()
+	for i := range s.entries {
+		switch rng.Intn(4) {
+		case 0: // a duplicate of the previous value
+		case 1:
+			v = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		default:
+			v = max(v, 0) + rng.Float64()
+		}
+		s.entries[i] = gkEntry{v: v, g: 1 + rng.Int63n(1+rng.Int63n(8)), delta: rng.Int63n(7)}
+		s.n += s.entries[i].g
+	}
+	slices.SortStableFunc(s.entries, func(a, b gkEntry) int { return cmp.Compare(a.v, b.v) })
+	s.entries[0].delta, s.entries[k-1].delta = 0, 0
+	s.resync()
+	return s
+}
+
+// testSketches returns one random summary of each shape Quantile must
+// answer exactly: a stream below its first compression, one compressed
+// several times (both still holding pending inserts), an ascending stream
+// (every insert lands last with delta 0, so only compress raises g+delta),
+// merges, a decoded one, the one-at-a-time reference's, and one built
+// from random tuples.
+func testSketches(rng *rand.Rand, eps float64) []*Sketch {
+	every := max(1, int(1/(2*eps)))
+	stream := func(n int) (*Sketch, *gkRef) {
+		s, ref := NewSketch(eps), &gkRef{eps: eps}
+		for i := 0; i < n; i++ {
+			v := streamValue(rng, i)
+			s.Add(v)
+			ref.add(v)
+		}
+		return s, ref
+	}
+	small, _ := stream(rng.Intn(every + 1))
+	large, ref := stream(every + rng.Intn(3*every+200))
+	other, _ := stream(rng.Intn(2 * every))
+	ascending := NewSketch(eps)
+	for i, n := 0, 3*every+rng.Intn(every); i < n; i++ {
+		ascending.Add(float64(i))
+	}
+	dec, err := DecodeSketch(large.Encode())
+	if err != nil {
+		panic(err)
+	}
+	large.Add(streamValue(rng, 0)) // leave an insert pending
+	return []*Sketch{small, large, ascending, large.Merge(other), other.Merge(small), dec, ref.sketch(), tupleSketch(rng, eps)}
+}
+
+// TestQuantileMatchesForwardScan requires Quantile, whose upper half scans
+// from the top, to return bit for bit what the forward scan does, on every
+// sketch shape, every eps and every q of qEdges.
+func TestQuantileMatchesForwardScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, eps := range sketchEpsilons {
+		for trial := 0; trial < 40; trial++ {
+			for k, s := range testSketches(rng, eps) {
+				for _, q := range qEdges {
+					got, want := s.Quantile(q), forwardQuantile(s, q)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("eps %g trial %d shape %d (n=%d, gd=%d) q=%v: Quantile %v, forward scan %v",
+							eps, trial, k, s.n, s.gd, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSketchSlackBound requires gd to bound g+delta over every tuple of
+// every sketch shape, and an empty sketch to have gd 0.
+func TestSketchSlackBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, eps := range sketchEpsilons {
+		for trial := 0; trial < 10; trial++ {
+			for k, s := range testSketches(rng, eps) {
+				s.flush()
+				for i, e := range s.entries {
+					if e.g+e.delta > s.gd {
+						t.Fatalf("eps %g trial %d shape %d: tuple %d has g+delta %d above gd %d",
+							eps, trial, k, i, e.g+e.delta, s.gd)
+					}
+				}
+				if s.reset(); s.gd != 0 {
+					t.Fatalf("eps %g trial %d shape %d: gd %d after reset", eps, trial, k, s.gd)
+				}
+			}
+		}
 	}
 }

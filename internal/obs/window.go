@@ -3,9 +3,10 @@ package obs
 // Sliding-window quantiles for the live serving path: a ring of per-window
 // GK sketches keyed by the window index floor(at/width), so p50/p99/p999
 // are reported over the last N windows instead of cumulatively since boot.
-// Queries merge the live windows' summaries; the GK merge is deterministic
-// (pure rank arithmetic over sorted entries), so a fixed insertion schedule
-// yields byte-identical percentiles run to run.
+// A read answers from the GK merge of the live windows' summaries without
+// writing it out; the merge is deterministic (pure rank arithmetic over
+// sorted entries), so a fixed insertion schedule yields byte-identical
+// percentiles run to run.
 
 import (
 	"fmt"
@@ -41,9 +42,11 @@ func (m *Sketch) mergeOf(s, o *Sketch) {
 	if s.n == 0 || o.n == 0 {
 		m.entries = append(m.entries, s.entries...)
 		m.entries = append(m.entries, o.entries...)
-		m.setExtremes()
+		m.resync()
 		return
 	}
+	// A tuple's g+delta grows by its successor's g+delta-1 at most.
+	m.gd = s.gd + o.gd - 1
 	a, b := s.entries, o.entries
 	var i, j int
 	for i < len(a) || j < len(b) {
@@ -68,18 +71,97 @@ func (m *Sketch) mergeOf(s, o *Sketch) {
 	// merged summary satisfies the same invariants Add/compress maintain.
 	m.entries[0].delta = 0
 	m.entries[len(m.entries)-1].delta = 0
-	m.setExtremes()
+	m.min, m.max = m.entries[0].v, m.entries[len(m.entries)-1].v
+}
+
+// mergedQuantile returns s.Merge(o).Quantile(q) without building the
+// merge. It walks both summaries in the merge's order (by value, ties to
+// s first) and widens each tuple's delta on the fly exactly as mergeOf
+// does: by its successor in the other summary, with the global minimum
+// clamped to 0. A rank in the lower half is found walking forward; one in
+// the upper half walking backward from the top under Quantile's stop rule,
+// with the merge's bound s.gd+o.gd-1. Both inputs' pending inserts are
+// flushed first.
+func mergedQuantile(s, o *Sketch, q float64) float64 {
+	s.flush()
+	o.flush()
+	switch {
+	case o.n == 0:
+		return s.Quantile(q)
+	case s.n == 0:
+		return o.Quantile(q)
+	}
+	a, b := s.entries, o.entries
+	n := s.n + o.n
+	r := rank(q, n)
+	if 2*r <= n {
+		var i, j int
+		var rmin int64
+		for {
+			var e gkEntry
+			if j == len(b) || (i < len(a) && a[i].v <= b[j].v) {
+				e = a[i]
+				if j < len(b) {
+					e.delta += b[j].g + b[j].delta - 1
+				}
+				i++
+			} else {
+				e = b[j]
+				if i < len(a) {
+					e.delta += a[i].g + a[i].delta - 1
+				}
+				j++
+			}
+			if i+j == 1 { // the global minimum
+				e.delta = 0
+			}
+			if rmin += e.g; rmin+e.delta >= r || (i == len(a) && j == len(b)) {
+				return e.v
+			}
+		}
+	}
+	// Walking down, the successor of the tuple taken is the tuple of the
+	// other summary taken last, and on ties o's tuple comes first. The top
+	// tuple qualifies whatever its delta (its rmin is n), so best is set on
+	// the first step.
+	var best float64
+	i, j, rmin, bound := len(a)-1, len(b)-1, n, s.gd+o.gd-1
+	for (i >= 0 || j >= 0) && rmin+bound-1 >= r {
+		var e gkEntry
+		if i < 0 || (j >= 0 && b[j].v >= a[i].v) {
+			e = b[j]
+			if i+1 < len(a) {
+				e.delta += a[i+1].g + a[i+1].delta - 1
+			}
+			j--
+		} else {
+			e = a[i]
+			if j+1 < len(b) {
+				e.delta += b[j+1].g + b[j+1].delta - 1
+			}
+			i--
+		}
+		if i < 0 && j < 0 { // the global minimum
+			e.delta = 0
+		}
+		if rmin+e.delta >= r {
+			best = e.v
+		}
+		rmin -= e.g
+	}
+	return best
 }
 
 // WindowedSketch holds a ring of per-window GK sketches. A sample at time t
-// lands in window floor(t/width); queries merge the windows still live at
-// the query instant, i.e. the last `windows` of them. Reusing a ring slot
+// lands in window floor(t/width); reads answer over the windows still live
+// at the read instant, i.e. the last `windows` of them. Reusing a ring slot
 // for a new window index discards the expired window's samples.
 //
-// Queries fold the live windows oldest first. The fold of the windows
-// before the current one changes only when the window slides or a sample
-// lands outside the current window, so the sketch caches it and a query
-// merges just the current window onto it. Queries update that cache, so a
+// A read answers from the fold of the live windows, oldest first. The fold
+// of the windows before the current one changes only when the window
+// slides or a sample lands outside the current window, so the sketch
+// caches it, and a read walks it and the current window in merge order
+// without writing the last merge out. Reads update that cache, so a
 // WindowedSketch is not safe for concurrent use.
 type WindowedSketch struct {
 	eps   float64
@@ -87,12 +169,12 @@ type WindowedSketch struct {
 	slots []windowSlot
 
 	// prefix is the fold of the live windows before window prefixCur, valid
-	// while prefixOK; spare is its scratch twin during a rebuild, out the
-	// summary Merged returns, and empty stands in for an absent window.
-	prefixCur          int64
-	prefixOK           bool
-	prefix, spare, out *Sketch
-	empty              *Sketch
+	// while prefixOK; spare is its scratch twin during a rebuild, and empty
+	// stands in for an absent window.
+	prefixCur     int64
+	prefixOK      bool
+	prefix, spare *Sketch
+	empty         *Sketch
 }
 
 // windowSlot pairs a ring slot's sketch with the window index it holds.
@@ -111,7 +193,7 @@ func NewWindowedSketch(eps float64, width sim.Time, windows int) *WindowedSketch
 		panic(fmt.Sprintf("obs: window count must be >= 1, got %d", windows))
 	}
 	w := &WindowedSketch{eps: eps, width: width, slots: make([]windowSlot, windows),
-		prefix: NewSketch(eps), spare: NewSketch(eps), out: NewSketch(eps), empty: NewSketch(eps)}
+		prefix: NewSketch(eps), spare: NewSketch(eps), empty: NewSketch(eps)}
 	for i := range w.slots {
 		w.slots[i] = windowSlot{idx: -1, sk: NewSketch(eps)}
 	}
@@ -159,11 +241,31 @@ func (w *WindowedSketch) Add(at sim.Time, v float64) {
 	slot.sk.Add(v)
 }
 
-// Merged returns one sketch summarizing every sample in the windows live at
-// time at, folded oldest window first. The summary is owned by the
-// windowed sketch: it stays valid until the next Add or Merged and must not
-// be modified.
-func (w *WindowedSketch) Merged(at sim.Time) *Sketch {
+// Percentiles is a windowed read: the sample count and the nearest-rank
+// p50, p99 and p999 over the live windows.
+type Percentiles struct {
+	Count          int64
+	P50, P99, P999 float64
+}
+
+// Percentiles returns the count and percentiles of the samples in the
+// windows live at time at. Each percentile is exactly what a Quantile of
+// the oldest-first fold of those windows returns, 0 when they are empty.
+func (w *WindowedSketch) Percentiles(at sim.Time) Percentiles {
+	prefix, last := w.live(at)
+	return Percentiles{
+		Count: prefix.n + last.n,
+		P50:   mergedQuantile(prefix, last, 0.50),
+		P99:   mergedQuantile(prefix, last, 0.99),
+		P999:  mergedQuantile(prefix, last, 0.999),
+	}
+}
+
+// live returns the two summaries whose merge is the oldest-first fold of
+// the windows live at time at: the cached fold of those before the current
+// window, rebuilt if stale, and the current window's sketch (w.empty when
+// it holds no samples).
+func (w *WindowedSketch) live(at sim.Time) (prefix, last *Sketch) {
 	cur := w.index(at)
 	if !w.prefixOK || w.prefixCur != cur {
 		acc, next := w.prefix, w.spare
@@ -177,27 +279,8 @@ func (w *WindowedSketch) Merged(at sim.Time) *Sketch {
 		w.prefix, w.spare = acc, next
 		w.prefixCur, w.prefixOK = cur, true
 	}
-	last := w.window(cur)
-	if last == nil {
+	if last = w.window(cur); last == nil {
 		last = w.empty
 	}
-	w.out.mergeOf(w.prefix, last)
-	return w.out
-}
-
-// Quantile returns the q-quantile over the windows live at time at.
-func (w *WindowedSketch) Quantile(at sim.Time, q float64) float64 {
-	return w.Merged(at).Quantile(q)
-}
-
-// Count returns the number of samples in the windows live at time at.
-func (w *WindowedSketch) Count(at sim.Time) int64 {
-	cur := w.index(at)
-	var n int64
-	for off := cur - int64(len(w.slots)) + 1; off <= cur; off++ {
-		if sk := w.window(off); sk != nil {
-			n += sk.n
-		}
-	}
-	return n
+	return w.prefix, last
 }

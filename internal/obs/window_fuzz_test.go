@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzWindowedSketch decodes arbitrary bytes into a schedule of adds and
-// queries and requires the windowed sketch's cached fold to match the
-// from-scratch reference at every query (checkWindowOps). The first byte
+// queries and requires, at every query, Percentiles and the fused walk to
+// equal the from-scratch reference fold's Count and Quantile bit for bit,
+// and the cached fold to encode as the reference does (checkWindowOps). The first byte
 // picks the window count; each following byte pair is an op and its
 // argument: an add after a step forward, an add into an older window, a
 // burst of adds (eps 0.05 compresses every 10 samples, so bursts reach

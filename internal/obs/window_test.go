@@ -93,6 +93,42 @@ func TestSketchMergeEmpty(t *testing.T) {
 	}
 }
 
+// TestMergedQuantileMatchesMerge requires the fused walk to return bit for
+// bit what Quantile of the materialized merge returns, and what the
+// forward scan of it does, for every pair of sketch shapes (empty ones
+// included, eps mixed), in both orders, at every q of qEdges.
+func TestMergedQuantileMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	check := func(trial, i, j int, a, b *Sketch) {
+		t.Helper()
+		m := a.Merge(b)
+		for _, q := range qEdges {
+			got, want, fwd := mergedQuantile(a, b, q), m.Quantile(q), forwardQuantile(m, q)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(fwd) {
+				t.Fatalf("trial %d shapes %d+%d (n=%d+%d) q=%v: fused %v, Merge.Quantile %v, forward scan %v",
+					trial, i, j, a.n, b.n, q, got, want, fwd)
+			}
+		}
+	}
+	for trial := 0; trial < 12; trial++ {
+		eps := sketchEpsilons[trial%len(sketchEpsilons)]
+		shapes := append(testSketches(rng, eps), NewSketch(eps))
+		shapes = append(shapes, testSketches(rng, sketchEpsilons[rng.Intn(len(sketchEpsilons))])...)
+		for i, a := range shapes {
+			for j, b := range shapes {
+				if a != b {
+					check(trial, i, j, a, b)
+				}
+			}
+		}
+	}
+	// Pairs of few tuples with large g, where the walk down can reach the
+	// global minimum, whose widened delta must be clamped.
+	for trial := 0; trial < 3000; trial++ {
+		check(trial, -1, -1, tupleSketch(rng, 0.01), tupleSketch(rng, 0.01))
+	}
+}
+
 // TestWindowedSketchEquivalence streams samples across many windows and
 // checks the windowed quantile against the exact quantile of exactly the
 // samples in the live windows, within 2*eps*n ranks.
@@ -117,13 +153,13 @@ func TestWindowedSketchEquivalence(t *testing.T) {
 	for _, win := range []int64{3, 4, 5} {
 		live = append(live, byWindow[win]...)
 	}
-	if got, want := w.Count(at), int64(len(live)); got != want {
+	if got, want := w.Percentiles(at).Count, int64(len(live)); got != want {
 		t.Fatalf("live count = %d, want %d (expired windows leaked in)", got, want)
 	}
 	sort.Float64s(live)
 	budget := 2 * eps * float64(len(live))
 	for _, q := range quantileProbes {
-		v := w.Quantile(at, q)
+		v := windowQuantile(w, at, q)
 		if e := rankError(live, v, q); e > budget {
 			t.Errorf("q=%g: value %g off by %.1f ranks (budget %.1f)", q, v, e, budget)
 		}
@@ -136,32 +172,26 @@ func TestWindowedSketchExpiry(t *testing.T) {
 	w := NewWindowedSketch(0.01, sim.Time(1.0), 2)
 	w.Add(0.5, 100) // window 0
 	w.Add(1.5, 200) // window 1
-	if got := w.Count(1.5); got != 2 {
-		t.Fatalf("count at 1.5 = %d, want 2", got)
-	}
-	if p := w.Quantile(1.5, 1.0); p != 200 {
-		t.Fatalf("max at 1.5 = %g, want 200", p)
+	if got := w.Percentiles(1.5); got != (Percentiles{Count: 2, P50: 100, P99: 200, P999: 200}) {
+		t.Fatalf("read at 1.5 = %+v, want count 2, p50 100, p99 and p999 200", got)
 	}
 	// At t=2.x the live windows are 1 and 2; window 0's sample is gone.
-	if got := w.Count(2.5); got != 1 {
-		t.Fatalf("count at 2.5 = %d, want 1", got)
-	}
-	if p := w.Quantile(2.5, 0.0); p != 200 {
-		t.Fatalf("min at 2.5 = %g, want 200 (window 0 should have expired)", p)
+	if got := w.Percentiles(2.5); got != (Percentiles{Count: 1, P50: 200, P99: 200, P999: 200}) {
+		t.Fatalf("read at 2.5 = %+v, want only 200 (window 0 should have expired)", got)
 	}
 	// At t=3.x everything has expired.
-	if got := w.Count(3.5); got != 0 {
-		t.Fatalf("count at 3.5 = %d, want 0", got)
+	if got := w.Percentiles(3.5); got != (Percentiles{}) {
+		t.Fatalf("read at 3.5 = %+v, want empty", got)
 	}
 	// A new insert reuses the expired slot without resurrecting old samples.
 	w.Add(3.5, 300)
-	if got := w.Count(3.5); got != 1 {
-		t.Fatalf("count after slot reuse = %d, want 1", got)
+	if got := w.Percentiles(3.5); got != (Percentiles{Count: 1, P50: 300, P99: 300, P999: 300}) {
+		t.Fatalf("read after slot reuse = %+v, want only 300", got)
 	}
 }
 
 // TestWindowedSketchDeterministic checks byte-level reproducibility of the
-// merged summary for a fixed insertion schedule.
+// fold of the live windows for a fixed insertion schedule.
 func TestWindowedSketchDeterministic(t *testing.T) {
 	build := func() []byte {
 		w := NewWindowedSketch(0.01, sim.Time(0.5), 4)
@@ -169,12 +199,26 @@ func TestWindowedSketchDeterministic(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			w.Add(sim.Time(float64(i)*1e-3), g.next())
 		}
-		return w.Merged(sim.Time(2.999)).Encode()
+		return windowFold(w, sim.Time(2.999)).Encode()
 	}
 	a, b := build(), string(build())
 	if string(a) != b {
 		t.Fatal("merged windowed sketch not deterministic")
 	}
+}
+
+// windowFold materializes the fold a windowed read at time at answers
+// from: the cached prefix merged with the current window.
+func windowFold(w *WindowedSketch, at sim.Time) *Sketch {
+	prefix, last := w.live(at)
+	return prefix.Merge(last)
+}
+
+// windowQuantile is a windowed read at any quantile: the walk Percentiles
+// makes for its three.
+func windowQuantile(w *WindowedSketch, at sim.Time, q float64) float64 {
+	prefix, last := w.live(at)
+	return mergedQuantile(prefix, last, q)
 }
 
 // refWindows is the from-scratch reference for WindowedSketch: a ring of
@@ -217,7 +261,7 @@ func (r *refWindows) merged(at sim.Time) *Sketch {
 }
 
 // windowOp is one step of a windowed-sketch schedule: an Add, or with query
-// set a Merged/Count query at the instant.
+// set a read at the instant.
 type windowOp struct {
 	query bool
 	at    sim.Time
@@ -225,19 +269,27 @@ type windowOp struct {
 }
 
 // checkWindowOps replays ops on a WindowedSketch and on the reference and
-// requires every query, and a final one at the last instant, to encode
-// identically and count the same samples.
+// requires at every query, and at a final one at the last instant, that
+// Percentiles equals the reference fold's count and Quantile bit for bit,
+// that the fused walk does at every q of qEdges, and that the cached
+// prefix merged with the current window encodes as the reference fold.
 func checkWindowOps(t *testing.T, eps float64, width sim.Time, windows int, ops []windowOp) {
 	t.Helper()
 	w, ref := NewWindowedSketch(eps, width, windows), newRefWindows(eps, width, windows)
 	var last sim.Time
 	check := func(i int, at sim.Time) {
-		want := ref.merged(at)
-		if got := w.Merged(at).Encode(); !bytes.Equal(got, want.Encode()) {
-			t.Fatalf("op %d: Merged(%v) = %s, reference fold %s", i, at, got, want.Encode())
+		fold := ref.merged(at)
+		want := Percentiles{Count: fold.Count(), P50: fold.Quantile(0.50), P99: fold.Quantile(0.99), P999: fold.Quantile(0.999)}
+		if got := w.Percentiles(at); !samePercentiles(got, want) {
+			t.Fatalf("op %d: Percentiles(%v) = %+v, reference fold %+v", i, at, got, want)
 		}
-		if got := w.Count(at); got != want.Count() {
-			t.Fatalf("op %d: Count(%v) = %d, want %d", i, at, got, want.Count())
+		for _, q := range qEdges {
+			if got, want := windowQuantile(w, at, q), fold.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("op %d: read at %v, q=%v: %v, reference fold %v", i, at, q, got, want)
+			}
+		}
+		if got := windowFold(w, at).Encode(); !bytes.Equal(got, fold.Encode()) {
+			t.Fatalf("op %d: fold at %v = %s, reference fold %s", i, at, got, fold.Encode())
 		}
 	}
 	for i, op := range ops {
@@ -295,8 +347,17 @@ func TestWindowedSketchIncremental(t *testing.T) {
 	}
 }
 
-// TestWindowedSketchQueryAllocs requires repeated queries within one window
-// to allocate nothing once the sketch's buffers have grown.
+// samePercentiles compares two reads bit for bit, so a signed zero
+// counts.
+func samePercentiles(a, b Percentiles) bool {
+	bits := math.Float64bits
+	return a.Count == b.Count && bits(a.P50) == bits(b.P50) && bits(a.P99) == bits(b.P99) && bits(a.P999) == bits(b.P999)
+}
+
+// TestWindowedSketchQueryAllocs requires a read to allocate nothing:
+// repeated reads within one window, which reuse the cached prefix, and
+// reads that alternate across a slide, which rebuild it into storage that
+// has already grown.
 func TestWindowedSketchQueryAllocs(t *testing.T) {
 	w := NewWindowedSketch(0.01, sim.Time(1), 4)
 	g := lcg(3)
@@ -304,11 +365,18 @@ func TestWindowedSketchQueryAllocs(t *testing.T) {
 		w.Add(sim.Time(float64(i)*1e-3), g.next())
 	}
 	at := sim.Time(3.9995)
+	if n := testing.AllocsPerRun(100, func() { _ = w.Percentiles(at) }); n != 0 {
+		t.Fatalf("Percentiles allocates %v times per repeated read, want 0", n)
+	}
+	flip := false
 	if n := testing.AllocsPerRun(100, func() {
-		m := w.Merged(at)
-		_ = m.Quantile(0.5) + m.Quantile(0.99) + m.Quantile(0.999) + float64(m.Count())
+		if flip = !flip; flip {
+			_ = w.Percentiles(at - 1)
+		} else {
+			_ = w.Percentiles(at)
+		}
 	}); n != 0 {
-		t.Fatalf("Merged+Quantile allocates %v times per query, want 0", n)
+		t.Fatalf("Percentiles allocates %v times per read across a slide, want 0", n)
 	}
 }
 
@@ -329,10 +397,7 @@ func TestWindowedSketchRejectsBadInstants(t *testing.T) {
 		}()
 	}
 	w.Add(0, 1)
-	if n := w.Count(-0.03); n != 0 {
-		t.Fatalf("Count(-0.03) = %d, want 0", n)
-	}
-	if n := w.Merged(-0.03).Count(); n != 0 {
-		t.Fatalf("Merged(-0.03) holds %d samples, want 0", n)
+	if got := w.Percentiles(-0.03); got != (Percentiles{}) {
+		t.Fatalf("Percentiles(-0.03) = %+v, want empty", got)
 	}
 }

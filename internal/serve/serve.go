@@ -387,21 +387,20 @@ func (e *Engine) Frame() Frame {
 		if el := float64(now); el > 0 && el < winSpan {
 			winSpan = el
 		}
-		win := p.win.Merged(now)
-		count := win.Count()
+		win := p.win.Percentiles(now)
 		rps := 0.0
 		if winSpan > 0 {
-			rps = float64(count) / winSpan
+			rps = float64(win.Count) / winSpan
 		}
 		pf := PipeFrame{
 			Policy:  p.name,
 			Offered: p.stats.Offered, Accepted: p.stats.Accepted, Shed: p.stats.Rejected,
 			Served: p.sink.Served, Violations: p.sink.Violations,
 			QueueDepth: p.sink.Depth, MaxQueueDepth: p.sink.MaxDepth,
-			WindowCount:   count,
-			P50ms:         ms(win.Quantile(0.50)),
-			P99ms:         ms(win.Quantile(0.99)),
-			P999ms:        ms(win.Quantile(0.999)),
+			WindowCount:   win.Count,
+			P50ms:         ms(win.P50),
+			P99ms:         ms(win.P99),
+			P999ms:        ms(win.P999),
 			CumP99ms:      ms(p.sink.Latency.Quantile(0.99)),
 			ThroughputRPS: rps,
 		}
