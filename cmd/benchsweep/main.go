@@ -54,16 +54,18 @@ type allocResult struct {
 
 // kernelBench is the absolute per-event cost of one kernel hot-path
 // workload: its blocking flavour and — where a continuation flavour exists
-// — its step flavour. LaneShare and HeapHighWater, from sim.KernelStats,
-// say how the workload uses the event queue: the share of its wakeups
-// scheduled at the current instant (the FIFO lane) rather than later (the
-// timed heap), and the heap's deepest point.
+// — its step flavour. LaneShare, BypassShare and HeapHighWater, from
+// sim.KernelStats, say how the workload uses the event queue: the share of
+// its wakeups scheduled at the current instant (the FIFO lane) rather than
+// later (timed), the share of the timed ones that joined a fixed-delay lane
+// rather than the heap, and the timed backlog's deepest point.
 type kernelBench struct {
 	Workload           string  `json:"workload"`
 	Events             int     `json:"events"`
 	BlockingNsPerEvent float64 `json:"blocking_ns_per_event"`
 	StepNsPerEvent     float64 `json:"step_ns_per_event,omitempty"`
 	LaneShare          float64 `json:"lane_share,omitempty"`
+	BypassShare        float64 `json:"bypass_share,omitempty"`
 	HeapHighWater      int     `json:"heap_high_water,omitempty"`
 }
 
@@ -419,32 +421,24 @@ func messagePathStep() {
 	}
 }
 
-// deepQueue keeps 100 processes cycling through three zero-delay wakeups
-// and two timed wakeups of 1-8 ms, 300 wakeups each: about 100 timers stay
-// pending and about 60% of pushes are at the current instant, the mix of
-// the demand protocol's request/empty-reply rounds (the other kernel rows
-// run 4 processes and never hold more than 4 timers). It returns the
-// kernel's counters.
-func deepQueue(step bool) sim.KernelStats {
+// delayMix keeps procs processes cycling through rounds wakeups each, in
+// the blocking or (step) continuation flavour; process i's n-th wakeup is
+// delay(i, n) after the last, n starting at i. It returns the kernel's
+// counters. The same code as internal/sim's delayMixWorkload.
+func delayMix(procs, rounds int, step bool, delay func(i, n int) sim.Time) sim.KernelStats {
 	k := sim.NewKernel(1)
-	delay := func(n int) sim.Time {
-		if n%5 < 3 {
-			return 0
-		}
-		return sim.Time(1+n%8) * sim.Millisecond
-	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < procs; i++ {
 		n := i
 		if !step {
 			k.Spawn("worker", func(e *sim.Env) {
-				for r := 0; r < 300; r++ {
+				for r := 0; r < rounds; r++ {
 					n++
-					e.Sleep(delay(n))
+					e.Sleep(delay(i, n))
 				}
 			})
 			continue
 		}
-		left := 300
+		left := rounds
 		var next sim.Step
 		next = func(e *sim.Env) sim.Cont {
 			if left == 0 {
@@ -452,7 +446,7 @@ func deepQueue(step bool) sim.KernelStats {
 			}
 			left--
 			n++
-			return sim.After(delay(n), next)
+			return sim.After(delay(i, n), next)
 		}
 		k.SpawnStep("worker", next)
 	}
@@ -462,13 +456,53 @@ func deepQueue(step bool) sim.KernelStats {
 	return k.Stats()
 }
 
-// deepQueueCost is the kernel_ns_per_event row of deepQueue, with its
-// event count and queue shape read from the kernel's counters.
-func deepQueueCost(reps int) kernelBench {
-	st := deepQueue(true)
-	b := kernelCost("deep_queue", int(st.Dispatched), reps,
-		func() { deepQueue(false) }, func() { deepQueue(true) })
+// deepQueue keeps 100 processes cycling through three zero-delay wakeups
+// and two timed wakeups of 1-8 ms, 300 wakeups each: about 100 timers stay
+// pending and about 60% of pushes are at the current instant, the mix of
+// the demand protocol's request/empty-reply rounds (the other kernel rows
+// run 4 processes and never hold more than 4 timers). Its eight delays
+// share four delay lanes, so about half of its timed wakeups go to the
+// heap.
+func deepQueue(step bool) sim.KernelStats {
+	return delayMix(100, 300, step, func(_, n int) sim.Time {
+		if n%5 < 3 {
+			return 0
+		}
+		return sim.Time(1+n%8) * sim.Millisecond
+	})
+}
+
+// fixedDelays keeps 300 processes cycling through 200 wakeups each, with
+// the demand protocol's mix of delays: three in five at the current
+// instant and, of the timed ones, 15 in 16 the 100 µs network latency or
+// the 0.547 µs wire time of a control message. Every 16th process times
+// one-off delays near a tile's 25 µs compute time instead. The same code
+// as internal/sim's fixedDelayWorkload.
+func fixedDelays(step bool) sim.KernelStats {
+	oneOff := 0
+	return delayMix(300, 200, step, func(i, n int) sim.Time {
+		switch {
+		case n%5 < 3:
+			return 0
+		case i%16 == 0:
+			oneOff++
+			return 25*sim.Microsecond + sim.Time(oneOff)*1e-12
+		case n%5 == 3:
+			return 100 * sim.Microsecond
+		default:
+			return 0.547 * sim.Microsecond
+		}
+	})
+}
+
+// queueCost is the kernel_ns_per_event row of a delayMix workload, with
+// its event count and queue shape read from the kernel's counters.
+func queueCost(name string, reps int, run func(step bool) sim.KernelStats) kernelBench {
+	st := run(true)
+	b := kernelCost(name, int(st.Dispatched), reps,
+		func() { run(false) }, func() { run(true) })
 	b.LaneShare = float64(st.LanePushes) / float64(st.LanePushes+st.HeapPushes)
+	b.BypassShare = float64(st.DelayLanePushes) / float64(st.HeapPushes)
 	b.HeapHighWater = st.HeapHighWater
 	return b
 }
@@ -661,7 +695,8 @@ func main() {
 			kernelCost("spawn_churn", 3000, 20, spawnChurn, spawnChurnStep),
 			kernelCost("zero_sleep", 10000, 20, zeroSleep, nil),
 			kernelCost("message_path", 3000, 20, messagePath, messagePathStep),
-			deepQueueCost(5),
+			queueCost("deep_queue", 5, deepQueue),
+			queueCost("fixed_delays", 5, fixedDelays),
 		},
 		DemandRound: demandRoundCost(10),
 	}

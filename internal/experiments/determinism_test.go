@@ -126,6 +126,37 @@ func document(cfg Config, reps []*Report) string {
 	return b.String()
 }
 
+// pinnedDigest returns the sha256 hex digest pinned in
+// scripts/<name>.sha256, as scripts/byte-identity.sh checks it.
+func pinnedDigest(t *testing.T, name string) string {
+	t.Helper()
+	pin, err := os.ReadFile("../../scripts/" + name + ".sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _ := strings.Cut(string(pin), " ")
+	return want
+}
+
+// TestExtrasPinnedDigests renders the serving and policylab extras at
+// seed 1, as anthill-sim -exp <id> -seed 1 writes them, and checks each
+// against its digest in scripts/. Both are cheap, so every tier-1 run
+// guards every pinned report, not only scripts/byte-identity.sh.
+func TestExtrasPinnedDigests(t *testing.T) {
+	for _, id := range []string{"serving", "policylab"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		doc := renderMany(t, Config{Seed: 1}, []Experiment{e}, 0)
+		sum := sha256.Sum256([]byte(doc))
+		name := "exp_" + id + "_seed1"
+		if got, want := hex.EncodeToString(sum[:]), pinnedDigest(t, name); got != want {
+			t.Errorf("seed 1: -exp %s report hashes to %s, scripts/%s.sha256 pins %s", id, got, name, want)
+		}
+	}
+}
+
 // TestRunAllDeterminism checks byte-identity for the full registry: the
 // seed-1 document must hash to scripts/exp_all_seed1.sha256, and every
 // covered seed's 4-worker document must equal the serial one. Seed 1
@@ -138,11 +169,7 @@ func TestRunAllDeterminism(t *testing.T) {
 		t.Skip("full-registry determinism check skipped under -race " +
 			"(TestSweepDeterminismQuick covers the pool under the detector)")
 	}
-	pin, err := os.ReadFile("../../scripts/exp_all_seed1.sha256")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, _ := strings.Cut(string(pin), " ")
+	want := pinnedDigest(t, "exp_all_seed1")
 	seeds := determinismSeeds(t)
 	for seed := int64(1); seed <= seeds; seed++ {
 		cfg := Config{Seed: seed}

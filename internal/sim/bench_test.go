@@ -192,28 +192,18 @@ func zeroAfterStepWorkload(n int) {
 	}
 }
 
-// deepQueueWorkload keeps procs processes cycling through three zero-delay
-// wakeups and two timed wakeups of 1-8 ms each, rounds wakeups per process,
-// in the blocking or (step) continuation flavour. About procs timers stay
-// pending, and a dozen processes share each instant, so the zero-delay
-// wakeups find another event due and go to the lane: the mix of the demand
-// protocol's request/empty-reply rounds, where about 60% of pushes are at
-// the current instant and the heap runs about 100 deep.
-func deepQueueWorkload(procs, rounds int, step bool) KernelStats {
+// delayMixWorkload keeps procs processes cycling through rounds wakeups
+// each, in the blocking or (step) continuation flavour; process i's n-th
+// wakeup is delay(i, n) after the last, n starting at i.
+func delayMixWorkload(procs, rounds int, step bool, delay func(i, n int) Time) KernelStats {
 	k := NewKernel(1)
-	delay := func(n int) Time {
-		if n%5 < 3 {
-			return 0
-		}
-		return Time(1+n%8) * Millisecond
-	}
 	for i := 0; i < procs; i++ {
 		n := i
 		if !step {
 			k.Spawn("worker", func(e *Env) {
 				for r := 0; r < rounds; r++ {
 					n++
-					e.Sleep(delay(n))
+					e.Sleep(delay(i, n))
 				}
 			})
 			continue
@@ -226,7 +216,7 @@ func deepQueueWorkload(procs, rounds int, step bool) KernelStats {
 			}
 			left--
 			n++
-			return After(delay(n), next)
+			return After(delay(i, n), next)
 		}
 		k.SpawnStep("worker", next)
 	}
@@ -234,6 +224,47 @@ func deepQueueWorkload(procs, rounds int, step bool) KernelStats {
 		panic(err)
 	}
 	return k.Stats()
+}
+
+// deepQueueWorkload keeps procs processes cycling through three zero-delay
+// wakeups and two timed wakeups of 1-8 ms each, rounds wakeups per process.
+// About procs timers stay pending, and a dozen processes share each
+// instant, so the zero-delay wakeups find another event due and go to the
+// lane: the mix of the demand protocol's request/empty-reply rounds, where
+// about 60% of pushes are at the current instant and the timed backlog
+// runs about 100 deep. Eight delays share four delay lanes, so about half
+// of the timed wakeups go to the heap.
+func deepQueueWorkload(procs, rounds int, step bool) KernelStats {
+	return delayMixWorkload(procs, rounds, step, func(_, n int) Time {
+		if n%5 < 3 {
+			return 0
+		}
+		return Time(1+n%8) * Millisecond
+	})
+}
+
+// fixedDelayWorkload is the demand protocol's mix of delays: three in five
+// wakeups at the current instant and, of the timed ones, 15 in 16 one of
+// two constants, the 100 µs network latency and the 0.547 µs wire time of
+// a control message. Every 16th process times one-off delays near a tile's
+// 25 µs compute time instead, no two alike. The constants keep their delay
+// lanes, so only the one-off wakeups go to the heap, and the other
+// processes stay on a lattice of instants that many of them share.
+func fixedDelayWorkload(procs, rounds int, step bool) KernelStats {
+	oneOff := 0
+	return delayMixWorkload(procs, rounds, step, func(i, n int) Time {
+		switch {
+		case n%5 < 3:
+			return 0
+		case i%16 == 0:
+			oneOff++
+			return 25*Microsecond + Time(oneOff)*1e-12
+		case n%5 == 3:
+			return 100 * Microsecond
+		default:
+			return 0.547 * Microsecond
+		}
+	})
 }
 
 func BenchmarkEventLoop(b *testing.B) {
@@ -263,6 +294,21 @@ func BenchmarkEventLoopDeepQueueStep(b *testing.B) {
 		deepQueueWorkload(100, 300, true)
 	}
 }
+
+// benchmarkFixedDelays reports the fixed-delay mix's cost per dispatched
+// event.
+func benchmarkFixedDelays(b *testing.B, step bool) {
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		events += fixedDelayWorkload(300, 200, step).Dispatched
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
+func BenchmarkEventLoopFixedDelays(b *testing.B) { benchmarkFixedDelays(b, false) }
+
+func BenchmarkEventLoopFixedDelaysStep(b *testing.B) { benchmarkFixedDelays(b, true) }
 
 func BenchmarkSpawnChurn(b *testing.B) {
 	b.ReportAllocs()
@@ -366,6 +412,27 @@ func TestEventLoopDeepQueueAllocs(t *testing.T) {
 		long := testing.AllocsPerRun(5, func() { deepQueueWorkload(100, 3000, step) })
 		if long > short {
 			t.Errorf("%s: %.0f allocs at 10x the rounds vs %.0f: the loop allocates per event", name, long, short)
+		}
+	}
+}
+
+// TestEventLoopFixedDelaysAllocs pins the fixed-delay mix in both
+// flavours: at least 90% of its timed wakeups skip the heap, and ten times
+// the rounds costs not one allocation more, so the delay lanes reuse their
+// arrays across rebinding.
+func TestEventLoopFixedDelaysAllocs(t *testing.T) {
+	for _, step := range []bool{false, true} {
+		st := fixedDelayWorkload(300, 200, step)
+		if bypass := float64(st.DelayLanePushes) / float64(st.HeapPushes); bypass < 0.9 {
+			t.Errorf("step=%v: %.2f of timed wakeups on delay lanes, want >= 0.9 (%+v)", step, bypass, st)
+		}
+		if raceEnabled {
+			continue
+		}
+		short := testing.AllocsPerRun(3, func() { fixedDelayWorkload(300, 200, step) })
+		long := testing.AllocsPerRun(3, func() { fixedDelayWorkload(300, 2000, step) })
+		if long > short {
+			t.Errorf("step=%v: %.0f allocs at 10x the rounds vs %.0f: the loop allocates per event", step, long, short)
 		}
 	}
 }

@@ -142,19 +142,11 @@ func (k *Kernel) SpawnStep(name string, step Step) {
 
 // dispatchStep runs a continuation process's pending step and interprets
 // the directive, trampolining zero-delay resumptions inline so After(0, ...)
-// chains never grow the stack and take the same fast path as Sleep(0).
+// chains never grow the stack and take the same fast path as Sleep(0). A
+// panic unwinds to the event loop, whose recoverStep fails the run through
+// p: one deferred recover per loop, not one per dispatch.
 func (k *Kernel) dispatchStep(p *proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Mirror blocking-process panic semantics: record the first
-			// failure and let the event loop wind the simulation down.
-			if k.failure == nil {
-				k.failure = procPanic{name: p.name, value: r}
-			}
-			p.state = stateDone
-			p.step = nil
-		}
-	}()
+	k.stepping = p
 	for {
 		step := p.step
 		p.state = stateRunning
@@ -177,7 +169,7 @@ func (k *Kernel) dispatchStep(p *proc) {
 				k.schedule(k.now, p)
 				return
 			}
-			k.schedule(k.now+c.at, p)
+			k.scheduleAfter(c.at, p)
 			return
 		default: // contBlocked
 			// The step armed p.step on a wait queue; the primitive's wakeup
@@ -188,4 +180,26 @@ func (k *Kernel) dispatchStep(p *proc) {
 			return
 		}
 	}
+}
+
+// recoverStep is deferred by the event loop. A panic raised while a
+// continuation process runs (its step, or the kernel acting on the step's
+// directive) leaves that process running; it mirrors blocking-process panic
+// semantics: record the first failure, end the process, and return, which
+// winds the simulation down. Any other panic is the kernel's own and is
+// raised again.
+func (k *Kernel) recoverStep() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	p := k.stepping
+	if p == nil || p.state != stateRunning {
+		panic(r)
+	}
+	if k.failure == nil {
+		k.failure = procPanic{name: p.name, value: r}
+	}
+	p.state = stateDone
+	p.step = nil
 }

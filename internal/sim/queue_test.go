@@ -1,8 +1,8 @@
 package sim
 
-// Tests of the event queue: the same-instant FIFO lane merged with the
-// timed heap, pointer-free event records, rejection of non-finite wakeup
-// times, and the kernel's self-telemetry counters.
+// Tests of the event queue: the same-instant FIFO lane and the delay lanes
+// merged with the timed heap, pointer-free event records, rejection of
+// non-finite wakeup times, and the kernel's self-telemetry counters.
 
 import (
 	"fmt"
@@ -35,6 +35,39 @@ func randomSleepProg(rng *rand.Rand) sleepProg {
 		p.step = append(p.step, rng.Intn(2) == 0)
 	}
 	return p
+}
+
+// randomDelayProg draws from more distinct non-zero delays than the kernel
+// has delay lanes, so lanes are rebound and wakeups overflow to the heap.
+// The delays include non-dyadic ones (0.1, 0.3, 1/3), whose sums round, and
+// 1e-18, which moves now off 0 but leaves any larger now unchanged
+// (now+d == now), so such a wakeup belongs on the same-instant lane.
+func randomDelayProg(rng *rand.Rand) sleepProg {
+	grid := []Time{0, 0, 0, 0.1, 0.3, 1.0 / 3, 1e-18, 1e-18, 0.25, 0.7, 1, 1.5}
+	var p sleepProg
+	for i, n := 0, 2+rng.Intn(10); i < n; i++ {
+		ds := make([]Time, 1+rng.Intn(12))
+		for j := range ds {
+			ds[j] = grid[rng.Intn(len(grid))]
+		}
+		p.delays = append(p.delays, ds)
+		p.step = append(p.step, rng.Intn(2) == 0)
+	}
+	return p
+}
+
+// flavours returns p as drawn and with every process blocking, then with
+// every process a continuation process.
+func (p sleepProg) flavours() []sleepProg {
+	out := []sleepProg{p}
+	for _, step := range []bool{false, true} {
+		q := sleepProg{delays: p.delays, step: make([]bool, len(p.step))}
+		for i := range q.step {
+			q.step[i] = step
+		}
+		out = append(out, q)
+	}
+	return out
 }
 
 // spawn registers p's processes on k; onZero is called (if non-nil) just
@@ -73,22 +106,38 @@ func (p sleepProg) spawn(k *Kernel, log *[]string, onZero func(e *Env)) {
 	}
 }
 
+// refRun is what the reference queue predicts for a sleep program: the
+// dispatch log and the kernel's counters, all but DelayLanePushes, which
+// depends on how timed wakeups are routed, not on their order. absorbed
+// counts the wakeups with d > 0 that now+d leaves at now.
+type refRun struct {
+	log      []string
+	stats    KernelStats
+	absorbed int
+}
+
 // reference replays p on the textbook queue: one list ordered by
-// (time, schedule order), popped from the front.
-func (p sleepProg) reference() []string {
+// (time, schedule order), popped from the front. A zero-delay wakeup with
+// nothing else due at its instant is no push: the kernel's fast path runs
+// it inline, without a dispatch. Any other wakeup at the instant it was
+// scheduled at is a lane push, and a later one a timed push.
+func (p sleepProg) reference() refRun {
 	type ev struct {
 		at     Time
 		seq    int
 		proc   int
 		stepNo int
+		timed  bool
+		inline bool
 	}
 	var q []ev
-	seq := 0
+	var r refRun
+	seq, timed := 0, 0
 	for i := range p.delays {
-		q = append(q, ev{0, seq, i, 0})
+		q = append(q, ev{at: 0, seq: seq, proc: i})
 		seq++
+		r.stats.LanePushes++
 	}
-	var log []string
 	for len(q) > 0 {
 		min := 0
 		for i := range q {
@@ -98,13 +147,53 @@ func (p sleepProg) reference() []string {
 		}
 		e := q[min]
 		q = append(q[:min], q[min+1:]...)
-		log = append(log, fmt.Sprintf("p%d.%d@%g", e.proc, e.stepNo, float64(e.at)))
-		if ds := p.delays[e.proc]; e.stepNo < len(ds) {
-			q = append(q, ev{e.at + ds[e.stepNo], seq, e.proc, e.stepNo + 1})
-			seq++
+		if e.timed {
+			timed--
 		}
+		if !e.inline {
+			r.stats.Dispatched++
+		}
+		r.log = append(r.log, fmt.Sprintf("p%d.%d@%g", e.proc, e.stepNo, float64(e.at)))
+		ds := p.delays[e.proc]
+		if e.stepNo == len(ds) {
+			continue
+		}
+		d := ds[e.stepNo]
+		next := ev{at: e.at + d, seq: seq, proc: e.proc, stepNo: e.stepNo + 1}
+		seq++
+		dueNow := false
+		for _, o := range q {
+			dueNow = dueNow || o.at == e.at
+		}
+		switch {
+		case d == 0 && !dueNow:
+			next.inline = true
+		case next.at == e.at:
+			r.stats.LanePushes++
+			if d > 0 {
+				r.absorbed++
+			}
+		default:
+			next.timed = true
+			timed++
+			r.stats.HeapPushes++
+			r.stats.HeapHighWater = max(r.stats.HeapHighWater, timed)
+		}
+		q = append(q, next)
 	}
-	return log
+	return r
+}
+
+// check fails t unless got and st are what r predicts.
+func (r refRun) check(t *testing.T, what string, got []string, st KernelStats) {
+	t.Helper()
+	if strings.Join(got, " ") != strings.Join(r.log, " ") {
+		t.Fatalf("%s: dispatch order\n got %v\nwant %v", what, got, r.log)
+	}
+	st.DelayLanePushes = 0
+	if st != r.stats {
+		t.Fatalf("%s: Stats() = %+v, want %+v (DelayLanePushes not compared)", what, st, r.stats)
+	}
 }
 
 // TestPropertyLaneMergeOrder: over random sleep programs of both flavours,
@@ -120,9 +209,7 @@ func TestPropertyLaneMergeOrder(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if want := p.reference(); strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Fatalf("trial %d: dispatch order\n got %v\nwant %v", trial, got, want)
-		}
+		p.reference().check(t, fmt.Sprintf("trial %d", trial), got, k.Stats())
 	}
 }
 
@@ -200,13 +287,65 @@ func TestPropertyAdvanceToSlicesMatchRun(t *testing.T) {
 			}
 			horizon += Time(rng.Intn(3)) * 0.25
 		}
-		if strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Fatalf("trial %d: sliced dispatch order\n got %v\nwant %v", trial, got, want)
-		}
+		want.check(t, fmt.Sprintf("trial %d, sliced", trial), got, k.Stats())
 	}
 	if laneAtBoundary == 0 {
 		t.Fatal("no trial queued a lane entry at a slice boundary instant")
 	}
+}
+
+// TestPropertyDelayLanesMatchReference: over random programs with more
+// distinct delays than delay lanes, as drawn, all blocking and all
+// continuation processes, under Run and under AdvanceTo slices, dispatch
+// order and counters are the reference queue's. Across the trials lanes
+// are rebound, wakeups overflow to the heap, and delays too small to move
+// now go to the same-instant lane.
+func TestPropertyDelayLanesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	rebound, overflowed, absorbed := 0, 0, 0
+	steps := []Time{0, 0.1, 0.25, 1.0 / 3}
+	for trial := 0; trial < 300; trial++ {
+		for f, p := range randomDelayProg(rng).flavours() {
+			want := p.reference()
+			absorbed += want.absorbed
+			for _, sliced := range []bool{false, true} {
+				k := NewKernel(1)
+				var got []string
+				var bound [delayLanes]Time
+				p.spawn(k, &got, func(e *Env) {
+					for i := range e.k.delays {
+						if d := e.k.delays[i].d; d != bound[i] {
+							if bound[i] != 0 {
+								rebound++
+							}
+							bound[i] = d
+						}
+					}
+				})
+				if !sliced {
+					if err := k.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for horizon, done := Time(0), !sliced; !done; horizon += steps[rng.Intn(len(steps))] {
+					var err error
+					if done, err = k.AdvanceTo(horizon); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st := k.Stats()
+				want.check(t, fmt.Sprintf("trial %d, flavour %d, sliced %v", trial, f, sliced), got, st)
+				if st.HeapPushes > st.DelayLanePushes {
+					overflowed++
+				}
+			}
+		}
+	}
+	if rebound == 0 || overflowed == 0 || absorbed == 0 {
+		t.Fatalf("coverage: %d lane rebinds, %d runs with heap pushes, %d absorbed delays; want each > 0",
+			rebound, overflowed, absorbed)
+	}
+	t.Logf("%d lane rebinds, %d runs with heap pushes, %d absorbed delays", rebound, overflowed, absorbed)
 }
 
 // hasPointers reports whether values of typ contain a pointer the garbage
@@ -294,9 +433,11 @@ func TestKernelStats(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Lane: four spawns and b's yield. Heap: a@1, c@1, d@3, a@2, three deep
-	// at most. Dispatched: a b c d b at 0, a c at 1, a at 2; d@3 is stale.
-	want := KernelStats{Dispatched: 8, LanePushes: 5, HeapPushes: 4, HeapHighWater: 3, StaleDropped: 1}
+	// Lane: four spawns and b's yield. Timed: a@1, c@1, d@3, a@2, three deep
+	// at most; the delay lane bound to 1 takes a@1, c@1 and a@2, and d's
+	// direct schedule goes to the heap. Dispatched: a b c d b at 0, a c at
+	// 1, a at 2; d@3 is stale.
+	want := KernelStats{Dispatched: 8, LanePushes: 5, HeapPushes: 4, DelayLanePushes: 3, HeapHighWater: 3, StaleDropped: 1}
 	if got := k.Stats(); got != want {
 		t.Fatalf("Stats() = %+v, want %+v", got, want)
 	}

@@ -34,11 +34,17 @@
 // outlives Run.
 //
 // The event loop is the hot path of every experiment sweep, so it avoids
-// allocation and GC work. The event queue is two parts merged on pop: a
+// allocation and GC work. The event queue is three parts merged on pop: a
 // FIFO ring for wakeups at the current instant (most wakeups: zero-delay
-// yields, channel and signal handoffs, spawns) and a concrete typed binary
-// heap for later ones (no container/heap interface boxing). Both reuse
-// their arrays, and their event records hold no pointers — a process is
+// yields, channel and signal handoffs, spawns), a few FIFO delay lanes,
+// each bound to one exact delay, for Sleep(d) and After(d) wakeups with the
+// few constant delays a model repeats (a network latency, a control
+// message's wire time), and a concrete typed binary heap for the other
+// later ones (no container/heap interface boxing). A wakeup d after now
+// joins its delay lane in O(1): now never decreases, so neither does now+d,
+// and each lane is already in (time, schedule order). The loop pops the
+// smallest head of the three, the order one queue would give. Every part
+// reuses its array, and their event records hold no pointers — a process is
 // named by its index in the kernel's record table — so moving events takes
 // no GC write barrier and the collector never scans the queue. Completed
 // process records (and, for blocking processes, their coroutines) are
@@ -234,8 +240,28 @@ func (l *eventLane) pop() {
 	l.n--
 }
 
+// delayLanes is how many delay lanes a kernel keeps. The demand protocol's
+// timed wakeups are almost all one of two delays (the network latency and
+// a control message's wire time), and a handful more cover most of the
+// rest.
+const delayLanes = 4
+
+// fromHeap names the timed heap where Kernel.next names a delay lane.
+const fromHeap = delayLanes
+
+// delayLane is a FIFO of wakeups each scheduled d after the instant it was
+// pushed at, d > 0. now never decreases and IEEE addition is monotone, so
+// neither does now+d, and seq strictly increases: the lane is already in
+// (at, seq) order. A lane is bound to d while it holds anything and may be
+// rebound to another delay only once it is empty; an unused lane has d 0,
+// which no routed delay equals.
+type delayLane struct {
+	eventLane
+	d Time
+}
+
 // KernelStats are the kernel's self-telemetry counters, read with
-// Kernel.Stats. Every wakeup is either a lane push or a heap push; it is
+// Kernel.Stats. Every wakeup is either a lane push or a timed push; it is
 // later either dispatched, dropped as stale, or still queued (or killed at
 // shutdown).
 type KernelStats struct {
@@ -244,10 +270,14 @@ type KernelStats struct {
 	// LanePushes counts wakeups scheduled at the current instant, which go
 	// to the same-instant FIFO lane.
 	LanePushes uint64
-	// HeapPushes counts wakeups scheduled later than the current instant,
-	// which go to the timed heap.
+	// HeapPushes counts wakeups scheduled later than the current instant:
+	// the timed backlog, held by the heap and the delay lanes.
 	HeapPushes uint64
-	// HeapHighWater is the deepest the timed heap has been.
+	// DelayLanePushes counts the timed wakeups that went to a delay lane
+	// rather than the heap; HeapPushes includes them.
+	DelayLanePushes uint64
+	// HeapHighWater is the deepest the timed backlog (heap plus delay
+	// lanes) has been.
 	HeapHighWater int
 	// StaleDropped counts wakeups dropped because the incarnation they were
 	// scheduled for had finished or been killed.
@@ -258,14 +288,24 @@ type KernelStats struct {
 // spawn processes with Spawn or SpawnStep, then call Run from the goroutine
 // that created it. A Kernel must not be reused after Run returns.
 type Kernel struct {
-	now      Time
-	seq      uint64
-	events   eventHeap // wakeups later than now
-	lane     eventLane // wakeups at now, in schedule order
+	now    Time
+	seq    uint64
+	lane   eventLane             // wakeups at now, in schedule order
+	delays [delayLanes]delayLane // wakeups later than now, one fixed delay each
+	events eventHeap             // other wakeups later than now
+	// next is the timed wakeup (delay lane or heap) that pops first, with
+	// at +Inf when none is queued; it sits at the head of delays[from], or
+	// of the heap when from is fromHeap. timed counts the timed wakeups,
+	// and missed is the last delay delayLane found no lane bound to.
+	next     event
+	from     int
+	timed    int
+	missed   Time
 	stats    KernelStats
 	procs    []*proc // every record ever created; an event's slot indexes it
 	freeCoro []*proc // pooled blocking-process records (coroutine parked)
 	freeStep []*proc // pooled continuation-process records
+	stepping *proc   // the continuation process dispatched last
 	idgen    int
 	failure  error
 	rng      *rand.Rand
@@ -276,7 +316,7 @@ type Kernel struct {
 // NewKernel returns a kernel whose processes draw randomness from the given
 // seed. The same seed always yields an identical execution.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), next: event{at: Time(math.Inf(1))}}
 }
 
 // Now returns the current virtual time.
@@ -402,8 +442,7 @@ func (k *Kernel) schedule(t Time, p *proc) {
 		k.stats.LanePushes++
 	case t < Time(math.Inf(1)):
 		k.events.pushEvent(e)
-		k.stats.HeapPushes++
-		k.stats.HeapHighWater = max(k.stats.HeapHighWater, len(k.events))
+		k.pushedTimed(&e, fromHeap)
 	default:
 		panic(fmt.Sprintf("sim: wakeup at non-finite time %v", float64(t)))
 	}
@@ -411,14 +450,102 @@ func (k *Kernel) schedule(t Time, p *proc) {
 	k.seq++
 }
 
-// pending reports whether any wakeup is queued.
-func (k *Kernel) pending() bool { return k.lane.n > 0 || len(k.events) > 0 }
+// scheduleAfter enqueues a wakeup for p d after now, for Sleep and After
+// with d > 0. It joins the delay lane delayLane picks for d; with none, and
+// for a wakeup that now+d leaves at now or makes non-finite, it is left to
+// schedule.
+func (k *Kernel) scheduleAfter(d Time, p *proc) {
+	t := k.now + d
+	if t > k.now && t < Time(math.Inf(1)) {
+		if i := k.delayLane(d); i < delayLanes {
+			e := event{at: t, seq: k.seq, slot: p.slot, id: p.id}
+			k.delays[i].push(e)
+			k.stats.DelayLanePushes++
+			k.pushedTimed(&e, i)
+			p.state = stateRunnable
+			k.seq++
+			return
+		}
+	}
+	k.schedule(t, p)
+}
 
-// pendingNow reports whether a wakeup is queued at the current instant. The
-// heap's top is never earlier than now, so it is pending now iff it is at
+// delayLane returns the index of the delay lane bound to d, or binds one to
+// d, or returns delayLanes to send the wakeup to the heap. Lanes are bound
+// in index order, so the unbound ones (d 0) are a suffix, and the first is
+// bound at once. A bound lane that has emptied has usually drained a delay
+// that recurs, such as a control message's wire time between bursts, so it
+// is rebound only to a delay that missed twice in a row, which a one-off
+// delay (a tile's compute time) seldom does. Which lane a delay gets does
+// not change the order: any lane holds one delay while it holds anything.
+func (k *Kernel) delayLane(d Time) int {
+	free := delayLanes
+	for i := range k.delays {
+		l := &k.delays[i]
+		switch {
+		case l.d == d:
+			return i
+		case l.d == 0:
+			l.d = d
+			return i
+		case l.n == 0 && free == delayLanes:
+			free = i
+		}
+	}
+	if free < delayLanes && k.missed == d {
+		k.delays[free].d = d
+	} else {
+		free = delayLanes
+	}
+	k.missed = d
+	return free
+}
+
+// pushedTimed accounts for e, just pushed onto timed source src, and makes
+// it next if it pops before the current next. A push that does not land at
+// its source's head cannot: the source's head, and so next, precedes it.
+func (k *Kernel) pushedTimed(e *event, src int) {
+	k.timed++
+	k.stats.HeapPushes++
+	k.stats.HeapHighWater = max(k.stats.HeapHighWater, k.timed)
+	if e.before(&k.next) {
+		k.next, k.from = *e, src
+	}
+}
+
+// popTimed removes next from its source and finds the new next among the
+// heap's top and the delay lanes' heads.
+func (k *Kernel) popTimed() {
+	if k.from == fromHeap {
+		k.events.popMin()
+	} else {
+		k.delays[k.from].pop()
+	}
+	k.timed--
+	if k.timed == 0 {
+		k.next.at = Time(math.Inf(1))
+		return
+	}
+	var min *event
+	if len(k.events) > 0 {
+		min, k.from = &k.events[0], fromHeap
+	}
+	for i := range k.delays {
+		if l := &k.delays[i]; l.n > 0 && (min == nil || l.front().before(min)) {
+			min, k.from = l.front(), i
+		}
+	}
+	k.next = *min
+}
+
+// pending reports whether any wakeup is queued.
+func (k *Kernel) pending() bool { return k.lane.n > 0 || k.timed > 0 }
+
+// pendingNow reports whether a wakeup is queued at the current instant. No
+// timed wakeup is earlier than now, so one is pending now iff next is at
 // now.
 func (k *Kernel) pendingNow() bool {
-	return k.lane.n > 0 || (len(k.events) > 0 && k.events[0].at <= k.now)
+	return k.lane.n > 0 || k.next.at <= k.now
 }
 
 // park suspends the calling blocking process until the kernel resumes it.
@@ -464,14 +591,16 @@ func (k *Kernel) RunUntil(horizon Time) error {
 // without killing anything, so the caller decides whether the kernel keeps
 // living.
 func (k *Kernel) advance(horizon Time) {
+	defer k.recoverStep()
 	for k.failure == nil && k.pending() {
-		// Pop the smaller (at, seq) of the lane head and the heap top.
+		// Pop the smaller (at, seq) of the lane head and the next timed
+		// wakeup, whose at is +Inf when none is queued.
 		var e event
-		fromLane := k.lane.n > 0 && (len(k.events) == 0 || k.lane.front().before(&k.events[0]))
+		fromLane := k.lane.n > 0 && k.lane.front().before(&k.next)
 		if fromLane {
 			e = *k.lane.front()
 		} else {
-			e = k.events[0]
+			e = k.next
 		}
 		if horizon >= 0 && e.at > horizon {
 			break
@@ -479,7 +608,7 @@ func (k *Kernel) advance(horizon Time) {
 		if fromLane {
 			k.lane.pop()
 		} else {
-			k.events.popMin()
+			k.popTimed()
 		}
 		p := k.procs[e.slot]
 		if p.id != e.id || p.state == stateDone || p.state == statePooled {
@@ -611,7 +740,7 @@ func (e *Env) Sleep(d Time) {
 		k.park(e.p)
 		return
 	}
-	k.schedule(k.now+d, e.p)
+	k.scheduleAfter(d, e.p)
 	k.park(e.p)
 }
 
