@@ -183,11 +183,11 @@ func (k *Kernel) dispatchStep(p *proc) {
 }
 
 // recoverStep is deferred by the event loop. A panic raised while a
-// continuation process runs (its step, or the kernel acting on the step's
-// directive) leaves that process running; it mirrors blocking-process panic
-// semantics: record the first failure, end the process, and return, which
-// winds the simulation down. Any other panic is the kernel's own and is
-// raised again.
+// continuation process runs, in its step or in the kernel acting on the
+// step's directive, finds that process still in stateRunning. For it,
+// recoverStep mirrors blocking-process panic semantics: record the first
+// failure, end the process, and return, which winds the simulation down.
+// Any other panic is the kernel's own and is raised again.
 func (k *Kernel) recoverStep() {
 	r := recover()
 	if r == nil {
