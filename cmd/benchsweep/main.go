@@ -281,7 +281,7 @@ func demandRounds(cost sim.Time) int {
 		Placement: []int{0},
 		Seed: func(_ int, emit func(*task.Task)) {
 			for i := 0; i < 48; i++ {
-				emit(&task.Task{Size: 1000, OutSize: 100, Cost: func(hw.Kind) sim.Time { return cost }})
+				emit(&task.Task{Size: 1000, OutSize: 100, Cost: func(*task.Task, hw.Kind) sim.Time { return cost }})
 			}
 		},
 	})

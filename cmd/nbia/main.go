@@ -84,7 +84,7 @@ func main() {
 
 	count := map[hw.Kind]map[int]int{hw.CPU: {}, hw.GPU: {}}
 	for _, r := range res.Records {
-		count[r.Kind][r.Payload.(nbia.TileRef).Level]++
+		count[r.Kind][r.Payload.(*nbia.TileRef).Level]++
 	}
 	fmt.Printf("cluster:          %d node(s)%s\n", *nodes, map[bool]string{true: " (heterogeneous)", false: ""}[*hetero])
 	fmt.Printf("policy:           %s\n", pol)

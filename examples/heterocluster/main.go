@@ -53,7 +53,7 @@ func main() {
 		}
 		var gpuHigh, allHigh int
 		for _, r := range res.Records {
-			if r.Payload.(nbia.TileRef).Level == 1 {
+			if r.Payload.(*nbia.TileRef).Level == 1 {
 				allHigh++
 				if r.Kind == hw.GPU {
 					gpuHigh++

@@ -47,7 +47,7 @@ func main() {
 			return &task.Task{
 				Size:    256,
 				Payload: event{Category: uint64(i*7) % categories, Value: float64(i % 100)},
-				Cost:    func(hw.Kind) sim.Time { return 50 * sim.Microsecond },
+				Cost:    func(*task.Task, hw.Kind) sim.Time { return 50 * sim.Microsecond },
 			}
 		},
 	})
@@ -60,7 +60,7 @@ func main() {
 			return core.Action{Forward: []*task.Task{{
 				Size:    64,
 				Payload: ev,
-				Cost:    func(hw.Kind) sim.Time { return 20 * sim.Microsecond },
+				Cost:    func(*task.Task, hw.Kind) sim.Time { return 20 * sim.Microsecond },
 			}}}
 		},
 	})

@@ -33,23 +33,22 @@ func main() {
 	// would normally come from the kNN performance estimator; here we set
 	// them directly.
 	const items = 1000
+	// One cost function prices every item: it reads the item's size class
+	// from the task it is handed.
+	cost := func(t *task.Task, kind hw.Kind) sim.Time {
+		big := t.Payload.(bool)
+		switch {
+		case big && kind == hw.GPU:
+			return 500 * sim.Microsecond
+		case big:
+			return 10 * sim.Millisecond
+		default:
+			return sim.Millisecond
+		}
+	}
 	makeItem := func(i int) *task.Task {
 		big := i%2 == 0
-		t := &task.Task{
-			Size:    4096,
-			OutSize: 128,
-			Payload: big,
-			Cost: func(kind hw.Kind) sim.Time {
-				switch {
-				case big && kind == hw.GPU:
-					return 500 * sim.Microsecond
-				case big:
-					return 10 * sim.Millisecond
-				default:
-					return sim.Millisecond
-				}
-			},
-		}
+		t := &task.Task{Size: 4096, OutSize: 128, Payload: big, Cost: cost}
 		t.Weight[hw.CPU] = 1
 		if big {
 			t.Weight[hw.GPU] = 20
@@ -89,7 +88,8 @@ func main() {
 	// Single-CPU-core reference for the same work.
 	var oneCore sim.Time
 	for i := 0; i < items; i++ {
-		oneCore += makeItem(i).Cost(hw.CPU)
+		t := makeItem(i)
+		oneCore += t.Cost(t, hw.CPU)
 	}
 
 	fmt.Printf("items processed:   %d (GPU: %d, CPU: %d)\n",

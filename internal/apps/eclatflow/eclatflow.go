@@ -141,16 +141,16 @@ func candidates2(freq1 []int) [][]int {
 }
 
 // countingCost models device time for support counting: proportional to
-// chunk size x candidate count, with the GPU ~4x faster on large batches —
-// the regime Table 1 reports for Eclat.
-func countingCost(txs, cands int) task.CostFunc {
-	work := sim.Time(txs) * sim.Time(cands) * 120 * 1e-9 * sim.Second
-	return func(k hw.Kind) sim.Time {
-		if k == hw.GPU {
-			return work/4 + 200*sim.Microsecond
-		}
-		return work
+// the chunk's transaction count x candidate count, read from the task's
+// chunkTask payload, with the GPU ~4x faster on large batches — the regime
+// Table 1 reports for Eclat.
+func countingCost(t *task.Task, k hw.Kind) sim.Time {
+	ct := t.Payload.(chunkTask)
+	work := sim.Time(len(ct.Chunk)) * sim.Time(len(ct.Candidates)) * 120 * 1e-9 * sim.Second
+	if k == hw.GPU {
+		return work/4 + 200*sim.Microsecond
 	}
+	return work
 }
 
 // runRound counts the supports of one candidate set across all chunks and
@@ -185,7 +185,7 @@ func runRound(cfg Config, db [][]int, cands [][]int) (map[string]int, sim.Time, 
 				Size:    int64((hi - lo) * (cfg.AvgLen + 1) * 4),
 				OutSize: int64(len(cands) * 8),
 				Payload: chunkTask{Chunk: db[lo:hi], Candidates: cands},
-				Cost:    countingCost(hi-lo, len(cands)),
+				Cost:    countingCost,
 			}
 			t.Weight[hw.CPU] = 1
 			t.Weight[hw.GPU] = 4
@@ -207,7 +207,7 @@ func runRound(cfg Config, db [][]int, cands [][]int) (map[string]int, sim.Time, 
 				out = append(out, &task.Task{
 					Size:    64,
 					Payload: countTask{Key: keyOf(cand), Support: sup},
-					Cost:    func(hw.Kind) sim.Time { return 2 * sim.Microsecond },
+					Cost:    func(*task.Task, hw.Kind) sim.Time { return 2 * sim.Microsecond },
 				})
 			}
 			return core.Action{Forward: out}

@@ -14,7 +14,7 @@ import (
 )
 
 // TileRef is the payload of an NBIA task: which tile at which resolution
-// level.
+// level. Tasks carry it as a *TileRef.
 type TileRef struct {
 	ID    uint64
 	Level int
@@ -252,44 +252,6 @@ func (cfg *Config) defaults() {
 	}
 }
 
-// makeColorTask builds the color-conversion stage task (unfused pipeline).
-func (cfg *Config) makeColorTask(id uint64, level int) *task.Task {
-	edge := cfg.Levels[level]
-	t := &task.Task{
-		Params:  []float64{float64(edge)},
-		Size:    TileBytes(edge),
-		OutSize: LabBytes(edge),
-		Payload: TileRef{ID: id, Level: level},
-		Cost: func(kind hw.Kind) sim.Time {
-			if kind == hw.GPU {
-				return ColorGPUTime(id, edge, level)
-			}
-			return ColorCPUTime(id, edge, level)
-		},
-	}
-	cfg.applyWeights(t, id, edge, level)
-	return t
-}
-
-// makeFeatureTask builds the feature/classify stage task (unfused pipeline).
-func (cfg *Config) makeFeatureTask(id uint64, level int) *task.Task {
-	edge := cfg.Levels[level]
-	t := &task.Task{
-		Params:  []float64{float64(edge)},
-		Size:    LabBytes(edge),
-		OutSize: featureBytes,
-		Payload: TileRef{ID: id, Level: level},
-		Cost: func(kind hw.Kind) sim.Time {
-			if kind == hw.GPU {
-				return FeatureGPUTime(id, edge, level)
-			}
-			return FeatureCPUTime(id, edge, level)
-		},
-	}
-	cfg.applyWeights(t, id, edge, level)
-	return t
-}
-
 // applyWeights sets the scheduling weights according to the weight mode.
 func (cfg *Config) applyWeights(t *task.Task, id uint64, edge, level int) {
 	if cfg.Weights == WeightOracle {
@@ -299,25 +261,6 @@ func (cfg *Config) applyWeights(t *task.Task, id uint64, edge, level int) {
 	} else if cfg.Weights == WeightUniform {
 		t.SetUniformWeight()
 	}
-}
-
-// makeTask builds the runtime task for one tile at one level.
-func (cfg *Config) makeTask(id uint64, level int) *task.Task {
-	edge := cfg.Levels[level]
-	t := &task.Task{
-		Params:  []float64{float64(edge)},
-		Size:    TileBytes(edge),
-		OutSize: featureBytes,
-		Payload: TileRef{ID: id, Level: level},
-		Cost: func(kind hw.Kind) sim.Time {
-			if kind == hw.GPU {
-				return GPUKernelTime(id, edge, level)
-			}
-			return CPUTime(id, edge, level)
-		},
-	}
-	cfg.applyWeights(t, id, edge, level)
-	return t
 }
 
 // Run executes the NBIA filter graph on the configured cluster and returns
@@ -344,9 +287,10 @@ func Run(cfg Config) (*Result, error) {
 	// (demand-driven disk reads), so fresh low-resolution tiles and
 	// resubmitted high-resolution tiles interleave in the send queues.
 	nr := len(cfg.Readers)
-	firstTask := cfg.makeTask
+	b := newBirths(&cfg)
+	firstTask := b.makeTask
 	if cfg.Unfused {
-		firstTask = cfg.makeColorTask
+		firstTask = b.makeColorTask
 	}
 	readers := rt.AddFilter(core.FilterSpec{
 		Name:      "reader",
@@ -366,9 +310,9 @@ func Run(cfg Config) (*Result, error) {
 		AsyncCopy:           cfg.AsyncCopy,
 		MaxConcurrentCopies: cfg.MaxConcurrentCopies,
 	}
-	classify := func(ref TileRef) core.Action {
+	classify := func(ref *TileRef) core.Action {
 		if ref.Level+1 < len(cfg.Levels) && recalcNeeded(ref.ID, ref.Level, cfg.RecalcRate) {
-			return core.Action{Resubmit: []*task.Task{firstTask(ref.ID, ref.Level+1)}}
+			return b.resubmit(firstTask(ref.ID, ref.Level+1))
 		}
 		return core.Action{}
 	}
@@ -379,14 +323,14 @@ func Run(cfg Config) (*Result, error) {
 		colorSpec := workerSpec
 		colorSpec.Name = "colorconv"
 		colorSpec.Handler = func(ctx *core.Ctx, t *task.Task) core.Action {
-			ref := t.Payload.(TileRef)
-			return core.Action{Forward: []*task.Task{cfg.makeFeatureTask(ref.ID, ref.Level)}}
+			ref := t.Payload.(*TileRef)
+			return b.forward(b.makeFeatureTask(ref.ID, ref.Level))
 		}
 		color := rt.AddFilter(colorSpec)
 		featSpec := workerSpec
 		featSpec.Name = "features"
 		featSpec.Handler = func(ctx *core.Ctx, t *task.Task) core.Action {
-			return classify(t.Payload.(TileRef))
+			return classify(t.Payload.(*TileRef))
 		}
 		features := rt.AddFilter(featSpec)
 		rt.Connect(readers, color, cfg.Policy)
@@ -394,7 +338,7 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		workerSpec.Name = "nbia"
 		workerSpec.Handler = func(ctx *core.Ctx, t *task.Task) core.Action {
-			return classify(t.Payload.(TileRef))
+			return classify(t.Payload.(*TileRef))
 		}
 		worker := rt.AddFilter(workerSpec)
 		rt.Connect(readers, worker, cfg.Policy)

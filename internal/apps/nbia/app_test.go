@@ -139,7 +139,7 @@ func TestDDWRRSteersLowResToCPU(t *testing.T) {
 	res := runNBIA(t, false, 1, 26742, 0.16, policy.DDWRR(32), 1)
 	counts := map[hw.Kind]map[int]int{hw.CPU: {}, hw.GPU: {}}
 	for _, r := range res.Records {
-		counts[r.Kind][r.Payload.(TileRef).Level]++
+		counts[r.Kind][r.Payload.(*TileRef).Level]++
 	}
 	lowOnCPU := float64(counts[hw.CPU][0]) / 26742
 	highOnCPU := float64(counts[hw.CPU][1]) / float64(counts[hw.CPU][1]+counts[hw.GPU][1])
@@ -193,7 +193,7 @@ func TestProcRecordsCoverAllTiles(t *testing.T) {
 	}
 	low, high := 0, 0
 	for _, r := range res.Records {
-		switch r.Payload.(TileRef).Level {
+		switch r.Payload.(*TileRef).Level {
 		case 0:
 			low++
 		case 1:
@@ -226,7 +226,7 @@ func TestThreeLevelPyramid(t *testing.T) {
 	}
 	perLevel := map[int]int{}
 	for _, r := range res.Records {
-		perLevel[r.Payload.(TileRef).Level]++
+		perLevel[r.Payload.(*TileRef).Level]++
 	}
 	if perLevel[0] != 2000 {
 		t.Fatalf("level 0 count = %d", perLevel[0])
@@ -332,7 +332,7 @@ func TestUnfusedRecalcGoesThroughColorConversion(t *testing.T) {
 		if counts[r.Filter] == nil {
 			counts[r.Filter] = map[int]int{}
 		}
-		counts[r.Filter][r.Payload.(TileRef).Level]++
+		counts[r.Filter][r.Payload.(*TileRef).Level]++
 	}
 	if counts["colorconv"][1] == 0 {
 		t.Fatalf("no high-res tiles through color conversion: %v", counts)

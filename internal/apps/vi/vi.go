@@ -76,19 +76,19 @@ type Result struct {
 // incrementer vector (exported for the fig7 observability capture, which
 // replays the VI workload on the core runtime).
 func ChunkTask(ints int64) *task.Task {
-	t := &task.Task{
-		Size:    4 * ints,
-		OutSize: 4 * ints,
-		Cost: func(k hw.Kind) sim.Time {
-			if k == hw.GPU {
-				return gpuPerInt * sim.Time(ints)
-			}
-			// The CPU has no SIMD accelerator here; ~8x slower.
-			return 8 * gpuPerInt * sim.Time(ints)
-		},
-	}
+	t := &task.Task{Size: 4 * ints, OutSize: 4 * ints, Cost: chunkCost}
 	t.SetUniformWeight()
 	return t
+}
+
+// chunkCost prices a chunk task from its size, 4 bytes per int.
+func chunkCost(t *task.Task, k hw.Kind) sim.Time {
+	ints := t.Size / 4
+	if k == hw.GPU {
+		return gpuPerInt * sim.Time(ints)
+	}
+	// The CPU has no SIMD accelerator here; ~8x slower.
+	return 8 * gpuPerInt * sim.Time(ints)
 }
 
 // Run executes the vector incrementer on a single simulated GPU.

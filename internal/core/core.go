@@ -34,7 +34,10 @@ const ctrlMsgBytes = 64
 // field it wants to keep rather than the pointer.
 type Handler func(ctx *Ctx, t *task.Task) Action
 
-// Action is what a handler wants done with its results.
+// Action is what a handler wants done with its results. The runtime reads
+// both slices before the worker that called the handler runs anything
+// else, and keeps neither, so a handler may return slices over one backing
+// array it reuses from call to call.
 type Action struct {
 	// Forward sends buffers down the filter's output stream.
 	Forward []*task.Task

@@ -37,7 +37,7 @@ func buildSimple(c *hw.Cluster, nTasks int, cost task.CostFunc, workerSpec Filte
 }
 
 func fixedCost(d sim.Time) task.CostFunc {
-	return func(hw.Kind) sim.Time { return d }
+	return func(*task.Task, hw.Kind) sim.Time { return d }
 }
 
 func TestSingleCPUWorkerProcessesSerially(t *testing.T) {
@@ -188,7 +188,7 @@ func TestWRRSteersTasksToBestDevice(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				friendly := i%2 == 0
 				tk := &task.Task{Size: 1000, OutSize: 100, Payload: friendly,
-					Cost: func(kd hw.Kind) sim.Time { return cost(kd, friendly) }}
+					Cost: func(_ *task.Task, kd hw.Kind) sim.Time { return cost(kd, friendly) }}
 				tk.Weight[hw.CPU] = 1
 				if friendly {
 					tk.Weight[hw.GPU] = 30

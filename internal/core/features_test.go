@@ -215,7 +215,7 @@ func TestTunableGreedyBatchingNeverWins(t *testing.T) {
 				// burns hundreds of milliseconds each.
 				big := i%6 == 0
 				tk := &task.Task{Size: 2000, OutSize: 100, Payload: big,
-					Cost: func(kd hw.Kind) sim.Time {
+					Cost: func(_ *task.Task, kd hw.Kind) sim.Time {
 						switch {
 						case big && kd == hw.GPU:
 							return sim.Millisecond

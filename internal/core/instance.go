@@ -377,6 +377,13 @@ type worker struct {
 	reqNames  []string // one per input stream
 	// ctx is the handler's context, built once; run sets its Env.
 	ctx Ctx
+	// GPU workers only: the arrays popBatch fills, reused batch after
+	// batch (run is done with a batch before it pops the next), and the
+	// one-element batch of the synchronous path.
+	batch  []*task.Task
+	states []*reqState
+	qis    []int
+	single [1]*task.Task
 }
 
 func (w *worker) name() string { return w.procName }
@@ -694,15 +701,16 @@ func (w *worker) tryPopAtLeast(minKey float64) (*task.Task, *reqState, int) {
 }
 
 // popBatch collects up to n events, blocking only for the first. Extension
-// events must have comparable affinity to the first one.
+// events must have comparable affinity to the first one. The returned
+// slices are the worker's own and are overwritten by the next popBatch.
 func (w *worker) popBatch(e *sim.Env, n int) ([]*task.Task, []*reqState, []int) {
 	t, st, qi := w.pop(e)
 	if t == nil {
 		return nil, nil, nil
 	}
-	batch := []*task.Task{t}
-	states := []*reqState{st}
-	qis := []int{qi}
+	batch := append(w.batch[:0], t)
+	states := append(w.states[:0], st)
+	qis := append(w.qis[:0], qi)
 	ratio := w.inst.rt.tun.BatchAffinityRatio
 	minKey := t.Key[w.kind] * ratio
 	if sch := w.inst.inputs[qi].s.pol.Sched; sch != nil {
@@ -722,6 +730,7 @@ func (w *worker) popBatch(e *sim.Env, n int) ([]*task.Task, []*reqState, []int) 
 		states = append(states, st)
 		qis = append(qis, qi)
 	}
+	w.batch, w.states, w.qis = batch, states, qis
 	return batch, states, qis
 }
 
@@ -766,9 +775,10 @@ func (w *worker) run(e *sim.Env) {
 			}
 			start := e.Now()
 			if w.kind == hw.GPU {
-				w.exec.RunBatch(e, []*task.Task{t})
+				w.single[0] = t
+				w.exec.RunBatch(e, w.single[:])
 			} else {
-				w.dev.Run(e, t.Cost(w.kind))
+				w.dev.Run(e, t.Cost(t, w.kind))
 			}
 			if w.inst.dead {
 				w.abortReclaim(qi, t)

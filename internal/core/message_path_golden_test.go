@@ -39,7 +39,7 @@ func goldenTrace(t *testing.T, serialRequester bool) []string {
 		SourceMake: func(inst, i int) *task.Task {
 			return &task.Task{
 				Size: 40 << 10, OutSize: 4 << 10,
-				Cost: func(kw hw.Kind) sim.Time {
+				Cost: func(_ *task.Task, kw hw.Kind) sim.Time {
 					if kw == hw.GPU {
 						return 300 * sim.Microsecond
 					}
@@ -54,7 +54,7 @@ func goldenTrace(t *testing.T, serialRequester bool) []string {
 		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action {
 			act := core.Action{Forward: []*task.Task{{
 				Size: 24 << 10, OutSize: 2 << 10,
-				Cost: func(kw hw.Kind) sim.Time {
+				Cost: func(_ *task.Task, kw hw.Kind) sim.Time {
 					if kw == hw.GPU {
 						return 200 * sim.Microsecond
 					}
@@ -67,7 +67,7 @@ func goldenTrace(t *testing.T, serialRequester bool) []string {
 			if gen := tk.Payload.(int); gen == 0 && tk.ID%7 == 0 {
 				act.Resubmit = []*task.Task{{
 					Size: 40 << 10, OutSize: 4 << 10,
-					Cost:    func(hw.Kind) sim.Time { return 500 * sim.Microsecond },
+					Cost:    func(*task.Task, hw.Kind) sim.Time { return 500 * sim.Microsecond },
 					Payload: 1,
 				}}
 			}

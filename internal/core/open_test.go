@@ -56,7 +56,7 @@ func runOverload(t *testing.T, limit int) (st *arrival.Stats, res core.Result, a
 	st = arrival.Drive(rt, gw, sched.Times(1), func(k int) *task.Task {
 		return &task.Task{
 			Size: 1 << 10, OutSize: 256,
-			Cost:    func(hw.Kind) sim.Time { return sim.Millisecond },
+			Cost:    func(*task.Task, hw.Kind) sim.Time { return sim.Millisecond },
 			Payload: k,
 		}
 	})

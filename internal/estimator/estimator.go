@@ -37,6 +37,8 @@ type Sample struct {
 type Profile struct {
 	samples []Sample
 	maxima  []float64
+	// version counts Adds, so an Estimator can tell its memo is stale.
+	version uint64
 }
 
 // NewProfile returns an empty profile.
@@ -57,6 +59,7 @@ func (p *Profile) Add(s Sample) {
 		}
 	}
 	p.samples = append(p.samples, s)
+	p.version++
 }
 
 // Len returns the number of samples.
@@ -234,9 +237,53 @@ func (p *Profile) predictSpeedup(params []float64, cats []string, base, target h
 
 // Estimator is the run-time facade the Event Scheduler queries: it predicts
 // the speedup of a task on a device class relative to the baseline CPU.
+//
+// The runtime asks for one estimate per task it creates, and most tasks of
+// a workload repeat a handful of parameter sets (an NBIA task's only
+// parameter is its tile edge), so the estimator memoizes its answers. The
+// memo is exact: a key matches only bit for bit, and an answer is a pure
+// function of the profile, k and the key, so a hit returns exactly what the
+// kNN scan would. An Add to the profile invalidates the memo. An Estimator
+// is not safe for concurrent use; give each goroutine its own.
 type Estimator struct {
 	profile *Profile
 	k       int
+	memo    []memoEntry
+	// memoVersion is the profile version the memo's answers were computed
+	// on.
+	memoVersion uint64
+}
+
+// memoCap bounds the memo. Queries past it are answered by the scan and
+// not remembered, so a workload with many distinct parameter sets costs a
+// short failed lookup per estimate and nothing more.
+const memoCap = 16
+
+// memoEntry is one remembered speedup: the key is the query's kind, its
+// parameters compared with math.Float64bits (so -0 and +0, or two NaN
+// payloads, are different keys) and its categories.
+type memoEntry struct {
+	kind    hw.Kind
+	params  []float64
+	cats    []string
+	speedup float64
+}
+
+func (m *memoEntry) matches(kind hw.Kind, params []float64, cats []string) bool {
+	if m.kind != kind || len(m.params) != len(params) || len(m.cats) != len(cats) {
+		return false
+	}
+	for i, v := range params {
+		if math.Float64bits(v) != math.Float64bits(m.params[i]) {
+			return false
+		}
+	}
+	for i, c := range cats {
+		if m.cats[i] != c {
+			return false
+		}
+	}
+	return true
 }
 
 // New creates an estimator over a profile with the given k (the paper uses
@@ -254,7 +301,26 @@ func (e *Estimator) Speedup(kind hw.Kind, params []float64, cats []string) float
 	if kind == hw.CPU {
 		return 1
 	}
-	return e.profile.PredictSpeedup(params, cats, hw.CPU, kind, e.k)
+	if e.memoVersion != e.profile.version {
+		clear(e.memo)
+		e.memo = e.memo[:0]
+		e.memoVersion = e.profile.version
+	}
+	for i := range e.memo {
+		if m := &e.memo[i]; m.matches(kind, params, cats) {
+			return m.speedup
+		}
+	}
+	sp := e.profile.PredictSpeedup(params, cats, hw.CPU, kind, e.k)
+	if len(e.memo) < memoCap {
+		e.memo = append(e.memo, memoEntry{
+			kind:    kind,
+			params:  append([]float64(nil), params...),
+			cats:    append([]string(nil), cats...),
+			speedup: sp,
+		})
+	}
+	return sp
 }
 
 // Features exposes the profile's normalized feature vector for the

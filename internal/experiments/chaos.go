@@ -107,7 +107,7 @@ func runChaosPoint(cfg Config, pol func() policy.StreamPolicy,
 	}
 	seen := map[nbia.TileRef]int{}
 	for _, r := range res.Records {
-		seen[r.Payload.(nbia.TileRef)]++
+		seen[*r.Payload.(*nbia.TileRef)]++
 	}
 	pt.unique = len(seen)
 	for _, n := range seen {

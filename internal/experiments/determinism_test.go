@@ -126,16 +126,27 @@ func document(cfg Config, reps []*Report) string {
 	return b.String()
 }
 
-// pinnedDigest returns the sha256 hex digest pinned in
-// scripts/<name>.sha256, as scripts/byte-identity.sh checks it.
-func pinnedDigest(t *testing.T, name string) string {
+// pinnedDigest returns the sha256 hex digest scripts/<pin>.sha256 lists
+// for file, as scripts/byte-identity.sh checks it with sha256sum -c.
+func pinnedDigest(t *testing.T, pin, file string) string {
 	t.Helper()
-	pin, err := os.ReadFile("../../scripts/" + name + ".sha256")
+	sums, err := os.ReadFile("../../scripts/" + pin + ".sha256")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := strings.Cut(string(pin), " ")
-	return want
+	for _, line := range strings.Split(string(sums), "\n") {
+		if sum, name, ok := strings.Cut(line, "  "); ok && name == file {
+			return sum
+		}
+	}
+	t.Fatalf("scripts/%s.sha256 pins no digest for %s", pin, file)
+	return ""
+}
+
+// sha256Hex is the hex sha256 digest of b, as sha256sum prints it.
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestExtrasPinnedDigests renders the serving and policylab extras at
@@ -149,10 +160,39 @@ func TestExtrasPinnedDigests(t *testing.T) {
 			t.Fatalf("experiment %q not registered", id)
 		}
 		doc := renderMany(t, Config{Seed: 1}, []Experiment{e}, 0)
-		sum := sha256.Sum256([]byte(doc))
 		name := "exp_" + id + "_seed1"
-		if got, want := hex.EncodeToString(sum[:]), pinnedDigest(t, name); got != want {
+		if got, want := sha256Hex([]byte(doc)), pinnedDigest(t, name, name+".md"); got != want {
 			t.Errorf("seed 1: -exp %s report hashes to %s, scripts/%s.sha256 pins %s", id, got, name, want)
+		}
+	}
+}
+
+// TestServingCapturePinned renders -exp serving at seed 1 with the
+// observability capture on, as anthill-sim -exp serving -seed 1 -trace
+// -metrics-out -explain-out writes it, and checks the report and the three
+// capture files against scripts/serving_capture_seed1.sha256.
+func TestServingCapturePinned(t *testing.T) {
+	e, ok := ByID("serving")
+	if !ok {
+		t.Fatal("experiment \"serving\" not registered")
+	}
+	reps := RunMany(Config{Seed: 1, Observe: true}, []Experiment{e})
+	if len(reps) != 1 || reps[0].Obs == nil {
+		t.Fatal("-exp serving produced no observability capture")
+	}
+	const pin = "serving_capture_seed1"
+	obs := reps[0].Obs
+	for _, f := range []struct {
+		file string
+		data []byte
+	}{
+		{pin + ".md", []byte(reps[0].Render())},
+		{pin + ".trace.json", obs.Trace},
+		{pin + ".metrics.json", obs.Metrics},
+		{pin + ".explain.json", obs.Explain},
+	} {
+		if got, want := sha256Hex(f.data), pinnedDigest(t, pin, f.file); got != want {
+			t.Errorf("seed 1: %s hashes to %s, scripts/%s.sha256 pins %s", f.file, got, pin, want)
 		}
 	}
 }
@@ -169,14 +209,13 @@ func TestRunAllDeterminism(t *testing.T) {
 		t.Skip("full-registry determinism check skipped under -race " +
 			"(TestSweepDeterminismQuick covers the pool under the detector)")
 	}
-	want := pinnedDigest(t, "exp_all_seed1")
+	want := pinnedDigest(t, "exp_all_seed1", "exp_all_seed1.md")
 	seeds := determinismSeeds(t)
 	for seed := int64(1); seed <= seeds; seed++ {
 		cfg := Config{Seed: seed}
 		serial := document(cfg, serialRun(seed))
 		if seed == 1 {
-			sum := sha256.Sum256([]byte(serial))
-			if got := hex.EncodeToString(sum[:]); got != want {
+			if got := sha256Hex([]byte(serial)); got != want {
 				t.Errorf("seed 1: -exp all document hashes to %s, scripts/exp_all_seed1.sha256 pins %s", got, want)
 			}
 		}

@@ -104,7 +104,7 @@ func runTable4(cfg Config) *Report {
 		res := nbiaCase{nodes: 1, tiles: tiles, rate: 0.16,
 			pol: policies[i].pol, useGPU: true, cpuWorkers: 1, records: true, seed: cfg.Seed}.run()
 		prof := metrics.ProfileBy(res.Records, func(r core.ProcRecord) int {
-			return r.Payload.(nbia.TileRef).Level
+			return r.Payload.(*nbia.TileRef).Level
 		})
 		return [2]float64{prof.Percent(hw.CPU, 0), prof.Percent(hw.CPU, 1)}
 	})

@@ -175,7 +175,7 @@ func runTable6(cfg Config) *Report {
 		res := nbiaCase{hetero: env.hetero, nodes: env.nodes, tiles: tiles, rate: 0.08,
 			pol: p.New(), useGPU: true, cpuWorkers: -1, records: true, seed: cfg.Seed}.run()
 		prof := metrics.ProfileBy(res.Records, func(r core.ProcRecord) int {
-			return r.Payload.(nbia.TileRef).Level
+			return r.Payload.(*nbia.TileRef).Level
 		})
 		return [2]float64{prof.Percent(hw.GPU, 0), prof.Percent(hw.GPU, 1)}
 	})

@@ -297,7 +297,7 @@ func runPolicylabPoint(cfg Config, s labShape, def labPolicyDef, seed int64) lab
 	pt.faulted = res.Makespan
 	seen := map[nbia.TileRef]int{}
 	for _, r := range res.Records {
-		seen[r.Payload.(nbia.TileRef)]++
+		seen[*r.Payload.(*nbia.TileRef)]++
 	}
 	pt.unique = len(seen)
 	for _, n := range seen {

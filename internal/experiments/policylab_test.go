@@ -116,9 +116,9 @@ func TestPolicylabRivalChaosConservation(t *testing.T) {
 				t.Fatalf("faulted: %v", err)
 			}
 			want := int(nbia.ExpectedLineages(labTiles(cfg), nbia.DefaultLevels, labRecalc, 0))
-			seen := map[any]int{}
+			seen := map[nbia.TileRef]int{}
 			for _, r := range res.Records {
-				seen[r.Payload]++
+				seen[*r.Payload.(*nbia.TileRef)]++
 			}
 			if len(seen) != want {
 				t.Errorf("%d unique lineages processed, want %d", len(seen), want)

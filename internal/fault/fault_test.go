@@ -152,7 +152,7 @@ func buildRun(t *testing.T, s *Schedule, pol policy.StreamPolicy) (sim.Time, map
 		Name: "source", Placement: []int{0},
 		Seed: func(_ int, emit func(*task.Task)) {
 			for i := 0; i < 40; i++ {
-				emit(&task.Task{Size: 1000, Cost: func(hw.Kind) sim.Time { return sim.Millisecond }})
+				emit(&task.Task{Size: 1000, Cost: func(*task.Task, hw.Kind) sim.Time { return sim.Millisecond }})
 			}
 		},
 	})

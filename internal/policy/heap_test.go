@@ -26,7 +26,9 @@ func (h *refHeap) Pop() any {
 }
 
 // refQueue is the Sorted side of Queue on container/heap: the same lazy
-// deletion by push stamp, the same compaction when the queue empties. Live
+// deletion by push stamp, the same compaction when the queue empties, and
+// the same pruning of a heap whose dead entries outnumber its live ones
+// (keep the live entries in array order, then heap.Init). Live
 // stamps are a set and each queued task's current stamp a map, so the
 // reference shares none of the bitset's arithmetic.
 type refQueue struct {
@@ -48,6 +50,16 @@ func (r *refQueue) push(t *task.Task) {
 	r.live[s] = true
 	r.cur[t] = s
 	for _, k := range hw.Kinds {
+		if h := &r.heaps[k]; h.Len() > 2*(r.n-1) {
+			var kept refHeap
+			for _, it := range *h {
+				if r.live[it.stamp] {
+					kept = append(kept, it)
+				}
+			}
+			*h = kept
+			heap.Init(h)
+		}
 		heap.Push(&r.heaps[k], heapItem{t: t, key: t.Key[k], seq: t.Seq, stamp: s})
 	}
 }
@@ -246,5 +258,54 @@ func TestSortedPopOrderMatchesModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPruneBoundsHeaps: when nearly every pop goes through the GPU view,
+// the CPU heap's dead entries would pile up until the queue empties. With
+// pruning, right after any Push each heap holds at most 2*Len()-1 entries:
+// the prune trigger (more than twice the live entries before the push)
+// plus the pushed entry. Pops come out in the model order throughout.
+func TestPruneBoundsHeaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	q := NewQueue(Sorted)
+	live := map[*task.Task]bool{}
+	var seq uint64
+	push := func() {
+		seq++
+		tk := &task.Task{ID: seq, Seq: seq}
+		tk.Key[hw.GPU] = float64(rng.Intn(8))
+		tk.Key[hw.CPU] = float64(rng.Intn(8))
+		q.Push(tk)
+		live[tk] = true
+		for _, k := range hw.Kinds {
+			if n := len(q.heaps[k]); n > 2*q.Len()-1 {
+				t.Fatalf("push %d: %v heap has %d entries for %d queued tasks", seq, k, n, q.Len())
+			}
+		}
+	}
+	for range 64 {
+		push()
+	}
+	for op := 0; op < 20000; op++ {
+		if rng.Intn(2) == 0 || q.Len() == 1 {
+			push()
+			continue
+		}
+		kind := hw.GPU
+		if rng.Intn(20) == 0 {
+			kind = hw.CPU
+		}
+		var want *task.Task
+		for tk := range live {
+			if want == nil || tk.Key[kind] > want.Key[kind] ||
+				(tk.Key[kind] == want.Key[kind] && tk.Seq < want.Seq) {
+				want = tk
+			}
+		}
+		if got := q.PopFor(kind); got != want {
+			t.Fatalf("op %d: PopFor(%v) = %+v, model %+v", op, kind, got, want)
+		}
+		delete(live, want)
 	}
 }

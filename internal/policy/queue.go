@@ -115,7 +115,8 @@ type fifoItem struct {
 // popped either FIFO or per-device-class by descending relative advantage.
 // A task popped through one view disappears from all views (the paper's
 // DBSA "removes the same buffer from all other sorted queues"); this is
-// implemented with lazy deletion, so Push and PopFor are O(log n) amortized.
+// implemented with lazy deletion, so Push and PopFor are O(log n) amortized;
+// Push prunes a heap whose dead entries outnumber its live ones.
 //
 // Liveness is by push stamp: each Push takes the next stamp, every view's
 // entry for that push carries it, and the entry is live while the stamp's
@@ -169,8 +170,42 @@ func (q *Queue) Push(t *task.Task) {
 		return
 	}
 	for _, k := range hw.Kinds {
+		q.prune(k)
 		q.heaps[k].push(heapItem{t: t, key: t.Key[k], seq: t.Seq, stamp: s})
 	}
+}
+
+// prune drops heap k's dead entries once they outnumber its live ones, so
+// a heap the pops rarely go through (the CPU heap, when GPUs do most of
+// the popping) stays within about twice the queue's length instead of
+// growing, and keeping popped tasks reachable, until the queue empties.
+// Push calls it before adding its own entry: every task queued before
+// that push has exactly one live entry in the heap. The live entries are
+// kept in array order and the heap is rebuilt as heap.Init does.
+//
+// Pruning does not change what the queue hands out. Among live entries
+// (key, seq) is a strict total order, because Seq is unique per queued
+// task, so the heap yields the same live entry first whatever dead entries
+// sit around it and wherever they sit; and PopRanked and PeekRanked break
+// score ties by Seq, not by array position.
+func (q *Queue) prune(k hw.Kind) {
+	h := q.heaps[k]
+	if len(h) <= 2*(q.n-1) {
+		return
+	}
+	n := 0
+	for _, it := range h {
+		if q.isLive(it.stamp) {
+			h[n] = it
+			n++
+		}
+	}
+	clear(h[n:])
+	h = h[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+	q.heaps[k] = h
 }
 
 // PopFor removes and returns the best task for the given device class, or

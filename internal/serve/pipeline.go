@@ -90,7 +90,7 @@ func Build(rt *core.Runtime, p Pipeline) *arrival.Stats {
 	})
 }
 
-func requestCost(k hw.Kind) sim.Time {
+func requestCost(_ *task.Task, k hw.Kind) sim.Time {
 	if k == hw.GPU {
 		return GPUCost
 	}

@@ -492,3 +492,39 @@ func TestZeroAfterStepAllocs(t *testing.T) {
 		zeroAfterStepWorkload(10000)
 	})
 }
+
+// reusedSyncWorkload runs rounds of one Signal and one WaitGroup, both
+// reused: each round resets the signal, a step process fires it and, a
+// tick later, marks the group done, and the waiting process blocks on
+// each in turn.
+func reusedSyncWorkload(rounds int) {
+	k := NewKernel(1)
+	sig, wg := NewSignal(k), NewWaitGroup(k)
+	done := func(*Env) Cont { wg.Done(); return Done() }
+	fire := func(*Env) Cont { sig.Fire(); return After(1, done) }
+	k.Spawn("waiter", func(e *Env) {
+		for range rounds {
+			sig.Reset()
+			wg.Add(1)
+			e.Kernel().SpawnStep("fire", fire)
+			sig.Wait(e)
+			wg.Wait(e)
+		}
+	})
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// TestReusedSyncAllocs: a reused Signal and WaitGroup keep their waiter
+// arrays, so ten times the rounds costs not one allocation more.
+func TestReusedSyncAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation thresholds are not meaningful under -race")
+	}
+	short := testing.AllocsPerRun(5, func() { reusedSyncWorkload(100) })
+	long := testing.AllocsPerRun(5, func() { reusedSyncWorkload(1000) })
+	if long > short {
+		t.Errorf("%.0f allocs at 10x the rounds vs %.0f: a reused Signal or WaitGroup allocates per wait", long, short)
+	}
+}

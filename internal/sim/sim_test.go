@@ -959,3 +959,31 @@ func TestChanCloseWakesPooledStepGetters(t *testing.T) {
 		t.Fatalf("after close: %d queued getters and %d pooled records, want 0 and 3", len(ch.getQ), len(ch.freeGet))
 	}
 }
+
+// TestSignalReset: a reset signal blocks its waiters again until the next
+// Fire, and a reset of an unfired signal changes nothing.
+func TestSignalReset(t *testing.T) {
+	k := NewKernel(1)
+	sig := NewSignal(k)
+	sig.Reset()
+	var woke []Time
+	k.Spawn("waiter", func(e *Env) {
+		sig.Wait(e)
+		woke = append(woke, e.Now())
+		sig.Reset()
+		sig.Wait(e)
+		woke = append(woke, e.Now())
+	})
+	k.Spawn("firer", func(e *Env) {
+		e.Sleep(2)
+		sig.Fire()
+		e.Sleep(3)
+		sig.Fire()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{2, 5}; !reflect.DeepEqual(woke, want) {
+		t.Fatalf("woke = %v, want %v", woke, want)
+	}
+}

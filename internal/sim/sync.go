@@ -74,7 +74,9 @@ func (r *Resource) Use(e *Env, fn func()) {
 }
 
 // Signal is a one-shot broadcast event: every process that Waits before Fire
-// blocks; Fire releases them all, and later Waits return immediately.
+// blocks; Fire releases them all, and later Waits return immediately. Reset
+// re-arms a fired signal for reuse. The waiter array is kept across Fire, so
+// a reused signal queues its waiters without allocating.
 type Signal struct {
 	k       *Kernel
 	fired   bool
@@ -114,11 +116,17 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	for _, p := range s.waiters {
+	for i, p := range s.waiters {
 		s.k.schedule(s.k.now, p)
+		s.waiters[i] = nil
 	}
-	s.waiters = nil
+	s.waiters = s.waiters[:0]
 }
+
+// Reset re-arms the signal, so later Waits block until the next Fire. A
+// fired signal has no waiters, so nothing is lost; resetting an unfired
+// signal is a no-op.
+func (s *Signal) Reset() { s.fired = false }
 
 // Cond is a condition variable for the cooperative kernel: because only one
 // process runs at a time no mutex is needed, but waiters must re-check their
@@ -168,6 +176,8 @@ func (c *Cond) NotifyOne() {
 }
 
 // WaitGroup tracks completion of a dynamic set of processes in virtual time.
+// Once the counter is back at zero the group can be reused; its waiter array
+// is kept, so a reused group queues its waiters without allocating.
 type WaitGroup struct {
 	k     *Kernel
 	count int
@@ -187,10 +197,11 @@ func (w *WaitGroup) Done() {
 		panic("sim: WaitGroup counter below zero")
 	}
 	if w.count == 0 {
-		for _, p := range w.done {
+		for i, p := range w.done {
 			w.k.schedule(w.k.now, p)
+			w.done[i] = nil
 		}
-		w.done = nil
+		w.done = w.done[:0]
 	}
 }
 

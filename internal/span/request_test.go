@@ -82,7 +82,7 @@ func runOpenPipe(t testing.TB, p openPipe) (*Collector, *arrival.Stats, core.Res
 	st := arrival.Drive(rt, gw, sched.Times(p.seed), func(int) *task.Task {
 		return &task.Task{
 			Size: 8 << 10, OutSize: 1 << 10,
-			Cost: func(kw hw.Kind) sim.Time {
+			Cost: func(_ *task.Task, kw hw.Kind) sim.Time {
 				if kw == hw.GPU {
 					return 300 * sim.Microsecond
 				}

@@ -57,7 +57,7 @@ func runPipe(t testing.TB, p pipe) (*Attribution, core.Result) {
 		cost := sim.Time(20+i%11) * sim.Microsecond
 		return &task.Task{
 			Size: 64 << 10, OutSize: 1 << 10,
-			Cost: func(hw.Kind) sim.Time { return cost },
+			Cost: func(*task.Task, hw.Kind) sim.Time { return cost },
 		}
 	}
 	spec := core.FilterSpec{Name: "source", Placement: []int{0}}

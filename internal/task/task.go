@@ -10,11 +10,14 @@ import (
 	"repro/internal/sim"
 )
 
-// CostFunc gives the pure computation time of a task on a device class,
+// CostFunc gives the pure computation time of task t on a device class,
 // excluding data transfers (which the runtime models separately through the
 // PCIe link). This is where the data-dependent performance of the paper
-// lives: the function is free to depend on the task's content.
-type CostFunc func(kind hw.Kind) sim.Time
+// lives: the function is free to depend on the task's content. It receives
+// the task it prices, so one function can serve every task of an
+// application, reading what it needs (a payload, a parameter) from t
+// rather than from a closure built per task.
+type CostFunc func(t *Task, kind hw.Kind) sim.Time
 
 // Task is one data buffer traveling down a stream.
 type Task struct {
@@ -28,7 +31,8 @@ type Task struct {
 	// Seq is the global FIFO ordering stamp, assigned when the task enters
 	// a queue for the first time.
 	Seq uint64
-	// Params and Cats are the inputs to the performance estimator.
+	// Params and Cats are the inputs to the performance estimator. The
+	// runtime only reads them, so tasks may share one read-only slice.
 	Params []float64
 	Cats   []string
 	// Size is the input data buffer size in bytes (drives network and
@@ -82,9 +86,4 @@ func (t *Task) ComputeKeys() {
 		t.Key[k] = w[k] / best
 	}
 	t.Weight = w
-}
-
-// FixedCost returns a CostFunc with one constant time per device class.
-func FixedCost(times map[hw.Kind]sim.Time) CostFunc {
-	return func(k hw.Kind) sim.Time { return times[k] }
 }

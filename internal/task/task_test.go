@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/hw"
-	"repro/internal/sim"
 )
 
 func TestComputeKeysTwoKinds(t *testing.T) {
@@ -38,13 +37,6 @@ func TestSetUniformWeight(t *testing.T) {
 		if tk.Weight[k] != 1 || tk.Key[k] != 1 {
 			t.Fatalf("weights = %v keys = %v", tk.Weight, tk.Key)
 		}
-	}
-}
-
-func TestFixedCost(t *testing.T) {
-	c := FixedCost(map[hw.Kind]sim.Time{hw.CPU: 2, hw.GPU: 1})
-	if c(hw.CPU) != 2 || c(hw.GPU) != 1 {
-		t.Fatal("fixed cost lookup wrong")
 	}
 }
 

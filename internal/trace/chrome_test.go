@@ -35,7 +35,7 @@ func runChrome(t *testing.T) []byte {
 			cost := sim.Time(10+i%7) * sim.Microsecond
 			return &task.Task{
 				Size: 1 << 20, OutSize: 1 << 10,
-				Cost: func(hw.Kind) sim.Time { return cost },
+				Cost: func(*task.Task, hw.Kind) sim.Time { return cost },
 			}
 		},
 	})
@@ -208,7 +208,7 @@ func TestChromeLineageFlows(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				cost := sim.Time(15+i%5) * sim.Microsecond
 				emit(&task.Task{Size: 1 << 16, OutSize: 1 << 10,
-					Cost: func(hw.Kind) sim.Time { return cost }})
+					Cost: func(*task.Task, hw.Kind) sim.Time { return cost }})
 			}
 		},
 	})

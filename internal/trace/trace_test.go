@@ -26,7 +26,7 @@ func runTraced(t *testing.T) (*Collector, *hw.Cluster, sim.Time) {
 		Name: "source", Placement: []int{0},
 		SourceCount: func(int) int { return 20 },
 		SourceMake: func(_, i int) *task.Task {
-			return &task.Task{Size: 100, Cost: func(hw.Kind) sim.Time { return sim.Millisecond }}
+			return &task.Task{Size: 100, Cost: func(*task.Task, hw.Kind) sim.Time { return sim.Millisecond }}
 		},
 	})
 	wf := rt.AddFilter(core.FilterSpec{
@@ -60,7 +60,7 @@ func TestCollectorChainsExistingHooks(t *testing.T) {
 		Name: "source", Placement: []int{0},
 		SourceCount: func(int) int { return 5 },
 		SourceMake: func(_, i int) *task.Task {
-			return &task.Task{Size: 10, Cost: func(hw.Kind) sim.Time { return sim.Millisecond }}
+			return &task.Task{Size: 10, Cost: func(*task.Task, hw.Kind) sim.Time { return sim.Millisecond }}
 		},
 	})
 	wf := rt.AddFilter(core.FilterSpec{
@@ -171,7 +171,7 @@ func TestCollectorTargets(t *testing.T) {
 		Name: "source", Placement: []int{0},
 		SourceCount: func(int) int { return 200 },
 		SourceMake: func(_, i int) *task.Task {
-			return &task.Task{Size: 300000, Cost: func(hw.Kind) sim.Time { return 100 * sim.Microsecond }}
+			return &task.Task{Size: 300000, Cost: func(*task.Task, hw.Kind) sim.Time { return 100 * sim.Microsecond }}
 		},
 	})
 	wf := rt.AddFilter(core.FilterSpec{

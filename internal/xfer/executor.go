@@ -21,6 +21,8 @@ type Executor struct {
 	// host-to-device copy, one kernel execution, or one device-to-host
 	// copy — with the span's virtual-time bounds. Nil costs nothing.
 	OnSpan func(Span)
+
+	free []*asyncRun // idle asynchronous-batch state, reused by runAsync
 }
 
 // SpanKind classifies a transfer-pipeline span.
@@ -100,7 +102,7 @@ func (x *Executor) runSync(e *sim.Env, batch []*task.Task) {
 		x.Link.Copy(e, t.Size, hw.HostToDevice)
 		t1 := e.Now()
 		x.span(SpanH2D, t0, t1, t.Size, t.ID)
-		x.Dev.Run(e, t.Cost(hw.GPU))
+		x.Dev.Run(e, t.Cost(t, hw.GPU))
 		t2 := e.Now()
 		x.span(SpanKernel, t1, t2, 0, t.ID)
 		x.Link.Copy(e, t.OutSize, hw.DeviceToHost)
@@ -109,45 +111,99 @@ func (x *Executor) runSync(e *sim.Env, batch []*task.Task) {
 }
 
 func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
-	k := len(batch)
+	r := x.takeRun(e.Kernel(), len(batch))
 	// Phase 1: issue every host-to-device copy on its own CUDA stream. The
 	// per-transfer processes are stackless step chains — a copy is a
 	// link-queue hop plus a timed wait, no coroutine stack needed.
-	inDone := make([]*sim.Signal, k)
 	for i, t := range batch {
-		sig := sim.NewSignal(e.Kernel())
-		inDone[i] = sig
-		size, id := t.Size, t.ID
-		e.SpawnStep("h2d", func(ce *sim.Env) sim.Cont {
-			t0 := ce.Now()
-			return x.Link.CopyThen(ce, size, hw.HostToDevice, func(ce *sim.Env) sim.Cont {
-				x.span(SpanH2D, t0, ce.Now(), size, id)
-				sig.Fire()
-				return sim.Done()
-			})
-		})
+		c := r.in[i]
+		c.size, c.id = t.Size, t.ID
+		c.sig.Reset()
+		e.SpawnStep("h2d", c.startStep)
 	}
 	// Phase 2: process events in order as their inputs arrive; the copy of
 	// event i+1 overlaps the kernel of event i.
 	for i, t := range batch {
-		inDone[i].Wait(e)
+		r.in[i].sig.Wait(e)
 		t0 := e.Now()
-		x.Dev.Run(e, t.Cost(hw.GPU))
+		x.Dev.Run(e, t.Cost(t, hw.GPU))
 		x.span(SpanKernel, t0, e.Now(), 0, t.ID)
 	}
 	// Phase 3: issue every device-to-host copy, then wait for all of them.
-	wg := sim.NewWaitGroup(e.Kernel())
-	wg.Add(k)
-	for _, t := range batch {
-		size, id := t.OutSize, t.ID
-		e.SpawnStep("d2h", func(ce *sim.Env) sim.Cont {
-			t0 := ce.Now()
-			return x.Link.CopyThen(ce, size, hw.DeviceToHost, func(ce *sim.Env) sim.Cont {
-				x.span(SpanD2H, t0, ce.Now(), size, id)
-				wg.Done()
-				return sim.Done()
-			})
-		})
+	r.wg.Add(len(batch))
+	for i, t := range batch {
+		c := r.out[i]
+		c.size, c.id = t.OutSize, t.ID
+		e.SpawnStep("d2h", c.startStep)
 	}
-	wg.Wait(e)
+	r.wg.Wait(e)
+	x.free = append(x.free, r)
+}
+
+// asyncRun is the reusable state of one asynchronous RunBatch: a copy
+// record per batch slot and direction, and the wait group of phase 3. Every
+// copy has finished by the time RunBatch returns, so the run goes back to
+// the executor's free list then; a RunBatch running concurrently on the
+// same executor takes a run of its own.
+type asyncRun struct {
+	in, out []*copyRec
+	wg      *sim.WaitGroup
+}
+
+// copyRec is one host-to-device or device-to-host copy of a batch. Its
+// steps are method values bound once, when the record is made.
+type copyRec struct {
+	x    *Executor
+	kind SpanKind // SpanH2D or SpanD2H
+	size int64
+	id   uint64
+	t0   sim.Time
+	// h2d only: fired when the input has landed on the device.
+	sig *sim.Signal
+	// d2h only: the run's wait group.
+	wg *sim.WaitGroup
+
+	startStep, doneStep sim.Step
+}
+
+// takeRun returns a free asyncRun with records for n events.
+func (x *Executor) takeRun(k *sim.Kernel, n int) *asyncRun {
+	var r *asyncRun
+	if m := len(x.free); m > 0 {
+		r = x.free[m-1]
+		x.free[m-1] = nil
+		x.free = x.free[:m-1]
+	} else {
+		r = &asyncRun{wg: sim.NewWaitGroup(k)}
+	}
+	for len(r.in) < n {
+		r.in = append(r.in, x.newCopy(SpanH2D, sim.NewSignal(k), nil))
+		r.out = append(r.out, x.newCopy(SpanD2H, nil, r.wg))
+	}
+	return r
+}
+
+func (x *Executor) newCopy(kind SpanKind, sig *sim.Signal, wg *sim.WaitGroup) *copyRec {
+	c := &copyRec{x: x, kind: kind, sig: sig, wg: wg}
+	c.startStep, c.doneStep = c.start, c.done
+	return c
+}
+
+func (c *copyRec) start(e *sim.Env) sim.Cont {
+	c.t0 = e.Now()
+	dir := hw.HostToDevice
+	if c.kind == SpanD2H {
+		dir = hw.DeviceToHost
+	}
+	return c.x.Link.CopyThen(e, c.size, dir, c.doneStep)
+}
+
+func (c *copyRec) done(e *sim.Env) sim.Cont {
+	c.x.span(c.kind, c.t0, e.Now(), c.size, c.id)
+	if c.kind == SpanH2D {
+		c.sig.Fire()
+	} else {
+		c.wg.Done()
+	}
+	return sim.Done()
 }

@@ -2,6 +2,7 @@ package xfer
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -80,7 +81,7 @@ func TestControllerNeverBelowOneNorAboveMax(t *testing.T) {
 }
 
 func mkXferTask(size, out int64, gpuCost sim.Time) *task.Task {
-	tk := &task.Task{Size: size, OutSize: out, Cost: func(k hw.Kind) sim.Time {
+	tk := &task.Task{Size: size, OutSize: out, Cost: func(_ *task.Task, k hw.Kind) sim.Time {
 		if k == hw.GPU {
 			return gpuCost
 		}
@@ -230,7 +231,7 @@ func runSpecBatch(t *testing.T, async bool, specs [][3]int64, cfg hw.LinkConfig)
 	for i, s := range specs {
 		size, out, cost := s[0], s[1], sim.Time(s[2])*sim.Microsecond
 		tk := &task.Task{Size: size, OutSize: out,
-			Cost: func(k hw.Kind) sim.Time { return cost }}
+			Cost: func(_ *task.Task, k hw.Kind) sim.Time { return cost }}
 		tk.SetUniformWeight()
 		batch[i] = tk
 	}
@@ -299,6 +300,58 @@ func TestAsyncEqualsSyncSingleTask(t *testing.T) {
 		if asyncT != syncT {
 			t.Fatalf("trial %d: single-task async (%v) != sync (%v); specs=%v cfg=%+v",
 				trial, asyncT, syncT, specs, cfg)
+		}
+	}
+}
+
+// batchSpans runs batches of the given sizes through asynchronous
+// executors on one GPU and link and returns every span in order. procs
+// processes each run the whole sequence at once; with shared set they all
+// use one executor, otherwise each batch gets a fresh one.
+func batchSpans(t *testing.T, sizes []int, procs int, shared bool) []Span {
+	t.Helper()
+	k := sim.NewKernel(1)
+	dev := hw.NewDevice(k, hw.GPU, 0)
+	link := hw.NewLink(k, hw.LinkConfig{BandwidthBps: 5e8, Latency: 10 * sim.Microsecond, Congestion: 0.03})
+	var spans []Span
+	record := func(sp Span) { spans = append(spans, sp) }
+	one := NewExecutor(dev, link, true)
+	one.OnSpan = record
+	id := uint64(0)
+	for p := 0; p < procs; p++ {
+		k.Spawn("gpu", func(e *sim.Env) {
+			for _, n := range sizes {
+				ex := one
+				if !shared {
+					ex = NewExecutor(dev, link, true)
+					ex.OnSpan = record
+				}
+				batch := make([]*task.Task, n)
+				for i := range batch {
+					id++
+					batch[i] = mkXferTask(int64(1000*(1+i%3)), 500, sim.Time(i%4)*sim.Microsecond)
+					batch[i].ID = id
+				}
+				ex.RunBatch(e, batch)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return spans
+}
+
+// TestReusedExecutorMatchesFresh: an executor that reuses its copy records,
+// signals and wait group across batches of growing and shrinking size, and
+// across two processes running batches on it at once, produces exactly the
+// spans of a fresh executor per batch.
+func TestReusedExecutorMatchesFresh(t *testing.T) {
+	sizes := []int{3, 1, 6, 2, 6, 4}
+	for _, procs := range []int{1, 2} {
+		got, want := batchSpans(t, sizes, procs, true), batchSpans(t, sizes, procs, false)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d processes: reused executor's spans differ from fresh executors'\n got %v\nwant %v", procs, got, want)
 		}
 	}
 }
