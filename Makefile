@@ -27,8 +27,8 @@ test-race:
 # Short fuzz runs of the seven fuzz targets with checked-in corpora: the
 # -faults spec parser, the estimator profile loader, the makespan
 # attribution (explain JSON) decoder, the kernel scenario checker
-# (byte-decoded concurrent programs checked for flavour agreement, monotonic
-# time, horizon exactness and deterministic replay), the -arrivals
+# (byte-decoded concurrent programs checked for monotonic time, horizon
+# exactness and deterministic replay), the -arrivals
 # spec parser, the latency quantile-sketch decoder, and the windowed
 # sketch's cached fold against a from-scratch fold.
 fuzz-smoke:

@@ -53,20 +53,18 @@ type allocResult struct {
 }
 
 // kernelBench is the absolute per-event cost of one kernel hot-path
-// workload: its blocking flavour and — where a continuation flavour exists
-// — its step flavour. LaneShare, BypassShare and HeapHighWater, from
+// workload. LaneShare, BypassShare and HeapHighWater, from
 // sim.KernelStats, say how the workload uses the event queue: the share of
 // its wakeups scheduled at the current instant (the FIFO lane) rather than
 // later (timed), the share of the timed ones that joined a fixed-delay lane
 // rather than the heap, and the timed backlog's deepest point.
 type kernelBench struct {
-	Workload           string  `json:"workload"`
-	Events             int     `json:"events"`
-	BlockingNsPerEvent float64 `json:"blocking_ns_per_event"`
-	StepNsPerEvent     float64 `json:"step_ns_per_event,omitempty"`
-	LaneShare          float64 `json:"lane_share,omitempty"`
-	BypassShare        float64 `json:"bypass_share,omitempty"`
-	HeapHighWater      int     `json:"heap_high_water,omitempty"`
+	Workload       string  `json:"workload"`
+	Events         int     `json:"events"`
+	StepNsPerEvent float64 `json:"step_ns_per_event"`
+	LaneShare      float64 `json:"lane_share,omitempty"`
+	BypassShare    float64 `json:"bypass_share,omitempty"`
+	HeapHighWater  int     `json:"heap_high_water,omitempty"`
 }
 
 // demandRoundBench is the marginal cost of one demand-protocol round trip
@@ -225,47 +223,6 @@ func allocsPerRun(reps int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(reps)
 }
 
-// Kernel hot-path workloads, matching the benchmarks in internal/sim.
-
-func eventLoop() {
-	k := sim.NewKernel(1)
-	for p := 0; p < 4; p++ {
-		k.Spawn("worker", func(e *sim.Env) {
-			for s := 0; s < 1000; s++ {
-				e.Sleep(sim.Millisecond)
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
-func spawnChurn() {
-	k := sim.NewKernel(1)
-	k.Spawn("driver", func(e *sim.Env) {
-		for i := 0; i < 1000; i++ {
-			e.Spawn("short", func(e *sim.Env) { e.Sleep(sim.Microsecond) })
-			e.Sleep(sim.Millisecond)
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
-func zeroSleep() {
-	k := sim.NewKernel(1)
-	k.Spawn("spinner", func(e *sim.Env) {
-		for i := 0; i < 10000; i++ {
-			e.Sleep(0)
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
 // demandRounds is the workload of core's TestDemandRoundAllocs: a DDWRR(32)
 // source → worker pipeline on four dual-core nodes, 48 tasks from a source
 // on node 0, each costing cost on a CPU. The tasks all leave the source
@@ -317,35 +274,9 @@ func demandRoundCost(reps int) demandRoundBench {
 	}
 }
 
-// messagePath is the runtime's per-message shape after the stackless
-// migration benchmark-reduced to kernel primitives: spawn a short-lived
-// transfer process, serialize on an exclusive NIC-like resource, deliver
-// the reply through a channel the driver waits on.
-func messagePath() {
-	k := sim.NewKernel(1)
-	nic := sim.NewResource(k, 1)
-	replies := sim.NewChan[int](k, 1)
-	send := func(e *sim.Env) {
-		nic.Acquire(e)
-		e.Sleep(10 * sim.Microsecond)
-		nic.Release()
-		replies.Put(e, 1)
-	}
-	k.Spawn("driver", func(e *sim.Env) {
-		for i := 0; i < 1000; i++ {
-			e.Spawn("send", send)
-			if _, ok := replies.Get(e); !ok {
-				panic("benchsweep: reply channel closed early")
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
+// Kernel hot-path workloads, matching the benchmarks in internal/sim.
 
-// Continuation (step-API) flavours of the same workloads.
-
+// eventLoopStep runs 4 processes that each wait 1000 times for 1 ms.
 func eventLoopStep() {
 	k := sim.NewKernel(1)
 	for p := 0; p < 4; p++ {
@@ -365,6 +296,7 @@ func eventLoopStep() {
 	}
 }
 
+// spawnChurnStep spawns 1000 short-lived processes strictly in sequence.
 func spawnChurnStep() {
 	k := sim.NewKernel(1)
 	short := func(e *sim.Env) sim.Cont {
@@ -386,8 +318,10 @@ func spawnChurnStep() {
 	}
 }
 
-// messagePathStep is messagePath on the step API, the same code as
-// internal/sim's messagePathStepWorkload.
+// messagePathStep is the runtime's per-message shape reduced to kernel
+// primitives: spawn a short-lived transfer process, serialize on an
+// exclusive NIC-like resource, deliver the reply through a channel the
+// driver waits on. The same code as internal/sim's messagePathStepWorkload.
 func messagePathStep() {
 	k := sim.NewKernel(1)
 	nic := sim.NewResource(k, 1)
@@ -421,23 +355,14 @@ func messagePathStep() {
 	}
 }
 
-// delayMix keeps procs processes cycling through rounds wakeups each, in
-// the blocking or (step) continuation flavour; process i's n-th wakeup is
-// delay(i, n) after the last, n starting at i. It returns the kernel's
-// counters. The same code as internal/sim's delayMixWorkload.
-func delayMix(procs, rounds int, step bool, delay func(i, n int) sim.Time) sim.KernelStats {
+// delayMix keeps procs processes cycling through rounds wakeups each;
+// process i's n-th wakeup is delay(i, n) after the last, n starting at i.
+// It returns the kernel's counters. The same code as internal/sim's
+// delayMixWorkload.
+func delayMix(procs, rounds int, delay func(i, n int) sim.Time) sim.KernelStats {
 	k := sim.NewKernel(1)
 	for i := 0; i < procs; i++ {
 		n := i
-		if !step {
-			k.Spawn("worker", func(e *sim.Env) {
-				for r := 0; r < rounds; r++ {
-					n++
-					e.Sleep(delay(i, n))
-				}
-			})
-			continue
-		}
 		left := rounds
 		var next sim.Step
 		next = func(e *sim.Env) sim.Cont {
@@ -463,8 +388,8 @@ func delayMix(procs, rounds int, step bool, delay func(i, n int) sim.Time) sim.K
 // run 4 processes and never hold more than 4 timers). Its eight delays
 // share four delay lanes, so about half of its timed wakeups go to the
 // heap.
-func deepQueue(step bool) sim.KernelStats {
-	return delayMix(100, 300, step, func(_, n int) sim.Time {
+func deepQueue() sim.KernelStats {
+	return delayMix(100, 300, func(_, n int) sim.Time {
 		if n%5 < 3 {
 			return 0
 		}
@@ -478,9 +403,9 @@ func deepQueue(step bool) sim.KernelStats {
 // the 0.547 µs wire time of a control message. Every 16th process times
 // one-off delays near a tile's 25 µs compute time instead. The same code
 // as internal/sim's fixedDelayWorkload.
-func fixedDelays(step bool) sim.KernelStats {
+func fixedDelays() sim.KernelStats {
 	oneOff := 0
-	return delayMix(300, 200, step, func(i, n int) sim.Time {
+	return delayMix(300, 200, func(i, n int) sim.Time {
 		switch {
 		case n%5 < 3:
 			return 0
@@ -497,10 +422,9 @@ func fixedDelays(step bool) sim.KernelStats {
 
 // queueCost is the kernel_ns_per_event row of a delayMix workload, with
 // its event count and queue shape read from the kernel's counters.
-func queueCost(name string, reps int, run func(step bool) sim.KernelStats) kernelBench {
-	st := run(true)
-	b := kernelCost(name, int(st.Dispatched), reps,
-		func() { run(false) }, func() { run(true) })
+func queueCost(name string, reps int, run func() sim.KernelStats) kernelBench {
+	st := run()
+	b := kernelCost(name, int(st.Dispatched), reps, func() { run() })
 	b.LaneShare = float64(st.LanePushes) / float64(st.LanePushes+st.HeapPushes)
 	b.BypassShare = float64(st.DelayLanePushes) / float64(st.HeapPushes)
 	b.HeapHighWater = st.HeapHighWater
@@ -605,15 +529,9 @@ func secsPerRun(reps int, fn func()) float64 {
 	return time.Since(start).Seconds() / float64(reps)
 }
 
-// kernelCost measures ns/event for the blocking and (when non-nil) step
-// flavours of one workload.
-func kernelCost(name string, events, reps int, blockFn, stepFn func()) kernelBench {
-	b := kernelBench{Workload: name, Events: events}
-	b.BlockingNsPerEvent = secsPerRun(reps, blockFn) * 1e9 / float64(events)
-	if stepFn != nil {
-		b.StepNsPerEvent = secsPerRun(reps, stepFn) * 1e9 / float64(events)
-	}
-	return b
+// kernelCost measures ns/event of one workload.
+func kernelCost(name string, events, reps int, fn func()) kernelBench {
+	return kernelBench{Workload: name, Events: events, StepNsPerEvent: secsPerRun(reps, fn) * 1e9 / float64(events)}
 }
 
 func main() {
@@ -682,19 +600,14 @@ func main() {
 		ExplainOverheadPct:      (parExplain.WallSeconds/par.WallSeconds - 1) * 100,
 		LiveSink:                liveSink,
 		SimAllocs: []allocResult{
-			{"event_loop_4procs_x_1000_sleeps", allocsPerRun(5, eventLoop)},
 			{"event_loop_step_4procs_x_1000_steps", allocsPerRun(5, eventLoopStep)},
-			{"spawn_churn_1000_procs", allocsPerRun(5, spawnChurn)},
 			{"spawn_churn_step_1000_procs", allocsPerRun(5, spawnChurnStep)},
-			{"zero_sleep_10000_yields", allocsPerRun(5, zeroSleep)},
-			{"message_path_1000_rounds", allocsPerRun(5, messagePath)},
 			{"message_path_step_1000_rounds", allocsPerRun(5, messagePathStep)},
 		},
 		KernelBench: []kernelBench{
-			kernelCost("event_loop", 4000, 20, eventLoop, eventLoopStep),
-			kernelCost("spawn_churn", 3000, 20, spawnChurn, spawnChurnStep),
-			kernelCost("zero_sleep", 10000, 20, zeroSleep, nil),
-			kernelCost("message_path", 3000, 20, messagePath, messagePathStep),
+			kernelCost("event_loop", 4000, 20, eventLoopStep),
+			kernelCost("spawn_churn", 3000, 20, spawnChurnStep),
+			kernelCost("message_path", 3000, 20, messagePathStep),
 			queueCost("deep_queue", 5, deepQueue),
 			queueCost("fixed_delays", 5, fixedDelays),
 		},

@@ -120,7 +120,7 @@ func TestKeyOf(t *testing.T) {
 func TestCustomHeterogeneousCluster(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.MakeCluster = func(k *sim.Kernel) *hw.Cluster {
-		return hw.HeterogeneousCluster(k, 3)
+		return hw.NewCluster(k, []hw.NodeSpec{hw.PaperNode(), hw.PaperNode(), hw.CPUOnlyNode()}, nil)
 	}
 	got := Run(cfg)
 	want := ReferenceMine(cfg)

@@ -109,40 +109,51 @@ func Run(cfg Config) Result {
 	}
 
 	res := Result{Chunks: nChunks}
-	k.Spawn("vi", func(e *sim.Env) {
-		remaining := nChunks
-		for remaining > 0 {
-			n := cfg.Streams
+	remaining := nChunks
+	var start sim.Time
+	var n int
+	var loop, ran sim.Step
+	// loop issues the next batch of chunks; ran feeds its throughput to
+	// the controller and goes round again.
+	loop = func(e *sim.Env) sim.Cont {
+		if remaining == 0 {
+			res.Elapsed = e.Now()
 			if ctrl != nil {
-				n = ctrl.Concurrent()
+				res.FinalStreams = ctrl.Concurrent()
+			} else {
+				res.FinalStreams = cfg.Streams
 			}
-			if cfg.Sync {
-				n = 1
-			}
-			if n > remaining {
-				n = remaining
-			}
-			batch := make([]*task.Task, n)
-			for i := range batch {
-				ints := cfg.ChunkInts
-				if remaining == 1 && cfg.VectorInts%cfg.ChunkInts != 0 {
-					ints = cfg.VectorInts % cfg.ChunkInts
-				}
-				batch[i] = ChunkTask(ints)
-				remaining--
-			}
-			dur := exec.RunBatch(e, batch)
-			if ctrl != nil && dur > 0 {
-				ctrl.Observe(float64(n) / float64(dur))
-			}
+			return sim.Done()
 		}
-		res.Elapsed = e.Now()
+		n = cfg.Streams
 		if ctrl != nil {
-			res.FinalStreams = ctrl.Concurrent()
-		} else {
-			res.FinalStreams = cfg.Streams
+			n = ctrl.Concurrent()
 		}
-	})
+		if cfg.Sync {
+			n = 1
+		}
+		if n > remaining {
+			n = remaining
+		}
+		batch := make([]*task.Task, n)
+		for i := range batch {
+			ints := cfg.ChunkInts
+			if remaining == 1 && cfg.VectorInts%cfg.ChunkInts != 0 {
+				ints = cfg.VectorInts % cfg.ChunkInts
+			}
+			batch[i] = ChunkTask(ints)
+			remaining--
+		}
+		start = e.Now()
+		return exec.RunBatchThen(e, batch, ran)
+	}
+	ran = func(e *sim.Env) sim.Cont {
+		if dur := e.Now() - start; ctrl != nil && dur > 0 {
+			ctrl.Observe(float64(n) / float64(dur))
+		}
+		return loop(e)
+	}
+	k.SpawnStep("vi", loop)
 	if err := k.Run(); err != nil {
 		panic(err)
 	}

@@ -212,16 +212,5 @@ func (p Proc) rateAt(t sim.Time) float64 {
 	return p.Rate * (1 + (p.Peak-1)*swing)
 }
 
-// Pace replays arrival instants against a clock, invoking fn(k) at (or as
-// soon as possible after) times[k]. With a VirtualClock inside a simulation
-// process this is exact; with a WallClock it is a best-effort real-time
-// replay. times must be non-decreasing, as Times guarantees.
-func Pace(c sim.Clock, times []sim.Time, fn func(k int)) {
-	for k, at := range times {
-		c.Sleep(at - c.Now())
-		fn(k)
-	}
-}
-
 // ftoa formats a float in the shortest form that round-trips.
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -187,22 +187,3 @@ func TestParseRejects(t *testing.T) {
 		}
 	}
 }
-
-// TestPaceManualClock replays a schedule against the hand-advanced clock:
-// callbacks fire in order, each exactly at its instant.
-func TestPaceManualClock(t *testing.T) {
-	times := []sim.Time{0, sim.Millisecond, sim.Millisecond, 4 * sim.Millisecond}
-	c := &sim.ManualClock{}
-	var ks []int
-	var ats []sim.Time
-	Pace(c, times, func(k int) {
-		ks = append(ks, k)
-		ats = append(ats, c.Now())
-	})
-	if !reflect.DeepEqual(ks, []int{0, 1, 2, 3}) {
-		t.Fatalf("callbacks fired as %v", ks)
-	}
-	if !reflect.DeepEqual(ats, times) {
-		t.Fatalf("callbacks fired at %v, want %v", ats, times)
-	}
-}

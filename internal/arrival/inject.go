@@ -29,18 +29,51 @@ func Drive(rt *core.Runtime, f *core.Filter, times []sim.Time, mk func(k int) *t
 	if len(times) == 0 {
 		return st
 	}
-	// The pacer is a long-lived process, so it runs as a coroutine like
-	// worker loops do; the Clock seam keeps the loop identical to a
-	// wall-clock replay of the same schedule.
-	rt.K.Spawn("arrivals/"+f.Name(), func(e *sim.Env) {
-		Pace(sim.VirtualClock{E: e}, times, func(k int) {
-			st.Offered++
-			if rt.Inject(e, f, mk(k)) {
-				st.Accepted++
-			} else {
-				st.Rejected++
-			}
-		})
-	})
+	p := &pacer{rt: rt, f: f, times: times, mk: mk, st: st}
+	p.wakeStep = p.wake
+	rt.K.SpawnStep("arrivals/"+f.Name(), p.run)
 	return st
+}
+
+// pacer is the state of Drive's process: the schedule and the index of the
+// next arrival. times must be non-decreasing, as Times guarantees.
+type pacer struct {
+	rt       *core.Runtime
+	f        *core.Filter
+	times    []sim.Time
+	mk       func(k int) *task.Task
+	st       *Stats
+	k        int
+	wakeStep sim.Step // wake, bound once
+}
+
+// run injects every arrival that is due, without yielding, and waits for
+// the next one: an arrival due now (or already past) goes in on the same
+// dispatch as the one before it, so equal instants are injected together.
+func (p *pacer) run(e *sim.Env) sim.Cont {
+	for p.k < len(p.times) {
+		if d := p.times[p.k] - e.Now(); d > 0 {
+			return sim.After(d, p.wakeStep)
+		}
+		p.inject(e)
+	}
+	return sim.Done()
+}
+
+// wake injects the arrival it waited for — now is its instant, up to the
+// rounding of now+d — and goes on with run.
+func (p *pacer) wake(e *sim.Env) sim.Cont {
+	p.inject(e)
+	return p.run(e)
+}
+
+// inject presents arrival k to the filter's admission control.
+func (p *pacer) inject(e *sim.Env) {
+	p.st.Offered++
+	if p.rt.Inject(e, p.f, p.mk(p.k)) {
+		p.st.Accepted++
+	} else {
+		p.st.Rejected++
+	}
+	p.k++
 }

@@ -49,7 +49,6 @@ type Action struct {
 
 // Ctx gives handlers access to their execution context.
 type Ctx struct {
-	Env      *sim.Env
 	Runtime  *Runtime
 	Filter   string
 	Node     *hw.Node

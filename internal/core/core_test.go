@@ -325,7 +325,7 @@ func TestOnProcessRecords(t *testing.T) {
 func TestDeterministicMakespan(t *testing.T) {
 	run := func() sim.Time {
 		k := sim.NewKernel(99)
-		c := hw.HeterogeneousCluster(k, 4)
+		c := hw.NewCluster(k, []hw.NodeSpec{hw.PaperNode(), hw.PaperNode(), hw.CPUOnlyNode(), hw.CPUOnlyNode()}, nil)
 		rt := New(c, nil)
 		src := rt.AddFilter(FilterSpec{
 			Name: "source", Placement: []int{0},

@@ -60,9 +60,11 @@ func TestCrashMidRunConservesWork(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel(1)
 			rt, wf, seen := crashHarness(k, 40, tc.pol)
-			rt.K.Spawn("killer", func(e *sim.Env) {
-				e.Sleep(5 * sim.Millisecond)
-				rt.CrashInstance(e, wf, 1)
+			rt.K.SpawnStep("killer", func(e *sim.Env) sim.Cont {
+				return sim.After(5*sim.Millisecond, func(e *sim.Env) sim.Cont {
+					rt.CrashInstance(e, wf, 1)
+					return sim.Done()
+				})
 			})
 			res, err := rt.Run()
 			if err != nil {
@@ -88,10 +90,12 @@ func TestCrashMidRunConservesWork(t *testing.T) {
 func TestCrashLastsAndDoubleCrashIsNoop(t *testing.T) {
 	k := sim.NewKernel(1)
 	rt, wf, seen := crashHarness(k, 30, policy.DDFCFS(4))
-	rt.K.Spawn("killer", func(e *sim.Env) {
-		e.Sleep(3 * sim.Millisecond)
-		rt.CrashInstance(e, wf, 0)
-		rt.CrashInstance(e, wf, 0) // second crash of the same copy: no-op
+	rt.K.SpawnStep("killer", func(e *sim.Env) sim.Cont {
+		return sim.After(3*sim.Millisecond, func(e *sim.Env) sim.Cont {
+			rt.CrashInstance(e, wf, 0)
+			rt.CrashInstance(e, wf, 0) // second crash of the same copy: no-op
+			return sim.Done()
+		})
 	})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -105,9 +109,11 @@ func TestCrashLastsAndDoubleCrashIsNoop(t *testing.T) {
 func TestCrashAfterCompletionIsNoop(t *testing.T) {
 	k := sim.NewKernel(1)
 	rt, wf, seen := crashHarness(k, 5, policy.DDFCFS(4))
-	rt.K.Spawn("late-killer", func(e *sim.Env) {
-		e.Sleep(10 * sim.Second) // far past the ~3ms makespan
-		rt.CrashInstance(e, wf, 0)
+	rt.K.SpawnStep("late-killer", func(e *sim.Env) sim.Cont {
+		return sim.After(10*sim.Second, func(e *sim.Env) sim.Cont { // far past the ~3ms makespan
+			rt.CrashInstance(e, wf, 0)
+			return sim.Done()
+		})
 	})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -150,9 +156,11 @@ func TestCrashProducerRedistributesOutput(t *testing.T) {
 	})
 	rt.Connect(src, mid, policy.DDWRR(4))
 	rt.Connect(mid, sink, policy.DDWRR(4))
-	rt.K.Spawn("killer", func(e *sim.Env) {
-		e.Sleep(4 * sim.Millisecond)
-		rt.CrashInstance(e, mid, 0)
+	rt.K.SpawnStep("killer", func(e *sim.Env) sim.Cont {
+		return sim.After(4*sim.Millisecond, func(e *sim.Env) sim.Cont {
+			rt.CrashInstance(e, mid, 0)
+			return sim.Done()
+		})
 	})
 	res, err := rt.Run()
 	if err != nil {

@@ -147,7 +147,7 @@ func (s *sender) took(t *task.Task, part int) {
 // the buffer with DBSA when the queue is sorted (FIFO otherwise), and build
 // the reply — a data buffer, an empty NACK, or EOF once the job completed.
 // It is the serial, non-blocking half of ThreadBufferSender (it mutates the
-// SendQueue), shared by both process flavours.
+// SendQueue).
 func (s *sender) answer(now sim.Time, req *request) reply {
 	s.refill(now)
 	if t := s.popFor(req); t != nil {
@@ -240,79 +240,118 @@ func (tx *replyTx) deliver(e *sim.Env) sim.Cont {
 	return ch.PutThen(e, rep, sim.DoneStep)
 }
 
-// runPush implements the push-based stream the paper excludes: drain the
-// send queue FIFO and ship every buffer to the next consumer instance in
-// rotation, regardless of downstream demand or suitability.
-func (s *sender) runPush(e *sim.Env) {
-	rt := s.inst.rt
+// pusher is the state of a push-mode sender's loop (runPush): the
+// consumer rotation, the backoff, and the buffer on the wire.
+type pusher struct {
+	s         *sender
+	consumers []*Instance
+	qi        int // this stream's index among the consumer's inputs
+	rr        int
+	dp        policy.DestPicker // nil unless the scheduler steers the rotation
+	backoff   sim.Time
+	t         *task.Task
+	dst       *Instance
+	// Bound once in newPusher: the loop's resume steps and the PeerView
+	// adapter PickDest observes consumers through.
+	backedOffStep, sentStep sim.Step
+	view                    func(int) policy.PeerView
+}
+
+func (s *sender) newPusher() *pusher {
 	stream := s.inst.f.out
-	consumers := stream.to.instances
-	// Index of this stream among the consumer's inputs.
-	qi := 0
+	p := &pusher{s: s, consumers: stream.to.instances, backoff: minBackoff}
 	for i, in := range stream.to.in {
 		if in == stream {
-			qi = i
+			p.qi = i
 		}
 	}
-	rr := s.inst.idx % len(consumers)
-	// A scheduler that implements DestPicker steers the push rotation.
-	var dp policy.DestPicker
+	p.rr = s.inst.idx % len(p.consumers)
 	if sch := stream.pol.Sched; sch != nil {
-		dp, _ = sch.(policy.DestPicker)
+		p.dp, _ = sch.(policy.DestPicker)
 	}
-	pushView := func(i int) policy.PeerView {
-		ci := consumers[i]
-		return policy.PeerView{Node: ci.node.ID, Dead: ci.dead, Queued: ci.inputs[qi].queue.Len()}
+	p.backedOffStep, p.sentStep = p.backedOff, p.sent
+	p.view = p.peerView
+	return p
+}
+
+func (p *pusher) peerView(i int) policy.PeerView {
+	ci := p.consumers[i]
+	return policy.PeerView{Node: ci.node.ID, Dead: ci.dead, Queued: ci.inputs[p.qi].queue.Len()}
+}
+
+// runPush implements the push-based stream the paper excludes: drain the
+// send queue FIFO and ship every buffer to the next consumer instance in
+// rotation, regardless of downstream demand or suitability. An empty queue
+// backs off on a timer, doubled after it fires; the network send resumes
+// in sent.
+func (p *pusher) runPush(e *sim.Env) sim.Cont {
+	s := p.s
+	rt := s.inst.rt
+	if rt.track.done.Fired() || s.inst.dead {
+		return sim.Done()
 	}
-	backoff := minBackoff
-	for !rt.track.done.Fired() && !s.inst.dead {
-		s.refill(e.Now())
-		t := s.queue.PopFor(hw.CPU) // FIFO pop: kind is irrelevant
-		if t == nil {
-			e.Sleep(backoff)
-			if backoff < maxBackoff {
-				backoff *= 2
-			}
-			continue
-		}
-		s.took(t, -1)
-		backoff = minBackoff
-		if dp != nil {
-			if i := dp.PickDest(t, len(consumers), pushView, rr); i >= 0 {
-				rr = i
-			}
-		}
-		// Skip crashed consumers in the rotation; fault.Apply guarantees at
-		// least one transparent copy survives.
-		dst := consumers[rr%len(consumers)]
-		for scan := 0; dst.dead; scan++ {
-			if scan == len(consumers) {
-				panic("core: push stream has no live consumer")
-			}
-			rr++
-			dst = consumers[rr%len(consumers)]
-		}
-		rr++
-		// The send is noted at transfer start — symmetric with the demand
-		// path, where noteSend fires when the buffer is popped — so the
-		// Send→Deliver window brackets the network transfer. A transfer
-		// whose destination dies mid-flight counts as a (re-)send.
-		stream.stats.sent++
-		s.noteSend(dst.idx, t.ID, t.Size, true)
-		rt.Cluster.Net.Send(e, s.inst.node, dst.node, t.Size)
-		if dst.dead {
-			// Crashed while the buffer was on the wire: reclaim it into our
-			// own send queue (the sender's retransmit buffer) for re-send.
-			stream.stats.reenqueued++
-			s.push(t)
-			continue
-		}
-		dst.inputs[qi].queue.Push(t)
-		stream.stats.delivered++
-		dst.noteDeliver(qi, t, true)
-		dst.noteInputDepth(qi)
-		dst.taskAvail.NotifyAll()
+	s.refill(e.Now())
+	t := s.queue.PopFor(hw.CPU) // FIFO pop: kind is irrelevant
+	if t == nil {
+		return sim.After(p.backoff, p.backedOffStep)
 	}
+	s.took(t, -1)
+	p.backoff = minBackoff
+	consumers := p.consumers
+	if p.dp != nil {
+		if i := p.dp.PickDest(t, len(consumers), p.view, p.rr); i >= 0 {
+			p.rr = i
+		}
+	}
+	// Skip crashed consumers in the rotation; fault.Apply guarantees at
+	// least one transparent copy survives.
+	dst := consumers[p.rr%len(consumers)]
+	for scan := 0; dst.dead; scan++ {
+		if scan == len(consumers) {
+			panic("core: push stream has no live consumer")
+		}
+		p.rr++
+		dst = consumers[p.rr%len(consumers)]
+	}
+	p.rr++
+	// The send is noted at transfer start — symmetric with the demand
+	// path, where noteSend fires when the buffer is popped — so the
+	// Send→Deliver window brackets the network transfer. A transfer whose
+	// destination dies mid-flight counts as a (re-)send.
+	s.inst.f.out.stats.sent++
+	s.noteSend(dst.idx, t.ID, t.Size, true)
+	p.t, p.dst = t, dst
+	return rt.Cluster.Net.SendThen(e, s.inst.node, dst.node, t.Size, p.sentStep)
+}
+
+// backedOff resumes the loop after an empty-queue backoff, doubling the
+// next backoff up to its ceiling.
+func (p *pusher) backedOff(e *sim.Env) sim.Cont {
+	if p.backoff < maxBackoff {
+		p.backoff *= 2
+	}
+	return p.runPush(e)
+}
+
+// sent delivers the buffer that has crossed the network, then goes round
+// the loop again.
+func (p *pusher) sent(e *sim.Env) sim.Cont {
+	s, t, dst := p.s, p.t, p.dst
+	p.t, p.dst = nil, nil
+	stream := s.inst.f.out
+	if dst.dead {
+		// Crashed while the buffer was on the wire: reclaim it into our
+		// own send queue (the sender's retransmit buffer) for re-send.
+		stream.stats.reenqueued++
+		s.push(t)
+		return p.runPush(e)
+	}
+	dst.inputs[p.qi].queue.Push(t)
+	stream.stats.delivered++
+	dst.noteDeliver(p.qi, t, true)
+	dst.noteInputDepth(p.qi)
+	dst.taskAvail.NotifyAll()
+	return p.runPush(e)
 }
 
 // inputStream is the receiver side of one stream at one instance: the
@@ -375,11 +414,18 @@ type worker struct {
 	procName  string
 	fetchName string
 	reqNames  []string // one per input stream
-	// ctx is the handler's context, built once; run sets its Env.
+	// ctx is the handler's context, built once.
 	ctx Ctx
-	// GPU workers only: the arrays popBatch fills, reused batch after
-	// batch (run is done with a batch before it pops the next), and the
-	// one-element batch of the synchronous path.
+	// The main loop's steps (run, ran, batchRan), bound once, and the
+	// event in service on the one-event path with its pop bookkeeping.
+	runStep, ranStep, batchRanStep sim.Step
+	t                              *task.Task
+	st                             *reqState
+	qi                             int
+	start                          sim.Time
+	// GPU workers only: the arrays fillBatch fills, reused batch after
+	// batch (batchRan is done with a batch before run pops the next), and
+	// the one-element batch of the synchronous path.
 	batch  []*task.Task
 	states []*reqState
 	qis    []int
@@ -522,6 +568,7 @@ func (inst *Instance) buildWorkers() {
 	}
 	for _, w := range inst.workers {
 		w.ctx = Ctx{Runtime: inst.rt, Filter: inst.f.Name(), Node: inst.node, Kind: w.kind, Instance: inst.idx}
+		w.runStep, w.ranStep, w.batchRanStep = w.run, w.ran, w.batchRan
 		w.procName = fmt.Sprintf("%s/%d/%s%d", inst.f.Name(), inst.idx, w.kind, w.tid)
 		w.fetchName = w.procName + "/fetch"
 		for qi, is := range inst.inputs {
@@ -535,22 +582,21 @@ func (inst *Instance) buildWorkers() {
 	}
 }
 
-// start spawns the instance's processes. The per-message helpers — sender
-// serve loop and requester issue loop — are stackless step chains. Worker
-// main loops and push-mode senders are long-lived, genuinely stackful
-// processes and run as coroutines.
+// start spawns the instance's processes: the sender's serve loop (or
+// push loop), and per worker its main loop and one requester per input
+// stream.
 func (inst *Instance) start() {
 	if inst.out != nil {
 		s := inst.out
 		if inst.f.out.pol.Push {
-			inst.rt.K.Spawn(s.name, s.runPush)
+			inst.rt.K.SpawnStep(s.name, s.newPusher().runPush)
 		} else {
 			inst.rt.K.SpawnStep(s.name, s.runStep)
 		}
 	}
 	for _, w := range inst.workers {
 		w := w
-		inst.rt.K.Spawn(w.name(), w.run)
+		inst.rt.K.SpawnStep(w.name(), w.runStep)
 		for qi := range inst.inputs {
 			if inst.inputs[qi].s.pol.Push {
 				continue // push streams have no demand side
@@ -651,27 +697,11 @@ func (w *worker) noteService(qi int, t *task.Task, dur sim.Time) {
 	}
 }
 
-// pop blocks until an event is available or the job completes (nil).
-func (w *worker) pop(e *sim.Env) (*task.Task, *reqState, int) {
-	for {
-		if w.inst.dead {
-			return nil, nil, -1
-		}
-		if t, st, qi := w.tryPop(); t != nil {
-			return t, st, qi
-		}
-		if w.inst.rt.track.done.Fired() {
-			return nil, nil, -1
-		}
-		w.inst.taskAvail.Wait(e)
-	}
-}
-
 // batchAffinityRatio bounds how much less suited a queued event may be than
 // the batch's first event and still be pulled into the same GPU pipeline
 // batch. An idle GPU will still take a strongly CPU-suited event — that is
-// the demand-driven load balancing — but one at a time, via the blocking
-// first pop, not as batch filler: greedily draining another device's
+// the demand-driven load balancing — but one at a time, via the first pop
+// of a batch, not as batch filler: greedily draining another device's
 // prefetched events would starve it (and with DQAA-sized queues of depth
 // ~1, permanently poison it with the other class's work).
 const batchAffinityRatio = 0.5
@@ -700,14 +730,12 @@ func (w *worker) tryPopAtLeast(minKey float64) (*task.Task, *reqState, int) {
 	return nil, nil, -1
 }
 
-// popBatch collects up to n events, blocking only for the first. Extension
-// events must have comparable affinity to the first one. The returned
-// slices are the worker's own and are overwritten by the next popBatch.
-func (w *worker) popBatch(e *sim.Env, n int) ([]*task.Task, []*reqState, []int) {
-	t, st, qi := w.pop(e)
-	if t == nil {
-		return nil, nil, nil
-	}
+// fillBatch starts a batch of up to n events with t, just popped from
+// input queue qi with bookkeeping st, and fills it from the queues without
+// waiting. Extension events must have comparable affinity to the first
+// one. The batch goes into the worker's own arrays, overwritten by the next
+// fillBatch.
+func (w *worker) fillBatch(t *task.Task, st *reqState, qi, n int) {
 	batch := append(w.batch[:0], t)
 	states := append(w.states[:0], st)
 	qis := append(w.qis[:0], qi)
@@ -731,65 +759,92 @@ func (w *worker) popBatch(e *sim.Env, n int) ([]*task.Task, []*reqState, []int) 
 		qis = append(qis, qi)
 	}
 	w.batch, w.states, w.qis = batch, states, qis
-	return batch, states, qis
 }
 
-// run is the worker's main loop (ThreadWorker in Algorithm 2). GPU workers
-// in asynchronous mode batch events through the transfer pipeline, with the
-// batch size driven by Algorithm 1's controller.
-func (w *worker) run(e *sim.Env) {
-	w.ctx.Env = e
-	for {
-		if w.kind == hw.GPU && w.exec.Async {
-			batch, states, qis := w.popBatch(e, w.ctrl.Concurrent())
-			if batch == nil {
-				return
-			}
-			start := e.Now()
-			dur := w.exec.RunBatch(e, batch)
-			if w.inst.dead {
-				// Fail-stop mid-service: the batch's work is lost and its
-				// events are reclaimed upstream for reprocessing.
-				for i, t := range batch {
-					w.abortReclaim(qis[i], t)
-				}
-				return
-			}
-			perEvent := dur / sim.Time(len(batch))
-			for i, t := range batch {
-				w.afterProcess(e, states[i], perEvent)
-				w.noteService(qis[i], t, perEvent)
-				w.finish(e, t, start)
-			}
-			if dur > 0 {
-				before := w.ctrl.Concurrent()
-				w.ctrl.Observe(float64(len(batch)) / float64(dur))
-				if w.ctrl.Concurrent() > before {
-					w.inst.demand.NotifyAll()
-				}
-			}
-		} else {
-			t, st, qi := w.pop(e)
-			if t == nil {
-				return
-			}
-			start := e.Now()
-			if w.kind == hw.GPU {
-				w.single[0] = t
-				w.exec.RunBatch(e, w.single[:])
-			} else {
-				w.dev.Run(e, t.Cost(t, w.kind))
-			}
-			if w.inst.dead {
-				w.abortReclaim(qi, t)
-				return
-			}
-			dur := e.Now() - start
-			w.afterProcess(e, st, dur)
-			w.noteService(qi, t, dur)
-			w.finish(e, t, start)
+// run is the worker's main loop, ThreadWorker in Algorithm 2, as a step
+// chain. Each step beside the paper's loop:
+//
+//	loop                                    run
+//	  event ← pop()                           tryPop; taskAvail.WaitThen(run) while empty
+//	  if job done or instance crashed: exit   Done
+//	  process event on the device             dev.RunThen / exec.RunBatchThen → ran
+//	  timetoprocess ← elapsed time            ran
+//	  update targetlength with DQAA           ran: afterProcess
+//	  run the handler, forward its output     ran: finish, then run inline
+//	end loop
+//
+// GPU workers in asynchronous mode take a batch instead — the popped event
+// plus filler up to Algorithm 1's controller concurrency — through the
+// transfer pipeline, and batchRan settles it. ran and batchRan call run
+// directly: the worker pops its next event without yielding, and run
+// always suspends before it can reach ran again.
+func (w *worker) run(e *sim.Env) sim.Cont {
+	inst := w.inst
+	if inst.dead {
+		return sim.Done()
+	}
+	t, st, qi := w.tryPop()
+	if t == nil {
+		if inst.rt.track.done.Fired() {
+			return sim.Done()
+		}
+		return inst.taskAvail.WaitThen(e, w.runStep)
+	}
+	w.start = e.Now()
+	if w.kind == hw.GPU && w.exec.Async {
+		w.fillBatch(t, st, qi, w.ctrl.Concurrent())
+		return w.exec.RunBatchThen(e, w.batch, w.batchRanStep)
+	}
+	w.t, w.st, w.qi = t, st, qi
+	if w.kind == hw.GPU {
+		w.single[0] = t
+		return w.exec.RunBatchThen(e, w.single[:], w.ranStep)
+	}
+	return w.dev.RunThen(e, t.Cost(t, w.kind), w.ranStep)
+}
+
+// ran settles one processed event and pops the next.
+func (w *worker) ran(e *sim.Env) sim.Cont {
+	t, st, qi, start := w.t, w.st, w.qi, w.start
+	w.t, w.st = nil, nil
+	if w.inst.dead {
+		// Fail-stop mid-service: the event's work is lost and it is
+		// reclaimed upstream for reprocessing.
+		w.abortReclaim(qi, t)
+		return sim.Done()
+	}
+	dur := e.Now() - start
+	w.afterProcess(e, st, dur)
+	w.noteService(qi, t, dur)
+	w.finish(e, t, start)
+	return w.run(e)
+}
+
+// batchRan settles a processed batch, feeds its throughput to Algorithm
+// 1's controller and pops the next event.
+func (w *worker) batchRan(e *sim.Env) sim.Cont {
+	batch, states, qis, start := w.batch, w.states, w.qis, w.start
+	if w.inst.dead {
+		for i, t := range batch {
+			w.abortReclaim(qis[i], t)
+		}
+		return sim.Done()
+	}
+	dur := e.Now() - start
+	perEvent := dur / sim.Time(len(batch))
+	for i, t := range batch {
+		w.afterProcess(e, states[i], perEvent)
+		w.noteService(qis[i], t, perEvent)
+		w.finish(e, t, start)
+	}
+	if dur > 0 {
+		before := w.ctrl.Concurrent()
+		w.ctrl.Observe(float64(len(batch)) / float64(dur))
+		if w.ctrl.Concurrent() > before {
+			w.inst.demand.NotifyAll()
 		}
 	}
+	return w.run(e)
 }
 
 // afterProcess feeds DQAA with the measured processing time (Algorithm 2's

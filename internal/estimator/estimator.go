@@ -192,12 +192,9 @@ func (p *Profile) nearest(params []float64, cats []string, k int, skip func(int)
 	return best
 }
 
-// PredictTime estimates the execution time on a device class as the mean of
-// the k nearest samples' times on that device.
-func (p *Profile) PredictTime(params []float64, cats []string, kind hw.Kind, k int) float64 {
-	return p.predictTime(params, cats, kind, k, nil)
-}
-
+// predictTime estimates the execution time on a device class as the mean
+// of the k nearest samples' times on that device, skipping the samples
+// skip names.
 func (p *Profile) predictTime(params []float64, cats []string, kind hw.Kind, k int, skip func(int) bool) float64 {
 	var buf [smallK]neighbor
 	best := p.nearest(params, cats, k, skip, buf[:0])

@@ -57,9 +57,6 @@ func TestPredictExactMatch(t *testing.T) {
 	if math.Abs(got-4.0) > 1e-12 {
 		t.Fatalf("speedup = %v, want 4", got)
 	}
-	if tm := p.PredictTime([]float64{1000}, nil, hw.CPU, 1); tm != 200 {
-		t.Fatalf("time = %v, want 200", tm)
-	}
 }
 
 func TestPredictAveragesKNeighbors(t *testing.T) {

@@ -92,6 +92,12 @@ func TestAllExperimentShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: full shape suite takes ~3 minutes")
 	}
+	if raceEnabled {
+		t.Skip("full-registry shape checks skipped under -race: the serial " +
+			"pass is one goroutine, so the detector has nothing to check in it " +
+			"(the non-race run asserts the shapes; TestSweepDeterminismQuick " +
+			"covers the pool under the detector)")
+	}
 	seeds := determinismSeeds(t)
 	for i, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {

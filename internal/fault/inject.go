@@ -29,9 +29,8 @@ func Apply(rt *core.Runtime, s *Schedule) error {
 	for i, ev := range s.Events {
 		ev := ev
 		name := fmt.Sprintf("fault%d/%s", i, ev.Kind)
-		// Injector processes are pure timers — sleep to the event, apply,
-		// sleep out the window, revert — so they run as stackless step
-		// chains rather than coroutines.
+		// Injector processes are pure timers: wait for the event, apply,
+		// wait out the window, revert.
 		switch ev.Kind {
 		case Slow:
 			devs := slowTargets(rt, ev)

@@ -82,49 +82,12 @@ func (n *Network) Degrade(node int, latAdd sim.Time, bwMul float64) {
 // transfer.
 const segmentBytes = 64 << 10
 
-// Send blocks the caller for the time it takes to move bytes from one node
-// to another: serialization on the sender's NIC (segment-interleaved with
-// concurrent sends) plus propagation latency. Local delivery (same node)
-// pays the cheaper on-node IPC cost and does not occupy the NIC.
-func (n *Network) Send(e *sim.Env, from, to *Node, bytes int64) {
-	if from == to {
-		d := n.cfg.LocalLatency
-		if n.cfg.LocalBandwidthBps > 0 {
-			d += sim.Time(float64(bytes) / n.cfg.LocalBandwidthBps)
-		}
-		e.Sleep(d)
-		return
-	}
-	bw := n.cfg.BandwidthBps
-	lat := n.cfg.Latency
-	if n.deg != nil {
-		if d := n.deg[from.ID]; d != nil {
-			bw *= d.bwScale
-			lat += d.latency
-		}
-		if d := n.deg[to.ID]; d != nil {
-			lat += d.latency
-		}
-	}
-	for sent := int64(0); sent < bytes; sent += segmentBytes {
-		seg := bytes - sent
-		if seg > segmentBytes {
-			seg = segmentBytes
-		}
-		from.egress.Acquire(e)
-		e.Sleep(sim.Time(float64(seg) / bw))
-		from.egress.Release()
-	}
-	e.Sleep(lat)
-	n.bytes += bytes
-}
-
-// SendThen is the continuation form of Send, for stackless (step) processes:
-// it models the same segment-interleaved NIC serialization plus propagation
-// latency — sharing the egress resource's FIFO queue with blocking senders,
-// so arbitration order is one discipline across process flavours — and then
-// runs next. NIC degradations are sampled once, when the send starts, exactly
-// as Send does. Steps must return the directive SendThen returns.
+// SendThen moves bytes from one node to another and then runs next: the
+// sender's NIC serializes them (segment-interleaved with concurrent sends,
+// in the egress resource's FIFO order), then they pay the propagation
+// latency. Local delivery (same node) pays the cheaper on-node IPC cost and
+// does not occupy the NIC. NIC degradations are sampled once, when the
+// send starts. Steps must return the directive SendThen returns.
 //
 // A send between nodes runs on a transfer record from the network's free
 // list, whose steps are bound once when the record is made, so a send in

@@ -43,18 +43,3 @@ func HomogeneousCluster(k *sim.Kernel, n int) *Cluster {
 	}
 	return NewCluster(k, specs, nil)
 }
-
-// HeterogeneousCluster builds n nodes of which the first half (rounded up)
-// have GPUs and the rest are dual-core CPU-only machines, matching the
-// 50/50 split of Section 6.4.3.
-func HeterogeneousCluster(k *sim.Kernel, n int) *Cluster {
-	specs := make([]NodeSpec, n)
-	for i := range specs {
-		if i < (n+1)/2 {
-			specs[i] = PaperNode()
-		} else {
-			specs[i] = CPUOnlyNode()
-		}
-	}
-	return NewCluster(k, specs, nil)
-}

@@ -69,6 +69,7 @@ type Device struct {
 	busy           sim.Time
 	intervals      []Interval
 	recordInterval bool
+	free           []*devRun // idle RunThen records for reuse
 }
 
 // NewDevice creates a device attached to no particular node; Cluster wiring
@@ -108,7 +109,7 @@ func (d *Device) SetRecordIntervals(on bool) { d.recordInterval = on }
 // (penalty 0.7 and slots 2 means two co-running kernels each take 1.7x
 // their solo time — a ~18% aggregate throughput gain, in line with what
 // concurrent kernels buy on real hardware for small kernels). Must be
-// called before any Run.
+// called before any RunThen.
 func (d *Device) SetConcurrency(slots int, penalty float64) {
 	if slots < 1 {
 		panic("hw: concurrency slots must be >= 1")
@@ -123,21 +124,59 @@ func (d *Device) SetConcurrency(slots int, penalty float64) {
 // Concurrency returns the device's concurrent-task capacity.
 func (d *Device) Concurrency() int { return d.res.Capacity() }
 
-// Run occupies the device for dur of virtual time (inflated under
-// concurrent execution), blocking first if all slots are busy (FIFO).
-func (d *Device) Run(e *sim.Env, dur sim.Time) {
-	d.res.Acquire(e)
-	dur *= sim.Time(1 + d.penalty*float64(d.active))
-	dur *= sim.Time(d.slow) // exact no-op while healthy (slow == 1)
+// RunThen occupies the device for dur of virtual time (inflated under
+// concurrent execution), waiting first if all slots are busy (FIFO), and
+// then runs next. Steps must return the directive RunThen returns. It runs
+// on a pooled record with steps bound once, so it allocates nothing in
+// steady state (a recorded busy interval aside).
+func (d *Device) RunThen(e *sim.Env, dur sim.Time, next sim.Step) sim.Cont {
+	var r *devRun
+	if k := len(d.free); k > 0 {
+		r = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		r = &devRun{d: d}
+		r.startStep, r.endStep = r.start, r.end
+	}
+	r.dur, r.next = dur, next
+	return d.res.AcquireThen(e, r.startStep)
+}
+
+// devRun is the state of one RunThen.
+type devRun struct {
+	d    *Device
+	dur  sim.Time
+	at   sim.Time
+	next sim.Step
+	// Bound once when the record is made: start and end as Steps.
+	startStep, endStep sim.Step
+}
+
+// start runs once a slot is ours: the duration is inflated by the
+// co-runners active now and by the fault-injected slowdown. A zero
+// duration still yields to the events due at this instant.
+func (r *devRun) start(e *sim.Env) sim.Cont {
+	d := r.d
+	r.dur *= sim.Time(1 + d.penalty*float64(d.active))
+	r.dur *= sim.Time(d.slow) // exact no-op while healthy (slow == 1)
 	d.active++
-	start := e.Now()
-	e.Sleep(dur)
+	r.at = e.Now()
+	return sim.After(r.dur, r.endStep)
+}
+
+// end frees the slot, accounts the run and returns the record to the free
+// list before running the caller's step.
+func (r *devRun) end(e *sim.Env) sim.Cont {
+	d, next := r.d, r.next
 	d.active--
 	d.res.Release()
-	d.busy += dur
+	d.busy += r.dur
 	if d.recordInterval {
-		d.intervals = append(d.intervals, Interval{Start: start, End: e.Now()})
+		d.intervals = append(d.intervals, Interval{Start: r.at, End: e.Now()})
 	}
+	r.next = nil
+	d.free = append(d.free, r)
+	return next(e)
 }
 
 // Busy returns the accumulated busy time.

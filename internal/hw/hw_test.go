@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,15 +9,24 @@ import (
 	"repro/internal/sim"
 )
 
+// spawnThen spawns a process that runs op and then, once op's next runs,
+// after.
+func spawnThen(k *sim.Kernel, op func(e *sim.Env, next sim.Step) sim.Cont, after func(e *sim.Env)) {
+	k.SpawnStep("op", func(e *sim.Env) sim.Cont {
+		return op(e, func(e *sim.Env) sim.Cont {
+			after(e)
+			return sim.Done()
+		})
+	})
+}
+
 func TestDeviceRunSerializesAndAccounts(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := NewDevice(k, CPU, 0)
 	var finish []sim.Time
 	for i := 0; i < 3; i++ {
-		k.Spawn("u", func(e *sim.Env) {
-			d.Run(e, 2)
-			finish = append(finish, e.Now())
-		})
+		spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return d.RunThen(e, 2, next) },
+			func(e *sim.Env) { finish = append(finish, e.Now()) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -37,10 +47,8 @@ func TestLinkSingleTransferTime(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, LinkConfig{BandwidthBps: 1e9, Latency: 10 * sim.Microsecond})
 	var done sim.Time
-	k.Spawn("c", func(e *sim.Env) {
-		l.Copy(e, 1e6, HostToDevice)
-		done = e.Now()
-	})
+	spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return l.CopyThen(e, 1e6, HostToDevice, next) },
+		func(e *sim.Env) { done = e.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +67,8 @@ func TestLinkCongestionSlowsConcurrentCopies(t *testing.T) {
 		l := NewLink(k, LinkConfig{BandwidthBps: 1e9, Latency: 0, Congestion: 0.10})
 		var last sim.Time
 		for i := 0; i < nCopies; i++ {
-			k.Spawn("c", func(e *sim.Env) {
-				l.Copy(e, 1e6, HostToDevice)
-				if e.Now() > last {
-					last = e.Now()
-				}
-			})
+			spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return l.CopyThen(e, 1e6, HostToDevice, next) },
+				func(e *sim.Env) { last = max(last, e.Now()) })
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -82,10 +86,8 @@ func TestNetworkSendTiming(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := NewCluster(k, []NodeSpec{CPUOnlyNode(), CPUOnlyNode()}, &NetworkConfig{BandwidthBps: 1e8, Latency: 100 * sim.Microsecond})
 	var done sim.Time
-	k.Spawn("s", func(e *sim.Env) {
-		c.Net.Send(e, c.Nodes[0], c.Nodes[1], 1e6)
-		done = e.Now()
-	})
+	spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return c.Net.SendThen(e, c.Nodes[0], c.Nodes[1], 1e6, next) },
+		func(e *sim.Env) { done = e.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +101,8 @@ func TestNetworkLocalSendPaysIPCCost(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := NewCluster(k, []NodeSpec{PaperNode()}, nil)
 	var done sim.Time = -1
-	k.Spawn("s", func(e *sim.Env) {
-		c.Net.Send(e, c.Nodes[0], c.Nodes[0], 2e9)
-		done = e.Now()
-	})
+	spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return c.Net.SendThen(e, c.Nodes[0], c.Nodes[0], 2e9, next) },
+		func(e *sim.Env) { done = e.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestNetworkLocalSendPaysIPCCost(t *testing.T) {
 
 func TestClusterShapes(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := HeterogeneousCluster(k, 5)
+	c := NewCluster(k, []NodeSpec{PaperNode(), PaperNode(), PaperNode(), CPUOnlyNode(), CPUOnlyNode()}, nil)
 	gpus := 0
 	for _, n := range c.Nodes {
 		if n.HasGPU() {
@@ -131,7 +131,7 @@ func TestClusterShapes(t *testing.T) {
 		}
 	}
 	if gpus != 3 {
-		t.Fatalf("gpus = %d, want 3 (ceil(5/2))", gpus)
+		t.Fatalf("gpus = %d, want 3", gpus)
 	}
 	h := HomogeneousCluster(k, 3)
 	if len(h.Devices()) != 9 {
@@ -148,10 +148,9 @@ func TestNICSharesEgressFairly(t *testing.T) {
 	var finish []sim.Time
 	for i := 0; i < 2; i++ {
 		dst := c.Nodes[i+1]
-		k.Spawn("s", func(e *sim.Env) {
-			c.Net.Send(e, c.Nodes[0], dst, 1e6) // 1 s serialization each
-			finish = append(finish, e.Now())
-		})
+		spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont {
+			return c.Net.SendThen(e, c.Nodes[0], dst, 1e6, next) // 1 s serialization each
+		}, func(e *sim.Env) { finish = append(finish, e.Now()) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -173,14 +172,14 @@ func TestNICSmallMessageNotBlockedByBulk(t *testing.T) {
 	c := NewCluster(k, []NodeSpec{CPUOnlyNode(), CPUOnlyNode()},
 		&NetworkConfig{BandwidthBps: 1e8, Latency: 0})
 	var small sim.Time
-	k.Spawn("bulk", func(e *sim.Env) {
-		c.Net.Send(e, c.Nodes[0], c.Nodes[1], 10e6) // 100 ms total
+	k.SpawnStep("bulk", func(e *sim.Env) sim.Cont {
+		return c.Net.SendThen(e, c.Nodes[0], c.Nodes[1], 10e6, sim.DoneStep) // 100 ms total
 	})
-	k.Spawn("ctl", func(e *sim.Env) {
-		e.Sleep(1 * sim.Millisecond)
-		c.Net.Send(e, c.Nodes[0], c.Nodes[1], 64)
-		small = e.Now()
-	})
+	spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont {
+		return sim.After(1*sim.Millisecond, func(e *sim.Env) sim.Cont {
+			return c.Net.SendThen(e, c.Nodes[0], c.Nodes[1], 64, next)
+		})
+	}, func(e *sim.Env) { small = e.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +209,10 @@ func TestDeviceIntervalsDisjointProperty(t *testing.T) {
 		k := sim.NewKernel(seed)
 		d := NewDevice(k, GPU, 0)
 		for i := 0; i < 10; i++ {
-			k.Spawn("u", func(e *sim.Env) {
-				e.Sleep(sim.Time(e.Rand().Float64()))
-				d.Run(e, sim.Time(e.Rand().Float64()))
+			k.SpawnStep("u", func(e *sim.Env) sim.Cont {
+				return sim.After(sim.Time(e.Rand().Float64()), func(e *sim.Env) sim.Cont {
+					return d.RunThen(e, sim.Time(e.Rand().Float64()), sim.DoneStep)
+				})
 			})
 		}
 		if err := k.Run(); err != nil {
@@ -240,10 +240,8 @@ func TestDeviceConcurrencySlots(t *testing.T) {
 	d.SetConcurrency(2, 0) // two slots, no contention penalty
 	var finish []sim.Time
 	for i := 0; i < 4; i++ {
-		k.Spawn("u", func(e *sim.Env) {
-			d.Run(e, 10)
-			finish = append(finish, e.Now())
-		})
+		spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return d.RunThen(e, 10, next) },
+			func(e *sim.Env) { finish = append(finish, e.Now()) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -262,10 +260,8 @@ func TestDeviceConcurrencyPenalty(t *testing.T) {
 	d.SetConcurrency(2, 0.7)
 	var finish []sim.Time
 	for i := 0; i < 2; i++ {
-		k.Spawn("u", func(e *sim.Env) {
-			d.Run(e, 10)
-			finish = append(finish, e.Now())
-		})
+		spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return d.RunThen(e, 10, next) },
+			func(e *sim.Env) { finish = append(finish, e.Now()) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -332,7 +328,7 @@ func TestValidationAndAccessors(t *testing.T) {
 		t.Fatal("network config accessor")
 	}
 	n.GPU.SetRecordIntervals(false)
-	k.Spawn("u", func(e *sim.Env) { n.GPU.Run(e, 1) })
+	k.SpawnStep("u", func(e *sim.Env) sim.Cont { return n.GPU.RunThen(e, 1, sim.DoneStep) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +343,7 @@ func TestValidationAndAccessors(t *testing.T) {
 func TestLinkBusyAccounting(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, LinkConfig{BandwidthBps: 1e6, Latency: 0})
-	k.Spawn("c", func(e *sim.Env) {
-		l.Copy(e, 5e5, DeviceToHost)
-	})
+	k.SpawnStep("c", func(e *sim.Env) sim.Cont { return l.CopyThen(e, 5e5, DeviceToHost, sim.DoneStep) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,5 +352,26 @@ func TestLinkBusyAccounting(t *testing.T) {
 	}
 	if l.Traffic(DeviceToHost) != 5e5 || l.Traffic(HostToDevice) != 0 {
 		t.Fatal("traffic accounting")
+	}
+}
+
+// TestDeviceRunThenZeroYields: a zero-length run still yields to the
+// events due at its instant, as a zero-length wait does, before its next
+// step runs.
+func TestDeviceRunThenZeroYields(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := NewDevice(k, CPU, 0)
+	var order []string
+	spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return d.RunThen(e, 0, next) },
+		func(*sim.Env) { order = append(order, "run") })
+	k.SpawnStep("other", func(*sim.Env) sim.Cont {
+		order = append(order, "other")
+		return sim.Done()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[other run]" {
+		t.Fatalf("order = %v, want the other process first", got)
 	}
 }

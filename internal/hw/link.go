@@ -75,36 +75,15 @@ func (l *Link) Degrade(latAdd sim.Time, bwMul float64) {
 	l.degBW *= bwMul
 }
 
-// Copy transfers bytes in the given direction, blocking the caller until the
-// transfer completes. Concurrency is achieved by issuing copies from
-// multiple processes (one per in-flight event), exactly how the transfer
-// controller in internal/xfer uses it.
-func (l *Link) Copy(e *sim.Env, bytes int64, dir Direction) {
-	if bytes < 0 {
-		panic("hw: negative transfer size")
-	}
-	l.inflight++
-	l.engine.Acquire(e)
-	// Sample congestion at service start: every other transfer still in
-	// flight (queued behind us or just issued) costs management overhead.
-	extra := float64(l.inflight - 1)
-	wire := sim.Time(float64(bytes)/(l.cfg.BandwidthBps*l.degBW)) * sim.Time(1+l.cfg.Congestion*extra)
-	d := l.cfg.Latency + l.degLat + wire
-	start := e.Now()
-	e.Sleep(d)
-	l.engine.Release()
-	l.inflight--
-	l.traffic[dir] += bytes
-	l.busy += e.Now() - start
-}
-
-// CopyThen is the continuation form of Copy, for stackless (step) processes:
-// the transfer joins the DMA engine's FIFO queue (shared with blocking
-// callers, so arbitration order is one discipline across flavours), samples
-// congestion at service start exactly as Copy does, and runs next once the
-// bytes have moved. Steps must return the directive CopyThen returns. Like
-// Network.SendThen it runs on a pooled record with steps bound once, so it
-// allocates nothing in steady state.
+// CopyThen transfers bytes in the given direction and runs next once they
+// have moved. The transfer joins the DMA engine's FIFO queue and samples
+// congestion at service start: every other transfer still in flight
+// (queued behind it or just issued) costs management overhead. Concurrency
+// comes from issuing copies from several processes (one per in-flight
+// event), as the transfer controller in internal/xfer does. Steps must
+// return the directive CopyThen returns. Like Network.SendThen it runs on a
+// pooled record with steps bound once, so it allocates nothing in steady
+// state.
 func (l *Link) CopyThen(e *sim.Env, bytes int64, dir Direction, next sim.Step) sim.Cont {
 	if bytes < 0 {
 		panic("hw: negative transfer size")

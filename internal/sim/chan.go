@@ -1,40 +1,36 @@
 package sim
 
-// Chan is a blocking FIFO channel between simulated processes, analogous to
-// a Go channel but operating in virtual time. A capacity of zero gives
+// Chan is a FIFO channel between simulated processes, analogous to a Go
+// channel but operating in virtual time. A capacity of zero gives
 // rendezvous semantics. All operations must be called from simulated
-// processes of the same kernel.
-//
-// The wait queues are continuation-aware: blocking processes (Put/Get) and
-// continuation processes (PutThen/GetThen) share the same FIFO queues, so
-// wakeup order is a single discipline regardless of process flavour.
+// processes of the same kernel. Putters and getters that have to wait
+// queue in FIFO order.
 //
 // Waiting costs no allocation in steady state. A process that has to wait
 // is queued as a waiter record drawn from the channel's own free list, and
 // the record goes back to that list as soon as its process resumes. A
-// continuation waiter's resume step is a method value on the record, bound
-// once when the record is first made, so GetThen and a blocked PutThen
-// build no closure per call.
+// waiter's resume step is a method value on the record, bound once when the
+// record is first made, so GetThen and a blocked PutThen build no closure
+// per call.
 type Chan[T any] struct {
 	k        *Kernel
 	capacity int
 	buf      []T
 	getQ     []*chanGetter[T]
 	putQ     []*chanPutter[T]
-	freeGet  []*chanGetter[T] // idle getter records, reused by Get/GetThen
-	freePut  []*chanPutter[T] // idle putter records, reused by Put/PutThen
+	freeGet  []*chanGetter[T] // idle getter records, reused by GetThen
+	freePut  []*chanPutter[T] // idle putter records, reused by PutThen
 	closed   bool
 }
 
-// chanGetter is a pooled getter record. Delivery (or Close) fills val, ok
-// and hit before waking p.
+// chanGetter is a pooled getter record. Delivery (or Close) fills val and
+// ok before waking p.
 type chanGetter[T any] struct {
 	c   *Chan[T]
 	p   *proc
 	val T
 	ok  bool
-	hit bool // value delivered directly (or channel closed)
-	// GetThen only: the caller's continuation, and wake bound as a Step.
+	// The caller's continuation, and wake bound as a Step.
 	next   func(e *Env, v T, ok bool) Cont
 	resume Step
 }
@@ -44,7 +40,7 @@ type chanPutter[T any] struct {
 	c   *Chan[T]
 	p   *proc
 	val T
-	// PutThen only: the caller's continuation, and wake bound as a Step.
+	// The caller's continuation, and wake bound as a Step.
 	next   Step
 	resume Step
 }
@@ -63,26 +59,12 @@ func (c *Chan[T]) Len() int { return len(c.buf) }
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed }
 
-// Put delivers v, blocking while the buffer is full (or, for capacity zero,
-// until a getter arrives). Put on a closed channel panics.
-func (c *Chan[T]) Put(e *Env, v T) {
-	if c.putReady(v) {
-		return
-	}
-	w := c.newPutter(e.p, v)
-	c.putQ = append(c.putQ, w)
-	c.k.park(e.p)
-	c.releasePutter(w)
-	if c.closed {
-		panic("sim: channel closed while put blocked")
-	}
-}
-
-// PutThen is the continuation form of Put: it delivers v (immediately when
-// there is room or a waiting getter, otherwise after blocking in the same
-// FIFO putter queue) and then runs the next step. Steps must return the
-// directive PutThen returns. Blocking takes a pooled putter record, so it
-// allocates nothing.
+// PutThen delivers v and then runs the next step: inline when there is room
+// or a waiting getter, otherwise after waiting in the FIFO putter queue
+// while the buffer is full (or, for capacity zero, until a getter
+// arrives). Steps must return the directive PutThen returns. Waiting takes
+// a pooled putter record, so it allocates nothing. PutThen on a closed
+// channel panics.
 func (c *Chan[T]) PutThen(e *Env, v T, next Step) Cont {
 	if c.putReady(v) {
 		return next(e)
@@ -136,7 +118,7 @@ func (c *Chan[T]) putReady(v T) bool {
 	// values are already buffered ahead of v.
 	if len(c.getQ) > 0 && len(c.buf) == 0 {
 		g := popFront(&c.getQ)
-		g.val, g.ok, g.hit = v, true, true
+		g.val, g.ok = v, true
 		c.k.schedule(c.k.now, g.p)
 		return true
 	}
@@ -147,36 +129,12 @@ func (c *Chan[T]) putReady(v T) bool {
 	return false
 }
 
-// Get removes and returns the next value. It blocks while the channel is
-// empty; it returns ok=false once the channel is closed and drained.
-func (c *Chan[T]) Get(e *Env) (T, bool) {
-	for {
-		if v, ok := c.takeReady(); ok {
-			return v, true
-		}
-		if c.closed {
-			var zero T
-			return zero, false
-		}
-		g := c.newGetter(e.p)
-		c.getQ = append(c.getQ, g)
-		c.k.park(e.p)
-		v, ok, hit := g.val, g.ok, g.hit
-		c.releaseGetter(g)
-		if hit {
-			return v, ok
-		}
-		// Spurious wakeup is impossible in this kernel, but the loop also
-		// covers the close-while-waiting path where hit is set with ok=false.
-	}
-}
-
-// GetThen is the continuation form of Get: it runs next with the received
-// value (immediately when one is available, otherwise after waiting in the
-// same FIFO getter queue) or with ok=false once the channel is closed and
-// drained. Steps must return the directive GetThen returns. Waiting takes a
-// pooled getter record and allocates nothing; pass a next bound once (a
-// method value kept in a field) to keep the whole call allocation-free.
+// GetThen removes the next value and runs next with it: inline when one is
+// available, otherwise after waiting in the FIFO getter queue. It runs next
+// with ok=false once the channel is closed and drained. Steps must return
+// the directive GetThen returns. Waiting takes a pooled getter record and
+// allocates nothing; pass a next bound once (a method value kept in a
+// field) to keep the whole call allocation-free.
 func (c *Chan[T]) GetThen(e *Env, next func(e *Env, v T, ok bool) Cont) Cont {
 	if v, ok := c.takeReady(); ok {
 		return next(e, v, true)
@@ -194,9 +152,9 @@ func (c *Chan[T]) GetThen(e *Env, next func(e *Env, v T, ok bool) Cont) Cont {
 
 // wake is a parked GetThen's resume step. Delivery (or Close) set val and ok
 // and dequeued the record before waking the process; spurious wakeups are
-// impossible, matching the blocking Get loop. The record goes back to the
-// free list before the continuation runs, so a continuation that waits on
-// the channel again reuses it.
+// impossible. The record goes back to the free list before the
+// continuation runs, so a continuation that waits on the channel again
+// reuses it.
 func (g *chanGetter[T]) wake(e *Env) Cont {
 	c, next, v, ok := g.c, g.next, g.val, g.ok
 	c.releaseGetter(g)
@@ -218,11 +176,11 @@ func (c *Chan[T]) newGetter(p *proc) *chanGetter[T] {
 
 func (c *Chan[T]) releaseGetter(g *chanGetter[T]) {
 	var zero T
-	g.p, g.val, g.ok, g.hit, g.next = nil, zero, false, false, nil
+	g.p, g.val, g.ok, g.next = nil, zero, false, nil
 	c.freeGet = append(c.freeGet, g)
 }
 
-// TryGet is the non-blocking variant of Get: ok=false means no value was
+// TryGet takes a value without waiting: ok=false means none was
 // immediately available.
 func (c *Chan[T]) TryGet() (T, bool) {
 	if v, ok := c.takeReady(); ok {
@@ -265,7 +223,7 @@ func (c *Chan[T]) Close(e *Env) {
 	}
 	c.closed = true
 	for _, g := range c.getQ {
-		g.hit, g.ok = true, false
+		g.ok = false
 		c.k.schedule(c.k.now, g.p)
 	}
 	c.getQ = nil

@@ -2,13 +2,13 @@ package sim
 
 import "time"
 
-// Clock abstracts the passage of time for code that must run both inside
-// the virtual-time kernel and against the host's wall clock — the seam that
-// lets one driver (e.g. an open-system arrival pacer) feed a virtual-time
-// experiment and a real-time demo without changing a line.
+// Clock abstracts the passage of host-side time for a driver that paces a
+// kernel from outside it (serve.Engine.Pace): a real-time demo runs it on
+// WallClock, a test on ManualClock. Inside the kernel, processes wait with
+// After.
 //
-// Times are sim.Time seconds on both sides; a wall-clock implementation
-// anchors Time 0 at its construction instant.
+// Times are sim.Time seconds; a wall-clock implementation anchors Time 0 at
+// its construction instant.
 type Clock interface {
 	// Now returns the current time.
 	Now() Time
@@ -17,25 +17,8 @@ type Clock interface {
 	Sleep(d Time)
 }
 
-// VirtualClock adapts one simulation process's Env to the Clock interface:
-// Now is kernel virtual time and Sleep parks the process on the event heap.
-// It is only usable from a blocking (coroutine) process — exactly like
-// Env.Sleep itself.
-type VirtualClock struct{ E *Env }
-
-// Now returns the kernel's virtual time.
-func (c VirtualClock) Now() Time { return c.E.Now() }
-
-// Sleep parks the process for d of virtual time (no-op for d <= 0).
-func (c VirtualClock) Sleep(d Time) {
-	if d > 0 {
-		c.E.Sleep(d)
-	}
-}
-
 // WallClock implements Clock over the host's real time, anchored at the
-// instant NewWallClock was called. It drives the same pacing loops the
-// virtual clock does, at demo speed.
+// instant NewWallClock was called.
 type WallClock struct{ epoch time.Time }
 
 // NewWallClock returns a wall clock whose Time 0 is now.
@@ -53,7 +36,7 @@ func (c *WallClock) Sleep(d Time) {
 
 // ManualClock is a hand-advanced Clock for unit tests: Sleep advances the
 // clock by exactly the requested duration, so a pacing loop runs to
-// completion instantly and deterministically with no kernel at all.
+// completion instantly and deterministically.
 type ManualClock struct{ Time Time }
 
 // Now returns the clock's current hand position.

@@ -5,36 +5,8 @@ import (
 	"time"
 )
 
-// TestVirtualClockPacing runs a pacing loop against the virtual clock: each
-// Sleep must land the process exactly at the requested instant, with no
-// wall-clock involvement.
-func TestVirtualClockPacing(t *testing.T) {
-	k := NewKernel(1)
-	deadlines := []Time{0, 250 * Microsecond, Millisecond, Millisecond, 5 * Millisecond}
-	var seen []Time
-	k.Spawn("pacer", func(e *Env) {
-		c := VirtualClock{E: e}
-		for _, at := range deadlines {
-			c.Sleep(at - c.Now())
-			seen = append(seen, c.Now())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(deadlines) {
-		t.Fatalf("pacer fired %d times, want %d", len(seen), len(deadlines))
-	}
-	for i, at := range deadlines {
-		if seen[i] != at {
-			t.Errorf("firing %d at %v, want %v", i, seen[i], at)
-		}
-	}
-}
-
-// TestManualClockPacing drives the same loop shape against the hand-advanced
-// clock: deadlines in the past fire immediately, future ones advance the
-// hand exactly.
+// TestManualClockPacing: the hand-advanced clock moves by exactly a
+// positive Sleep and not at all for a non-positive one.
 func TestManualClockPacing(t *testing.T) {
 	c := &ManualClock{}
 	c.Sleep(3 * Millisecond)

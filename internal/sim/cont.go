@@ -1,9 +1,9 @@
 package sim
 
-// Continuation processes: explicit resumable state machines dispatched
-// inline by the event loop. A continuation process is a Step function; each
-// dispatch runs the current step to completion (steps never block) and the
-// returned Cont directive tells the kernel how the process resumes:
+// Processes are explicit resumable state machines dispatched inline by the
+// event loop. A process is a Step function; each dispatch runs the current
+// step to completion (steps never block) and the returned Cont directive
+// tells the kernel how the process resumes:
 //
 //	k.SpawnStep("pinger", func(e *Env) Cont {
 //	    return ch.GetThen(e, func(e *Env, v int, ok bool) Cont {
@@ -15,13 +15,10 @@ package sim
 //	    })
 //	})
 //
-// Because a dispatch is an event-queue pop plus a direct function call — no
-// coroutine or goroutine switch — continuation processes are the cheapest
-// way to model per-message or per-transfer activities on the kernel's hot
-// path. They share wait queues (and therefore FIFO wakeup order and
-// same-timestamp tie-breaking) with blocking processes: a continuation
-// getter queued behind a blocking getter on the same Chan wakes strictly
-// after it, exactly as two blocking getters would.
+// A dispatch is an event-queue pop plus a direct function call — no
+// coroutine or goroutine switch. The wait queues of the primitives are
+// FIFO, so wakeup order and same-timestamp tie-breaking follow arrival
+// order on the queue.
 //
 // Each func literal above allocates when it is evaluated, which is fine
 // for a process that lives long but is the main cost of one that runs per
@@ -48,14 +45,20 @@ package sim
 // serve one message at a time come from a free list and go back to it in
 // their last step, after copying out what the continuation needs.
 //
-// Contract differences from blocking processes:
+// Writing a loop as a step chain:
 //
-//   - Steps must not call blocking operations (Sleep, Chan.Get, ...); doing
-//     so panics with a clear message. Use After and the *Then variants.
-//   - A killed continuation process (still waiting when Run returns or the
-//     horizon cuts it off) is dropped without unwinding: it holds no stack,
-//     so no deferred functions run. Blocking processes keep their unwind
-//     semantics.
+//   - Where the loop goes on without waiting — a *Then whose wait is
+//     already satisfied, a zero-length pause with nothing else due — the
+//     next step runs inline, on the same dispatch. A step that calls the
+//     next one directly recurses once per such transition, so a loop that
+//     can go round many times without waiting keeps its iterations in a
+//     for loop inside one step (or returns After(0, ...), whose inline run
+//     goes through the kernel's trampoline, not the stack).
+//   - After(0, next) is a yield: it runs next inline only when nothing else
+//     is due at this instant. Where the modelled code does not yield, call
+//     next directly instead.
+//   - A process still waiting when Run returns or the horizon cuts it off
+//     is dropped: it holds no stack, so there is nothing to unwind.
 
 type contCode uint8
 
@@ -83,14 +86,14 @@ func Done() Cont { return Cont{code: contDone} }
 
 // After resumes the process with next once d of virtual time has passed.
 // Non-positive durations resume at the current instant, behind same-time
-// events already queued — exactly Sleep(0)/Yield for blocking processes,
-// including the no-reschedule fast path when nothing else is pending now.
+// events already queued: a yield, which runs next inline when nothing else
+// is pending now.
 func After(d Time, next Step) Cont { return Cont{code: contAfter, at: d, next: next} }
 
 // Blocked reports that the step has armed its continuation on a wait queue
 // (via Chan.GetThen, Resource.AcquireThen, ...): the process resumes when
 // that primitive wakes it. Returning Blocked without having registered
-// anywhere leaves the process waiting forever (it is killed at shutdown,
+// anywhere leaves the process waiting forever (it is dropped at shutdown,
 // like any other deadlocked process).
 func Blocked() Cont { return Cont{code: contBlocked} }
 
@@ -116,10 +119,13 @@ func popFront[T any](q *[]T) T {
 	return v
 }
 
-// SpawnStep registers a new continuation process. It may be called before
-// Run or from inside any running process. The process starts at the current
-// virtual time, after previously scheduled same-time events — the same
-// start ordering as Spawn.
+// SpawnStep registers a new process. It may be called before Run or from
+// inside any running process. The process starts at the current virtual
+// time, after previously scheduled same-time events.
+//
+// Finished process records are reused, so workloads that spawn one
+// short-lived process per message or transfer do not pay a record
+// allocation each time.
 func (k *Kernel) SpawnStep(name string, step Step) {
 	var p *proc
 	if n := len(k.freeStep); n > 0 {
@@ -128,23 +134,24 @@ func (k *Kernel) SpawnStep(name string, step Step) {
 		k.freeStep = k.freeStep[:n-1]
 		p.name = name
 		p.state = stateNew
-		p.killed = false
 	} else {
 		p = &proc{state: stateNew, name: name}
 		p.env = Env{k: k, p: p}
 		k.addProc(p)
 	}
+	// Fresh id even on reuse: a wakeup for an earlier incarnation of the
+	// record is then recognised as stale.
 	p.id = k.idgen
 	k.idgen++
 	p.step = step
 	k.schedule(k.now, p)
 }
 
-// dispatchStep runs a continuation process's pending step and interprets
-// the directive, trampolining zero-delay resumptions inline so After(0, ...)
-// chains never grow the stack and take the same fast path as Sleep(0). A
-// panic unwinds to the event loop, whose recoverStep fails the run through
-// p: one deferred recover per loop, not one per dispatch.
+// dispatchStep runs a process's pending step and interprets the directive,
+// trampolining zero-delay resumptions inline so After(0, ...) chains never
+// grow the stack. A panic unwinds to the event loop, whose recoverStep
+// fails the run through p: one deferred recover per loop, not one per
+// dispatch.
 func (k *Kernel) dispatchStep(p *proc) {
 	k.stepping = p
 	for {
@@ -160,9 +167,9 @@ func (k *Kernel) dispatchStep(p *proc) {
 		case contAfter:
 			p.step = c.next
 			if c.at <= 0 {
-				// Same condition as the Sleep(0) fast path: if no other
-				// event is pending at this instant the reschedule would be
-				// dispatched immediately — run the next step inline.
+				// If no other event is pending at this instant the
+				// reschedule would be dispatched immediately: run the next
+				// step inline.
 				if !k.pendingNow() {
 					continue
 				}
@@ -174,19 +181,19 @@ func (k *Kernel) dispatchStep(p *proc) {
 		default: // contBlocked
 			// The step armed p.step on a wait queue; the primitive's wakeup
 			// reschedules us. If the step forgot, the process deadlocks and
-			// is killed at shutdown, matching a blocking process parked on
-			// a queue nobody signals.
+			// is dropped at shutdown, like one parked on a queue nobody
+			// signals.
 			p.state = stateParked
 			return
 		}
 	}
 }
 
-// recoverStep is deferred by the event loop. A panic raised while a
-// continuation process runs, in its step or in the kernel acting on the
-// step's directive, finds that process still in stateRunning. For it,
-// recoverStep mirrors blocking-process panic semantics: record the first
-// failure, end the process, and return, which winds the simulation down.
+// recoverStep is deferred by the event loop. A panic raised while a process
+// runs, in its step or in the kernel acting on the step's directive, finds
+// that process still in stateRunning. For it, recoverStep records the
+// first failure, ends the process, and returns, which winds the simulation
+// down.
 // Any other panic is the kernel's own and is raised again.
 func (k *Kernel) recoverStep() {
 	r := recover()

@@ -1,41 +1,52 @@
 package sim_test
 
-// Golden and flavour tests over scenario programs. The kernel's traces on
-// the regression corpus and a seeded random corpus — operations with
-// virtual timestamps, RNG draws, kill order, final virtual time and error,
-// panic messages included — are pinned to golden files under testdata.
-// They were recorded while the pre-rewrite goroutine-per-process kernel was
-// still kept as a differential oracle, and both kernels reproduced them
-// byte for byte. The flavour tests require blocking, continuation and mixed
-// processes to produce the same trace on the same program.
+// Golden tests over scenario programs. The kernel's traces on the
+// regression corpus and a seeded random corpus — operations with virtual
+// timestamps, RNG draws, final virtual time and error, panic messages
+// included — are pinned to golden files under testdata. They were recorded
+// from the same programs run as blocking coroutine processes, and the
+// pre-rewrite goroutine-per-process kernel, then kept as a differential
+// oracle, reproduced them byte for byte. They also hold a "K " line for
+// each process killed at shutdown, which a blocking process logged as it
+// unwound; a process now holds no stack and is dropped without running
+// anything, so those lines are filtered from the golden side before
+// comparing.
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
-
-	"repro/internal/simtest"
 )
 
 const kernelSeed = 42
 
-// checkStepVsBlocking runs p in blocking, continuation and mixed flavours
-// and fails on any divergence (kill-unwind lines filtered: continuation
-// processes hold no stack to unwind).
-func checkStepVsBlocking(t *testing.T, p prog) {
+// checkGolden compares got with the golden trace at path, less its kill
+// lines.
+func checkGolden(t *testing.T, path string, got []string) {
 	t.Helper()
-	base := stripKills(runProg(p, allBlock))
-	for name, fl := range map[string]flavor{"step": allStep, "mixed": alternating} {
-		got := stripKills(runProg(p, fl))
-		if i := firstDiff(base, got); i >= 0 {
-			t.Fatal(diffReport(p, "blocking vs "+name, base, got, i))
-		}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stripKills(strings.Split(strings.TrimSuffix(string(data), "\n"), "\n"))
+	if i := firstDiff(want, got); i >= 0 {
+		t.Fatalf("%s differs from the golden trace at line %d (kill lines dropped):\n  got:  %s\n  want: %s",
+			path, i+1, lineAt(got, i), lineAt(want, i))
 	}
 }
 
-// TestDiffRandomPrograms pins the all-blocking traces of 400 seeded random
-// byte programs — a few thousand processes and tens of thousands of kernel
-// events — each under a "== program <i>" header, to
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of trace>"
+}
+
+// TestDiffRandomPrograms checks the traces of 400 seeded random byte
+// programs — a few thousand processes and tens of thousands of kernel
+// events — each under a "== program <i>" header, against
 // testdata/random_programs.trace.
 func TestDiffRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
@@ -44,21 +55,9 @@ func TestDiffRandomPrograms(t *testing.T) {
 		data := make([]byte, rng.Intn(200))
 		rng.Read(data)
 		lines = append(lines, fmt.Sprintf("== program %d", i))
-		lines = append(lines, runProg(decodeProgram(data), allBlock)...)
+		lines = append(lines, runProg(decodeProgram(data))...)
 	}
-	simtest.Golden(t, "testdata/random_programs.trace", lines)
-}
-
-// TestDiffRandomProgramsStep runs a second seeded random corpus in
-// continuation and mixed flavours against the blocking flavour.
-func TestDiffRandomProgramsStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	for i := 0; i < 200; i++ {
-		data := make([]byte, rng.Intn(200))
-		rng.Read(data)
-		p := decodeProgram(data)
-		checkStepVsBlocking(t, p)
-	}
+	checkGolden(t, "testdata/random_programs.trace", lines)
 }
 
 // fixedCorpus returns hand-written regression scenarios, each pinning one
@@ -189,7 +188,7 @@ func fixedCorpus() map[string]prog {
 			roots:   3,
 			horizon: -1,
 		},
-		// TryGet polling alongside blocking getters.
+		// TryGet polling alongside waiting getters.
 		"tryget-poll": {
 			chanCaps: []int{1},
 			scripts: [][]instr{
@@ -203,21 +202,13 @@ func fixedCorpus() map[string]prog {
 	}
 }
 
-// TestDiffFixedCorpus pins each regression scenario's all-blocking trace
-// to testdata/fixed/<name>.trace.
+// TestDiffFixedCorpus checks each regression scenario's trace against
+// testdata/fixed/<name>.trace.
 func TestDiffFixedCorpus(t *testing.T) {
 	for name, p := range fixedCorpus() {
 		t.Run(name, func(t *testing.T) {
-			simtest.Golden(t, "testdata/fixed/"+name+".trace", runProg(p, allBlock))
+			checkGolden(t, "testdata/fixed/"+name+".trace", runProg(p))
 		})
-	}
-}
-
-// TestDiffFixedCorpusStep pins the same scenarios across process
-// flavours.
-func TestDiffFixedCorpusStep(t *testing.T) {
-	for name, p := range fixedCorpus() {
-		t.Run(name, func(t *testing.T) { checkStepVsBlocking(t, p) })
 	}
 }
 
@@ -229,9 +220,9 @@ func TestDiffDeterministicReplay(t *testing.T) {
 	data := make([]byte, 160)
 	rng.Read(data)
 	p := decodeProgram(data)
-	base := runProg(p, allBlock)
+	base := runProg(p)
 	for i := 0; i < 20; i++ {
-		got := runProg(p, allBlock)
+		got := runProg(p)
 		if j := firstDiff(base, got); j >= 0 {
 			t.Fatal(diffReport(p, "replay", base, got, j))
 		}

@@ -1,10 +1,9 @@
 package sim_test
 
 // FuzzKernelScenario lets the fuzzer invent scenario programs byte-by-byte
-// and checks every one against the kernel's contract: blocking and
-// mixed-flavour processes agree on the trace, timestamps never decrease,
-// the horizon-bounded trace is the full trace cut at the horizon, and a
-// second run replays the first exactly. The decoder is total (any byte
+// and checks every one against the kernel's contract: timestamps never
+// decrease, the horizon-bounded trace is the full trace cut at the horizon,
+// and a second run replays the first exactly. The decoder is total (any byte
 // string is a program) and bounded (small script/process caps), so every
 // mutation is a fast, meaningful case.
 
@@ -27,19 +26,15 @@ func FuzzKernelScenario(f *testing.F) {
 		3, 0, 8, 1, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProgram(data)
-		base, again := runProg(p, allBlock), runProg(p, allBlock)
+		base, again := runProg(p), runProg(p)
 		if i := firstDiff(base, again); i >= 0 {
 			t.Fatal(diffReport(p, "replay", base, again, i))
 		}
 		checkMonotonic(t, p, base)
-		mixed := stripKills(runProg(p, alternating))
-		if i := firstDiff(stripKills(base), mixed); i >= 0 {
-			t.Fatal(diffReport(p, "blocking vs mixed-flavour", stripKills(base), mixed, i))
-		}
 		if p.horizon >= 0 {
 			unbounded := p
 			unbounded.horizon = -1
-			if full := runProg(unbounded, allBlock); !panicked(full) {
+			if full := runProg(unbounded); !panicked(full) {
 				checkHorizonCut(t, p, full, base)
 			}
 		}

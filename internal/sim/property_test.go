@@ -1,8 +1,7 @@
 package sim_test
 
 // Property tests over generated programs: scheduling invariants the kernel
-// must uphold for any workload, checked across blocking and continuation
-// process flavours.
+// must uphold for any workload.
 
 import (
 	"fmt"
@@ -14,36 +13,40 @@ import (
 	"repro/internal/sim"
 )
 
-// spawnLogger spawns a process of the given flavour that appends its name
-// to *order at t=0 (continuation and blocking flavours must obey the same
-// same-timestamp dispatch order).
-func spawnLogger(k *sim.Kernel, name string, step bool, order *[]string) {
-	if step {
-		k.SpawnStep(name, func(e *sim.Env) sim.Cont {
-			*order = append(*order, name)
-			return sim.Done()
-		})
+// spawnLogger spawns a process that appends its name to *order at t=0, or
+// after one yield if yield is set.
+func spawnLogger(k *sim.Kernel, name string, yield bool, order *[]string) {
+	log := func(e *sim.Env) sim.Cont {
+		*order = append(*order, name)
+		return sim.Done()
+	}
+	if yield {
+		k.SpawnStep(name, func(e *sim.Env) sim.Cont { return sim.After(0, log) })
 		return
 	}
-	k.Spawn(name, func(e *sim.Env) {
-		*order = append(*order, name)
-	})
+	k.SpawnStep(name, log)
 }
 
 // TestPropertySameTimeSpawnOrder: processes spawned at the same instant run
-// in spawn order, regardless of flavour mix.
+// in spawn order, and those that yield once run again in spawn order after
+// every first dispatch.
 func TestPropertySameTimeSpawnOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		k := sim.NewKernel(1)
 		n := 2 + rng.Intn(20)
-		var want []string
-		var got []string
+		var first, again, got []string
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("p%d", i)
-			want = append(want, name)
-			spawnLogger(k, name, rng.Intn(2) == 0, &got)
+			yield := rng.Intn(2) == 0
+			if yield {
+				again = append(again, name)
+			} else {
+				first = append(first, name)
+			}
+			spawnLogger(k, name, yield, &got)
 		}
+		want := append(first, again...)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +57,9 @@ func TestPropertySameTimeSpawnOrder(t *testing.T) {
 }
 
 // TestPropertyYieldFairness: processes repeatedly yielding at one instant
-// are dispatched round-robin — every round contains every live process once,
-// in spawn order — for Yield, Sleep(0) and After(0, ...) alike.
+// with After(0, ...) or After of a negative delay are dispatched
+// round-robin — every round contains every live process once, in spawn
+// order.
 func TestPropertyYieldFairness(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
@@ -65,34 +69,18 @@ func TestPropertyYieldFairness(t *testing.T) {
 		var got []string
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("p%d", i)
-			switch rng.Intn(3) {
-			case 0: // blocking Yield
-				k.Spawn(name, func(e *sim.Env) {
-					for r := 0; r < rounds; r++ {
-						got = append(got, name)
-						e.Yield()
+			d := -sim.Time(rng.Intn(2)) // 0 or -1
+			var loop func(r int) sim.Step
+			loop = func(r int) sim.Step {
+				return func(e *sim.Env) sim.Cont {
+					if r == rounds {
+						return sim.Done()
 					}
-				})
-			case 1: // blocking Sleep(0)
-				k.Spawn(name, func(e *sim.Env) {
-					for r := 0; r < rounds; r++ {
-						got = append(got, name)
-						e.Sleep(0)
-					}
-				})
-			default: // continuation After(0)
-				var loop func(r int) sim.Step
-				loop = func(r int) sim.Step {
-					return func(e *sim.Env) sim.Cont {
-						if r == rounds {
-							return sim.Done()
-						}
-						got = append(got, name)
-						return sim.After(0, loop(r+1))
-					}
+					got = append(got, name)
+					return sim.After(d, loop(r+1))
 				}
-				k.SpawnStep(name, loop(0))
 			}
+			k.SpawnStep(name, loop(0))
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -111,9 +99,8 @@ func TestPropertyYieldFairness(t *testing.T) {
 	}
 }
 
-// TestPropertyFIFOChanWakeup: blocked getters — blocking and continuation
-// flavours interleaved on one channel — receive values in arrival order,
-// and values arrive in put order.
+// TestPropertyFIFOChanWakeup: getters waiting on one channel receive
+// values in arrival order, and values arrive in put order.
 func TestPropertyFIFOChanWakeup(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
@@ -123,34 +110,29 @@ func TestPropertyFIFOChanWakeup(t *testing.T) {
 		type rcv struct{ getter, val int }
 		var got []rcv
 		for i := 0; i < getters; i++ {
-			i := i
-			if rng.Intn(2) == 0 {
-				k.Spawn(fmt.Sprintf("g%d", i), func(e *sim.Env) {
-					v, ok := ch.Get(e)
+			k.SpawnStep(fmt.Sprintf("g%d", i), func(e *sim.Env) sim.Cont {
+				return ch.GetThen(e, func(e *sim.Env, v int, ok bool) sim.Cont {
 					if ok {
 						got = append(got, rcv{i, v})
 					}
+					return sim.Done()
 				})
-			} else {
-				k.SpawnStep(fmt.Sprintf("g%d", i), func(e *sim.Env) sim.Cont {
-					return ch.GetThen(e, func(e *sim.Env, v int, ok bool) sim.Cont {
-						if ok {
-							got = append(got, rcv{i, v})
-						}
-						return sim.Done()
-					})
-				})
-			}
+			})
 		}
 		sent := rng.Intn(getters + 3)
-		k.Spawn("producer", func(e *sim.Env) {
-			e.Sleep(1) // let every getter enqueue first
-			for v := 0; v < sent; v++ {
-				ch.Put(e, v)
+		v := 0
+		var produce sim.Step
+		produce = func(e *sim.Env) sim.Cont {
+			if v == sent {
+				return sim.Done()
 			}
-		})
-		// With sent > getters the surplus put blocks forever and the
-		// producer is killed at shutdown — silently, by contract.
+			v++
+			return ch.PutThen(e, v-1, produce)
+		}
+		// Wait 1 to let every getter enqueue first.
+		k.SpawnStep("producer", func(e *sim.Env) sim.Cont { return sim.After(1, produce) })
+		// With sent > getters the surplus put waits forever and the
+		// producer is dropped at shutdown — silently, by contract.
 		if err := k.Run(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -238,17 +220,17 @@ func TestPropertyRunUntilHorizonExactness(t *testing.T) {
 		rng.Read(data)
 		p := decodeProgram(data)
 		p.horizon = -1
-		full := runProg(p, allBlock)
+		full := runProg(p)
 		if panicked(full) {
 			continue // a panicking program ends early on both runs anyway
 		}
 		p.horizon = float64(rng.Intn(8)) * 0.75
-		checkHorizonCut(t, p, full, runProg(p, allBlock))
+		checkHorizonCut(t, p, full, runProg(p))
 	}
 }
 
 // TestPropertyNoLostWakeup: a produce/consume pipeline with random fan-in,
-// fan-out, buffering and process flavours delivers every value exactly once
+// fan-out and buffering delivers every value exactly once
 // and terminates cleanly — no wakeup is lost and no value duplicated.
 func TestPropertyNoLostWakeup(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -262,62 +244,39 @@ func TestPropertyNoLostWakeup(t *testing.T) {
 		wg.Add(producers)
 		seen := map[int]int{}
 		for pi := 0; pi < producers; pi++ {
-			pi := pi
 			base := pi * perProducer
-			if rng.Intn(2) == 0 {
-				k.Spawn(fmt.Sprintf("prod%d", pi), func(e *sim.Env) {
-					for v := 0; v < perProducer; v++ {
-						e.Sleep(sim.Time(e.Rand().Float64()))
-						ch.Put(e, base+v)
+			var loop func(v int) sim.Step
+			loop = func(v int) sim.Step {
+				return func(e *sim.Env) sim.Cont {
+					if v == perProducer {
+						wg.Done()
+						return sim.Done()
 					}
-					wg.Done()
-				})
-			} else {
-				var loop func(v int) sim.Step
-				loop = func(v int) sim.Step {
-					return func(e *sim.Env) sim.Cont {
-						if v == perProducer {
-							wg.Done()
-							return sim.Done()
-						}
-						return sim.After(sim.Time(e.Rand().Float64()), func(e *sim.Env) sim.Cont {
-							return ch.PutThen(e, base+v, func(e *sim.Env) sim.Cont {
-								return loop(v + 1)(e)
-							})
-						})
-					}
-				}
-				k.SpawnStep(fmt.Sprintf("prod%d", pi), loop(0))
-			}
-		}
-		k.Spawn("closer", func(e *sim.Env) {
-			wg.Wait(e)
-			ch.Close(e)
-		})
-		for ci := 0; ci < consumers; ci++ {
-			if rng.Intn(2) == 0 {
-				k.Spawn(fmt.Sprintf("cons%d", ci), func(e *sim.Env) {
-					for {
-						v, ok := ch.Get(e)
-						if !ok {
-							return
-						}
-						seen[v]++
-					}
-				})
-			} else {
-				var loop sim.Step
-				loop = func(e *sim.Env) sim.Cont {
-					return ch.GetThen(e, func(e *sim.Env, v int, ok bool) sim.Cont {
-						if !ok {
-							return sim.Done()
-						}
-						seen[v]++
-						return loop(e)
+					return sim.After(sim.Time(e.Rand().Float64()), func(e *sim.Env) sim.Cont {
+						return ch.PutThen(e, base+v, loop(v+1))
 					})
 				}
-				k.SpawnStep(fmt.Sprintf("cons%d", ci), loop)
 			}
+			k.SpawnStep(fmt.Sprintf("prod%d", pi), loop(0))
+		}
+		k.SpawnStep("closer", func(e *sim.Env) sim.Cont {
+			return wg.WaitThen(e, func(e *sim.Env) sim.Cont {
+				ch.Close(e)
+				return sim.Done()
+			})
+		})
+		for ci := 0; ci < consumers; ci++ {
+			var loop sim.Step
+			loop = func(e *sim.Env) sim.Cont {
+				return ch.GetThen(e, func(e *sim.Env, v int, ok bool) sim.Cont {
+					if !ok {
+						return sim.Done()
+					}
+					seen[v]++
+					return loop(e)
+				})
+			}
+			k.SpawnStep(fmt.Sprintf("cons%d", ci), loop)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatalf("trial %d (prod=%d cons=%d per=%d): %v", trial, producers, consumers, perProducer, err)

@@ -17,7 +17,6 @@ import (
 // "p<i>.<j>@<now>" before its j-th delay and once more after the last.
 type sleepProg struct {
 	delays [][]Time
-	step   []bool // flavour per process
 }
 
 // randomSleepProg draws delays from a coarse grid heavy in zeros, so many
@@ -32,7 +31,6 @@ func randomSleepProg(rng *rand.Rand) sleepProg {
 			ds[j] = grid[rng.Intn(len(grid))]
 		}
 		p.delays = append(p.delays, ds)
-		p.step = append(p.step, rng.Intn(2) == 0)
 	}
 	return p
 }
@@ -51,23 +49,8 @@ func randomDelayProg(rng *rand.Rand) sleepProg {
 			ds[j] = grid[rng.Intn(len(grid))]
 		}
 		p.delays = append(p.delays, ds)
-		p.step = append(p.step, rng.Intn(2) == 0)
 	}
 	return p
-}
-
-// flavours returns p as drawn and with every process blocking, then with
-// every process a continuation process.
-func (p sleepProg) flavours() []sleepProg {
-	out := []sleepProg{p}
-	for _, step := range []bool{false, true} {
-		q := sleepProg{delays: p.delays, step: make([]bool, len(p.step))}
-		for i := range q.step {
-			q.step[i] = step
-		}
-		out = append(out, q)
-	}
-	return out
 }
 
 // spawn registers p's processes on k; onZero is called (if non-nil) just
@@ -75,34 +58,20 @@ func (p sleepProg) flavours() []sleepProg {
 func (p sleepProg) spawn(k *Kernel, log *[]string, onZero func(e *Env)) {
 	for i, ds := range p.delays {
 		name := fmt.Sprintf("p%d", i)
-		logAt := func(e *Env, j int) { *log = append(*log, fmt.Sprintf("%s.%d@%g", name, j, float64(e.Now()))) }
-		if p.step[i] {
-			var at func(j int) Step
-			at = func(j int) Step {
-				return func(e *Env) Cont {
-					logAt(e, j)
-					if j == len(ds) {
-						return Done()
-					}
-					if ds[j] == 0 && onZero != nil {
-						onZero(e)
-					}
-					return After(ds[j], at(j+1))
+		var at func(j int) Step
+		at = func(j int) Step {
+			return func(e *Env) Cont {
+				*log = append(*log, fmt.Sprintf("%s.%d@%g", name, j, float64(e.Now())))
+				if j == len(ds) {
+					return Done()
 				}
-			}
-			k.SpawnStep(name, at(0))
-			continue
-		}
-		k.Spawn(name, func(e *Env) {
-			for j, d := range ds {
-				logAt(e, j)
-				if d == 0 && onZero != nil {
+				if ds[j] == 0 && onZero != nil {
 					onZero(e)
 				}
-				e.Sleep(d)
+				return After(ds[j], at(j+1))
 			}
-			logAt(e, len(ds))
-		})
+		}
+		k.SpawnStep(name, at(0))
 	}
 }
 
@@ -196,8 +165,7 @@ func (r refRun) check(t *testing.T, what string, got []string, st KernelStats) {
 	}
 }
 
-// TestPropertyLaneMergeOrder: over random sleep programs of both flavours,
-// dispatch order is exactly (time, schedule order), the order a single
+// TestPropertyLaneMergeOrder: over random sleep programs, dispatch order is exactly (time, schedule order), the order a single
 // queue gives — merging the lane with the heap changes nothing.
 func TestPropertyLaneMergeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -215,50 +183,33 @@ func TestPropertyLaneMergeOrder(t *testing.T) {
 
 // TestPropertyDueTimerBeforeLane: a timer scheduled earlier that comes due
 // at the current instant dispatches before the lane entries (a spawn, a
-// yield) pushed at that instant, in both flavours.
+// yield) pushed at that instant.
 func TestPropertyDueTimerBeforeLane(t *testing.T) {
-	for _, step := range []bool{false, true} {
-		k := NewKernel(1)
-		var got []string
-		logf := func(e *Env, what string) { got = append(got, fmt.Sprintf("%s@%g", what, float64(e.Now()))) }
-		// "first" is due at 1 (pushed at 0); at 1 it spawns "child" and
-		// yields, both onto the lane. "second" is due at 1 too, pushed at
-		// 0.5: it sits in the heap at the current instant and must run
-		// before either lane entry.
-		if step {
-			k.SpawnStep("first", func(e *Env) Cont {
-				return After(1, func(e *Env) Cont {
-					logf(e, "first")
-					e.SpawnStep("child", func(e *Env) Cont { logf(e, "child"); return Done() })
-					return After(0, func(e *Env) Cont { logf(e, "first-resumed"); return Done() })
-				})
-			})
-			k.SpawnStep("second", func(e *Env) Cont {
-				return After(0.5, func(e *Env) Cont {
-					return After(0.5, func(e *Env) Cont { logf(e, "second"); return Done() })
-				})
-			})
-		} else {
-			k.Spawn("first", func(e *Env) {
-				e.Sleep(1)
-				logf(e, "first")
-				e.Spawn("child", func(e *Env) { logf(e, "child") })
-				e.Yield()
-				logf(e, "first-resumed")
-			})
-			k.Spawn("second", func(e *Env) {
-				e.Sleep(0.5)
-				e.Sleep(0.5)
-				logf(e, "second")
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		want := "first@1 second@1 child@1 first-resumed@1"
-		if s := strings.Join(got, " "); s != want {
-			t.Fatalf("step=%v: dispatch order %q, want %q", step, s, want)
-		}
+	k := NewKernel(1)
+	var got []string
+	logf := func(e *Env, what string) { got = append(got, fmt.Sprintf("%s@%g", what, float64(e.Now()))) }
+	// "first" is due at 1 (pushed at 0); at 1 it spawns "child" and yields,
+	// both onto the lane. "second" is due at 1 too, pushed at 0.5: it sits
+	// in the timed queue at the current instant and must run before either
+	// lane entry.
+	k.SpawnStep("first", func(e *Env) Cont {
+		return After(1, func(e *Env) Cont {
+			logf(e, "first")
+			e.SpawnStep("child", func(e *Env) Cont { logf(e, "child"); return Done() })
+			return After(0, func(e *Env) Cont { logf(e, "first-resumed"); return Done() })
+		})
+	})
+	k.SpawnStep("second", func(e *Env) Cont {
+		return After(0.5, func(e *Env) Cont {
+			return After(0.5, func(e *Env) Cont { logf(e, "second"); return Done() })
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "first@1 second@1 child@1 first-resumed@1"
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("dispatch order %q, want %q", s, want)
 	}
 }
 
@@ -295,9 +246,8 @@ func TestPropertyAdvanceToSlicesMatchRun(t *testing.T) {
 }
 
 // TestPropertyDelayLanesMatchReference: over random programs with more
-// distinct delays than delay lanes, as drawn, all blocking and all
-// continuation processes, under Run and under AdvanceTo slices, dispatch
-// order and counters are the reference queue's. Across the trials lanes
+// distinct delays than delay lanes, under Run and under AdvanceTo slices,
+// dispatch order and counters are the reference queue's. Across the trials lanes
 // are rebound, wakeups overflow to the heap, and delays too small to move
 // now go to the same-instant lane.
 func TestPropertyDelayLanesMatchReference(t *testing.T) {
@@ -305,39 +255,38 @@ func TestPropertyDelayLanesMatchReference(t *testing.T) {
 	rebound, overflowed, absorbed := 0, 0, 0
 	steps := []Time{0, 0.1, 0.25, 1.0 / 3}
 	for trial := 0; trial < 300; trial++ {
-		for f, p := range randomDelayProg(rng).flavours() {
-			want := p.reference()
-			absorbed += want.absorbed
-			for _, sliced := range []bool{false, true} {
-				k := NewKernel(1)
-				var got []string
-				var bound [delayLanes]Time
-				p.spawn(k, &got, func(e *Env) {
-					for i := range e.k.delays {
-						if d := e.k.delays[i].d; d != bound[i] {
-							if bound[i] != 0 {
-								rebound++
-							}
-							bound[i] = d
+		p := randomDelayProg(rng)
+		want := p.reference()
+		absorbed += want.absorbed
+		for _, sliced := range []bool{false, true} {
+			k := NewKernel(1)
+			var got []string
+			var bound [delayLanes]Time
+			p.spawn(k, &got, func(e *Env) {
+				for i := range e.k.delays {
+					if d := e.k.delays[i].d; d != bound[i] {
+						if bound[i] != 0 {
+							rebound++
 						}
-					}
-				})
-				if !sliced {
-					if err := k.Run(); err != nil {
-						t.Fatal(err)
+						bound[i] = d
 					}
 				}
-				for horizon, done := Time(0), !sliced; !done; horizon += steps[rng.Intn(len(steps))] {
-					var err error
-					if done, err = k.AdvanceTo(horizon); err != nil {
-						t.Fatal(err)
-					}
+			})
+			if !sliced {
+				if err := k.Run(); err != nil {
+					t.Fatal(err)
 				}
-				st := k.Stats()
-				want.check(t, fmt.Sprintf("trial %d, flavour %d, sliced %v", trial, f, sliced), got, st)
-				if st.HeapPushes > st.DelayLanePushes {
-					overflowed++
+			}
+			for horizon, done := Time(0), !sliced; !done; horizon += steps[rng.Intn(len(steps))] {
+				var err error
+				if done, err = k.AdvanceTo(horizon); err != nil {
+					t.Fatal(err)
 				}
+			}
+			st := k.Stats()
+			want.check(t, fmt.Sprintf("trial %d, sliced %v", trial, sliced), got, st)
+			if st.HeapPushes > st.DelayLanePushes {
+				overflowed++
 			}
 		}
 	}
@@ -388,19 +337,22 @@ func TestNonFiniteWakeupFails(t *testing.T) {
 		name  string
 		spawn func(k *Kernel)
 	}{
-		{"Sleep(NaN)", func(k *Kernel) { k.Spawn("bad", func(e *Env) { e.Sleep(nan) }) }},
-		{"Sleep(+Inf)", func(k *Kernel) { k.Spawn("bad", func(e *Env) { e.Sleep(inf) }) }},
 		{"After(NaN)", func(k *Kernel) { k.SpawnStep("bad", func(e *Env) Cont { return After(nan, DoneStep) }) }},
 		{"After(+Inf)", func(k *Kernel) { k.SpawnStep("bad", func(e *Env) Cont { return After(inf, DoneStep) }) }},
 	} {
 		k := NewKernel(1)
 		var good []Time
-		k.Spawn("good", func(e *Env) {
-			for i := 0; i < 3; i++ {
-				e.Sleep(Millisecond)
-				good = append(good, e.Now())
+		var tick Step
+		tick = func(e *Env) Cont {
+			if len(good) == 3 {
+				return Done()
 			}
-		})
+			return After(Millisecond, func(e *Env) Cont {
+				good = append(good, e.Now())
+				return tick(e)
+			})
+		}
+		k.SpawnStep("good", tick)
 		tc.spawn(k)
 		err := k.Run()
 		if err == nil || !strings.Contains(err.Error(), `process "bad"`) || !strings.Contains(err.Error(), "non-finite") {
@@ -415,17 +367,17 @@ func TestNonFiniteWakeupFails(t *testing.T) {
 // TestKernelStats pins the self-telemetry counters on a small program.
 func TestKernelStats(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("a", func(e *Env) {
-		e.Sleep(1)
-		e.Sleep(1)
-		e.Yield() // nothing else due at 2: the fast path, no push
+	k.SpawnStep("a", func(e *Env) Cont {
+		return After(1, func(e *Env) Cont {
+			return After(1, func(e *Env) Cont {
+				return After(0, DoneStep) // nothing else due at 2: inline, no push
+			})
+		})
 	})
-	k.Spawn("b", func(e *Env) {
-		e.Yield() // c and d are due now: a lane push
+	k.SpawnStep("b", func(e *Env) Cont {
+		return After(0, DoneStep) // c and d are due now: a lane push
 	})
-	k.Spawn("c", func(e *Env) {
-		e.Sleep(1)
-	})
+	k.SpawnStep("c", func(e *Env) Cont { return After(1, DoneStep) })
 	k.SpawnStep("d", func(e *Env) Cont {
 		e.k.schedule(3, e.p) // a wakeup the finished incarnation abandons
 		return Done()

@@ -10,12 +10,8 @@ package sim_test
 // compact byte string — the same decoder serves the seeded random golden
 // corpus (TestDiffRandomPrograms), the checked-in fuzz corpus and
 // FuzzKernelScenario — so every program the fuzzer can invent is also a
-// program the golden suite can replay.
-//
-// One interpreter executes a program with each process running either as
-// a blocking coroutine or as a continuation (SpawnStep and the *Then
-// primitives), chosen per process, proving the continuation-aware wait
-// queues implement the same semantics as the blocking API.
+// program the golden suite can replay. The interpreter turns each script
+// into a chain of steps, each waiting operation its *Then form.
 
 import (
 	"fmt"
@@ -234,8 +230,7 @@ func (r *recorder) addf(format string, args ...any) {
 	r.lines = append(r.lines, fmt.Sprintf(format, args...))
 }
 
-// Log-line helpers shared by the blocking and continuation flavours, so the
-// two cannot drift apart in formatting.
+// Log-line helpers, one per operation.
 func logSlept(r *recorder, name string, d, now float64) { r.addf("%s slept %.9g @%.9g", name, d, now) }
 func logYield(r *recorder, name string, now float64)    { r.addf("%s yield @%.9g", name, now) }
 func logPut(r *recorder, name string, ch, v int, now float64) {
@@ -282,16 +277,11 @@ func logRand(r *recorder, name string, v int64, now float64) {
 }
 func logEnd(r *recorder, name string, now float64) { r.addf("%s end @%.9g", name, now) }
 
-// killPrefix tags trace lines emitted while a blocking process unwinds
-// after being killed at shutdown. Continuation processes hold no stack and
-// are dropped without unwinding, so step-vs-blocking comparisons filter
-// these lines (the all-blocking golden traces keep them: kill order is part
-// of the contract).
+// killPrefix tags the golden traces' lines for a process killed at
+// shutdown. The traces were recorded when processes were coroutines that
+// logged their kill while unwinding; a process now holds no stack and is
+// dropped without running anything, so comparisons filter these lines.
 const killPrefix = "K "
-
-func logKilled(r *recorder, name string, now float64) {
-	r.addf(killPrefix+"%s killed @%.9g", name, now)
-}
 
 func stripKills(lines []string) []string {
 	out := make([]string, 0, len(lines))
@@ -307,15 +297,6 @@ func stripKills(lines []string) []string {
 // ---------------------------------------------------------------------------
 // Interpreter
 
-// flavor decides, per spawned process index, whether it runs as a blocking
-// process or a continuation process — so one program can exercise both
-// flavors interleaved on the same kernel and the same wait queues.
-type flavor func(spawnIdx int) bool // true: continuation (step) process
-
-func allStep(int) bool       { return true }
-func allBlock(int) bool      { return false }
-func alternating(i int) bool { return i%2 == 0 }
-
 type runner struct {
 	p      prog
 	k      *sim.Kernel
@@ -326,16 +307,14 @@ type runner struct {
 	conds  []*sim.Cond
 	wgs    []*sim.WaitGroup
 	spawnN int
-	fl     flavor
 }
 
-// runProg executes p on a kernel seeded with kernelSeed, with per-process
-// flavor chosen by fl, and returns the trace. The final line records the
-// kernel's end time and error, so those are compared too. Traces of
-// different flavor mixes are comparable after stripKills.
-func runProg(p prog, fl flavor) []string {
+// runProg executes p on a kernel seeded with kernelSeed and returns the
+// trace. The final line records the kernel's end time and error, so those
+// are compared too.
+func runProg(p prog) []string {
 	k := sim.NewKernel(kernelSeed)
-	r := &runner{p: p, k: k, rec: &recorder{}, fl: fl}
+	r := &runner{p: p, k: k, rec: &recorder{}}
 	for _, c := range p.chanCaps {
 		r.chans = append(r.chans, sim.NewChan[int](k, c))
 	}
@@ -363,85 +342,9 @@ func runProg(p prog, fl flavor) []string {
 
 func (r *runner) spawn(si int) string {
 	name := fmt.Sprintf("p%d.s%d", r.spawnN, si)
-	if r.fl(r.spawnN) {
-		r.spawnN++
-		r.k.SpawnStep(name, r.stepAt(si, 0, name))
-		return name
-	}
 	r.spawnN++
-	r.k.Spawn(name, func(e *sim.Env) {
-		done := false
-		defer func() {
-			if !done {
-				logKilled(r.rec, name, float64(e.Now()))
-			}
-		}()
-		r.execBlocking(e, si, name)
-		done = true
-		logEnd(r.rec, name, float64(e.Now()))
-	})
+	r.k.SpawnStep(name, r.stepAt(si, 0, name))
 	return name
-}
-
-// execBlocking runs script si as a blocking process.
-func (r *runner) execBlocking(e *sim.Env, si int, name string) {
-	for _, in := range r.p.scripts[si] {
-		switch in.op {
-		case opSleep:
-			e.Sleep(sim.Time(in.d))
-			logSlept(r.rec, name, in.d, float64(e.Now()))
-		case opYield:
-			e.Yield()
-			logYield(r.rec, name, float64(e.Now()))
-		case opPut:
-			r.chans[in.a].Put(e, in.b)
-			logPut(r.rec, name, in.a, in.b, float64(e.Now()))
-		case opGet:
-			v, ok := r.chans[in.a].Get(e)
-			logGot(r.rec, name, in.a, v, ok, float64(e.Now()))
-		case opTryGet:
-			v, ok := r.chans[in.a].TryGet()
-			logTryGet(r.rec, name, in.a, v, ok, float64(e.Now()))
-		case opClose:
-			r.chans[in.a].Close(e)
-			logClose(r.rec, name, in.a, float64(e.Now()))
-		case opAcquire:
-			r.ress[in.a].Acquire(e)
-			logAcq(r.rec, name, in.a, float64(e.Now()))
-		case opRelease:
-			r.ress[in.a].Release()
-			logRel(r.rec, name, in.a, float64(e.Now()))
-		case opSigWait:
-			r.sigs[in.a].Wait(e)
-			logSigWait(r.rec, name, in.a, float64(e.Now()))
-		case opSigFire:
-			r.sigs[in.a].Fire()
-			logSigFire(r.rec, name, in.a, float64(e.Now()))
-		case opCondWait:
-			r.conds[in.a].Wait(e)
-			logCondWait(r.rec, name, in.a, float64(e.Now()))
-		case opNotifyOne:
-			r.conds[in.a].NotifyOne()
-			logNotify(r.rec, name, "notify1", in.a, float64(e.Now()))
-		case opNotifyAll:
-			r.conds[in.a].NotifyAll()
-			logNotify(r.rec, name, "notifyN", in.a, float64(e.Now()))
-		case opWGDone:
-			r.wgs[in.a].Done()
-			logWGDone(r.rec, name, in.a, float64(e.Now()))
-		case opWGWait:
-			r.wgs[in.a].Wait(e)
-			logWGWait(r.rec, name, in.a, float64(e.Now()))
-		case opSpawn:
-			child := r.spawn(in.a)
-			logSpawn(r.rec, name, child, float64(e.Now()))
-		case opRand:
-			v := e.Rand().Int63n(1 << 30)
-			logRand(r.rec, name, v, float64(e.Now()))
-		case opPanic:
-			panic(fmt.Sprintf("boom from %s", name))
-		}
-	}
 }
 
 // stepAt builds the continuation that executes script si from instruction i

@@ -1,64 +1,45 @@
 // Package sim provides a deterministic, virtual-time discrete-event
 // simulation kernel in the style of SimPy.
 //
-// The kernel is continuation-based: a single event loop owns virtual time
-// and dispatches resumable processes directly, with no per-event channel
-// rendezvous and no goroutine parking through the Go scheduler. Processes
-// come in two flavours that interoperate freely on the same kernel and the
-// same wait queues:
+// A single event loop owns virtual time and dispatches processes directly,
+// with no goroutine, coroutine or channel hand-off. Every process is a
+// continuation process (SpawnStep): an explicit state machine whose Step
+// runs without blocking and returns a Cont directive (Done, After,
+// Blocked) naming the next step. A dispatch is a queue pop plus a function
+// call, inline on the event loop's stack. Where a process would wait, it
+// arms its next step on a primitive's wait queue with a *Then method
+// (Chan.GetThen, Resource.AcquireThen, Signal.WaitThen, ...); a wait that
+// is already satisfied runs the next step inline, without yielding.
 //
-//   - Blocking processes (Spawn) are ordinary functions with signature
-//     func(*Env) that call Sleep, Chan.Put/Get, Resource.Acquire and the
-//     other blocking primitives. They run on runtime coroutines (iter.Pull):
-//     a blocking call suspends the process with a direct stack switch and
-//     the event loop resumes it the same way. This keeps the classic
-//     SimPy-style API source-compatible while costing a fraction of the
-//     goroutine/channel hand-off it replaces.
-//
-//   - Continuation processes (SpawnStep) are explicit state machines: a
-//     Step function runs without blocking and returns a Cont directive
-//     (Done, After, Blocked) naming the next step. The event loop invokes
-//     steps inline — a dispatch is a queue pop plus a function call — so
-//     hot-path processes pay no stack switch at all. The *Then variants of
-//     the synchronization primitives (Chan.GetThen, Resource.AcquireThen,
-//     ...) arm the continuation and share FIFO wait queues with blocking
-//     callers, so wakeup ordering is identical across flavours.
-//
-// Determinism is unchanged from the goroutine kernel this replaced (golden
-// scenario traces under testdata pin its behaviour): exactly one process
-// runs at any instant, same-timestamp events dispatch in schedule order,
-// and a fixed seed yields an identical execution regardless of GOMAXPROCS.
-// The kernel runs until no scheduled events remain (or an explicit horizon
-// is reached); processes still blocked at that point are killed cleanly —
-// in spawn order, unwinding blocking processes' defers — so no coroutine
-// outlives Run.
+// Determinism (golden scenario traces under testdata pin it): exactly one
+// process runs at any instant, same-timestamp events dispatch in schedule
+// order, and a fixed seed yields an identical execution regardless of
+// GOMAXPROCS. The kernel runs until no scheduled events remain (or an
+// explicit horizon is reached); processes still waiting at that point are
+// dropped, since a continuation holds no stack to unwind.
 //
 // The event loop is the hot path of every experiment sweep, so it avoids
 // allocation and GC work. The event queue is three parts merged on pop: a
 // FIFO ring for wakeups at the current instant (most wakeups: zero-delay
 // yields, channel and signal handoffs, spawns), a few FIFO delay lanes,
-// each bound to one exact delay, for Sleep(d) and After(d) wakeups with the
-// few constant delays a model repeats (a network latency, a control
-// message's wire time), and a concrete typed binary heap for the other
-// later ones (no container/heap interface boxing). A wakeup d after now
-// joins its delay lane in O(1): now never decreases, so neither does now+d,
-// and each lane is already in (time, schedule order). The loop pops the
-// smallest head of the three, the order one queue would give. Every part
-// reuses its array, and their event records hold no pointers — a process is
-// named by its index in the kernel's record table — so moving events takes
-// no GC write barrier and the collector never scans the queue. Completed
-// process records (and, for blocking processes, their coroutines) are
-// pooled for reuse by later Spawns, and a zero-duration Sleep or After
-// returns immediately when no other event is pending at the current
-// instant.
+// each bound to one exact delay, for After(d) wakeups with the few
+// constant delays a model repeats (a network latency, a control message's
+// wire time), and a concrete typed binary heap for the other later ones
+// (no container/heap interface boxing). A wakeup d after now joins its
+// delay lane in O(1): now never decreases, so neither does now+d, and each
+// lane is already in (time, schedule order). The loop pops the smallest
+// head of the three, the order one queue would give. Every part reuses its
+// array, and their event records hold no pointers — a process is named by
+// its index in the kernel's record table — so moving events takes no GC
+// write barrier and the collector never scans the queue. Finished process
+// records are pooled for reuse by later SpawnSteps, and After(0) runs its
+// step inline when no other event is pending at the current instant.
 package sim
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Time is a point in virtual time, in seconds. Durations are also expressed
@@ -86,38 +67,25 @@ const (
 	stateRunning
 	stateParked
 	stateDone
-	// statePooled marks a finished process whose record (and coroutine, for
-	// blocking processes) is parked in the kernel's free list, awaiting
-	// reuse by a future Spawn.
+	// statePooled marks a finished process whose record is parked in the
+	// kernel's free list, awaiting reuse by a future SpawnStep.
 	statePooled
 )
 
 // proc is the kernel-side record of one simulated process. Records are
-// reused across process lifetimes (see Kernel.freeCoro/freeStep), so every
-// mutable field is reset by Spawn/SpawnStep.
+// reused across process lifetimes (see Kernel.freeStep), so every mutable
+// field is reset by SpawnStep.
 type proc struct {
-	id     int
-	slot   int // index in Kernel.procs, named by this record's wakeups
-	name   string
-	state  procState
-	killed bool
-	env    Env
-
-	// Blocking (coroutine) processes only. resume switches into the
-	// coroutine; yield (captured by the coroutine body on first entry)
-	// switches back out. fn is the current incarnation's body.
-	fn     func(*Env)
-	resume func() (struct{}, bool)
-	yield  func(struct{}) bool
-
-	// Continuation processes only: the next step to run when dispatched.
-	// Blocking primitives' *Then variants re-point this at the armed
-	// continuation while the process waits.
+	id    int
+	slot  int // index in Kernel.procs, named by this record's wakeups
+	name  string
+	state procState
+	env   Env
+	// step is the next step to run when dispatched. The primitives' *Then
+	// methods re-point it at the armed continuation while the process
+	// waits.
 	step Step
 }
-
-// killSentinel is the panic value used to unwind killed blocking processes.
-type killSentinel struct{}
 
 // procPanic wraps a panic raised inside a simulated process so the kernel
 // can report which process failed.
@@ -140,7 +108,7 @@ type event struct {
 	seq  uint64
 	slot int
 	// id is the proc incarnation the wakeup belongs to. Process records are
-	// pooled and reused (with a fresh id per Spawn), so a wakeup is stale —
+	// pooled and reused (with a fresh id per SpawnStep), so a wakeup is stale —
 	// and must be dropped — unless the record still runs the same
 	// incarnation.
 	id int
@@ -262,7 +230,7 @@ type delayLane struct {
 
 // KernelStats are the kernel's self-telemetry counters, read with
 // Kernel.Stats. Every wakeup is either a lane push or a timed push; it is
-// later either dispatched, dropped as stale, or still queued (or killed at
+// later either dispatched, dropped as stale, or still queued (or dropped at
 // shutdown).
 type KernelStats struct {
 	// Dispatched counts wakeups that resumed a live process.
@@ -280,13 +248,13 @@ type KernelStats struct {
 	// lanes) has been.
 	HeapHighWater int
 	// StaleDropped counts wakeups dropped because the incarnation they were
-	// scheduled for had finished or been killed.
+	// scheduled for had finished or failed.
 	StaleDropped uint64
 }
 
 // Kernel is a discrete-event simulation instance. Create one with NewKernel,
-// spawn processes with Spawn or SpawnStep, then call Run from the goroutine
-// that created it. A Kernel must not be reused after Run returns.
+// spawn processes with SpawnStep, then call Run from the goroutine that
+// created it. A Kernel must not be reused after Run returns.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -303,9 +271,8 @@ type Kernel struct {
 	missed   Time
 	stats    KernelStats
 	procs    []*proc // every record ever created; an event's slot indexes it
-	freeCoro []*proc // pooled blocking-process records (coroutine parked)
-	freeStep []*proc // pooled continuation-process records
-	stepping *proc   // the continuation process dispatched last
+	freeStep []*proc // pooled process records
+	stepping *proc   // the process dispatched last
 	idgen    int
 	failure  error
 	rng      *rand.Rand
@@ -326,34 +293,6 @@ func (k *Kernel) Now() Time { return k.now }
 // used from simulated processes or between Run calls, never concurrently.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// Spawn registers a new blocking process. It may be called before Run or
-// from inside a running process (usually via Env.Spawn). The process starts
-// at the current virtual time, after previously scheduled same-time events.
-//
-// Finished process records (and their coroutines) are reused, so workloads
-// that spawn one short-lived process per message or transfer do not pay a
-// record and coroutine allocation each time.
-func (k *Kernel) Spawn(name string, fn func(*Env)) {
-	var p *proc
-	if n := len(k.freeCoro); n > 0 {
-		p = k.freeCoro[n-1]
-		k.freeCoro[n-1] = nil
-		k.freeCoro = k.freeCoro[:n-1]
-		p.name = name
-		p.state = stateNew
-		p.killed = false
-	} else {
-		p = k.newCoroProc(name)
-		k.addProc(p)
-	}
-	// Fresh id even on reuse: ids stay monotonic so the deterministic
-	// shutdown kill order reflects spawn order.
-	p.id = k.idgen
-	k.idgen++
-	p.fn = fn
-	k.schedule(k.now, p)
-}
-
 // addProc registers a new record. Its index in k.procs is the slot its
 // wakeups name it by; records are pooled, never removed, so it never moves.
 func (k *Kernel) addProc(p *proc) {
@@ -363,71 +302,6 @@ func (k *Kernel) addProc(p *proc) {
 
 // Stats returns the kernel's self-telemetry counters so far.
 func (k *Kernel) Stats() KernelStats { return k.stats }
-
-// newCoroProc creates a process record backed by a fresh coroutine and runs
-// the coroutine to its first suspension point, so the first dispatch resumes
-// straight into the incarnation body.
-func (k *Kernel) newCoroProc(name string) *proc {
-	p := &proc{state: stateNew, name: name}
-	p.env = Env{k: k, p: p}
-	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		// Each loop iteration serves one incarnation of this record. The
-		// leading yield doubles as the pool wait: between incarnations the
-		// record sits in freeCoro with the coroutine suspended here.
-		for {
-			if !yield(struct{}{}) {
-				return
-			}
-			if p.killed {
-				if p.state == statePooled {
-					// Shutdown of an idle pooled worker: no incarnation is
-					// live, so there is no state to unwind.
-					return
-				}
-				// Killed before the incarnation first ran: unwind as if the
-				// body had been killed at its first instruction.
-				p.state = stateDone
-				p.fn = nil
-				return
-			}
-			if !k.runBody(p) {
-				return
-			}
-		}
-	})
-	p.resume() // prime: run the prologue up to the pool-wait yield
-	return p
-}
-
-// runBody executes the current incarnation and reports whether the record
-// was returned to the pool (false means the coroutine must end: the
-// incarnation was killed or panicked, which only happens during shutdown
-// or failure unwinding).
-func (k *Kernel) runBody(p *proc) (pooled bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isKill := r.(killSentinel); !isKill {
-				if k.failure == nil {
-					k.failure = procPanic{name: p.name, value: r}
-				}
-			}
-			pooled = false
-			p.state = stateDone
-		} else {
-			// Normal completion: pool the record for the next Spawn. This
-			// runs inside the coroutine while the event loop is blocked in
-			// dispatch, so touching the free list is single-threaded.
-			p.state = statePooled
-			k.freeCoro = append(k.freeCoro, p)
-			pooled = true
-		}
-		p.fn = nil
-	}()
-	p.state = stateRunning
-	p.fn(&p.env)
-	return
-}
 
 // schedule enqueues a wakeup for p at time t; a time before now means now.
 // A NaN or +Inf time panics: it has no place in the (at, seq) order, so it
@@ -450,8 +324,7 @@ func (k *Kernel) schedule(t Time, p *proc) {
 	k.seq++
 }
 
-// scheduleAfter enqueues a wakeup for p d after now, for Sleep and After
-// with d > 0. It joins the delay lane delayLane picks for d; with none, and
+// scheduleAfter enqueues a wakeup for p d after now, for After with d > 0. It joins the delay lane delayLane picks for d; with none, and
 // for a wakeup that now+d leaves at now or makes non-finite, it is left to
 // schedule.
 func (k *Kernel) scheduleAfter(d Time, p *proc) {
@@ -548,29 +421,13 @@ func (k *Kernel) pendingNow() bool {
 	return k.lane.n > 0 || k.next.at <= k.now
 }
 
-// park suspends the calling blocking process until the kernel resumes it.
-// It must be called with the process already registered on some wait list
-// or scheduled. Continuation processes cannot park — their primitives'
-// *Then variants arm a continuation instead.
-func (k *Kernel) park(p *proc) {
-	if p.yield == nil {
-		panic("sim: blocking operation from a continuation (step) process")
-	}
-	p.state = stateParked
-	if !p.yield(struct{}{}) || p.killed {
-		panic(killSentinel{})
-	}
-	p.state = stateRunning
-}
-
 // Run executes events until none remain. It returns the first process panic
-// as an error, if any. Processes still blocked when the event queue drains
-// are killed (blocking processes' deferred functions run) before Run
-// returns.
+// as an error, if any. Processes still waiting when the event queue drains
+// are dropped before Run returns.
 func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with virtual timestamps <= horizon; a negative
-// horizon means "run to completion". Remaining processes are killed before
+// horizon means "run to completion". Remaining processes are dropped before
 // returning, so the kernel cannot be resumed afterwards. A NaN horizon is
 // an error and runs nothing.
 func (k *Kernel) RunUntil(horizon Time) error {
@@ -588,8 +445,8 @@ func (k *Kernel) RunUntil(horizon Time) error {
 
 // advance is the event loop shared by RunUntil and AdvanceTo: it dispatches
 // events with timestamps <= horizon (negative = no bound) and returns
-// without killing anything, so the caller decides whether the kernel keeps
-// living.
+// without dropping anything, so the caller decides whether the kernel
+// keeps living.
 func (k *Kernel) advance(horizon Time) {
 	defer k.recoverStep()
 	for k.failure == nil && k.pending() {
@@ -617,20 +474,20 @@ func (k *Kernel) advance(horizon Time) {
 		}
 		k.stats.Dispatched++
 		k.now = e.at
-		k.dispatch(p)
+		k.dispatchStep(p)
 	}
 }
 
 // AdvanceTo executes events with virtual timestamps <= horizon and returns
 // with the kernel still live, so a driver can interleave slices of virtual
 // execution with wall-clock pacing (the live serving demo's loop). Unlike
-// RunUntil it does NOT kill parked processes at the horizon: calling
+// RunUntil it does NOT drop waiting processes at the horizon: calling
 // AdvanceTo with ever-growing horizons replays exactly the event sequence a
 // single Run would, just in pieces.
 //
 // done reports that the event queue drained (or a process failed); the
-// kernel then shuts down exactly like Run — remaining processes are killed,
-// their defers run — and every later call returns (true, err) immediately.
+// kernel then shuts down exactly like Run — remaining processes are
+// dropped — and every later call returns (true, err) immediately.
 // The horizon must be finite and non-negative; any other horizon is an
 // error and runs nothing. Not concurrency-safe: callers
 // synchronize externally, like every other Kernel method.
@@ -655,51 +512,16 @@ func (k *Kernel) AdvanceTo(horizon Time) (done bool, err error) {
 	return false, nil
 }
 
-// dispatch hands control to p until it suspends, finishes or panics. For a
-// blocking process that is one coroutine switch in (and one back out, from
-// inside park or the incarnation epilogue); for a continuation process it
-// is the step trampoline, inline on the event-loop stack.
-func (k *Kernel) dispatch(p *proc) {
-	if p.yield != nil {
-		p.resume()
-		return
-	}
-	k.dispatchStep(p)
-}
-
-// shutdown kills every process that is still alive so that no coroutine
-// outlives Run, then releases the pooled coroutines.
+// shutdown drops every process that is still waiting and releases the
+// record pool. A process holds no stack, so there is nothing to unwind.
 func (k *Kernel) shutdown() {
-	// Kill in a stable order for determinism of any side effects in defers.
-	alive := make([]*proc, 0, len(k.procs))
 	for _, p := range k.procs {
 		if p.state != stateDone && p.state != statePooled {
-			alive = append(alive, p)
-		}
-	}
-	sort.Slice(alive, func(i, j int) bool { return alive[i].id < alive[j].id })
-	for _, p := range alive {
-		p.killed = true
-		if p.yield != nil {
-			// Resume the coroutine: park (or the pool wait) observes the
-			// kill and unwinds through the incarnation's defers.
-			p.resume()
-		} else {
-			// Continuation processes hold no stack, so there is nothing to
-			// unwind.
 			p.state = stateDone
 			p.step = nil
 		}
 	}
-	// Pooled blocking records hold idle coroutines suspended at the pool
-	// wait; resume each one so it ends.
-	for _, p := range k.procs {
-		if p.state == statePooled && p.yield != nil {
-			p.killed = true
-			p.resume()
-		}
-	}
-	k.freeCoro, k.freeStep = nil, nil
+	k.freeStep = nil
 }
 
 // Env is a process's handle to the kernel. One Env belongs to exactly one
@@ -722,34 +544,5 @@ func (e *Env) Rand() *rand.Rand { return e.k.rng }
 // Name returns the name the process was spawned with.
 func (e *Env) Name() string { return e.p.name }
 
-// Sleep suspends the calling blocking process for d of virtual time.
-// Negative durations sleep zero time (the process still yields, so
-// same-time events scheduled earlier run first). Continuation processes
-// must return After instead.
-func (e *Env) Sleep(d Time) {
-	k := e.k
-	if d <= 0 {
-		// Fast path: yielding only matters if another event is pending at
-		// the current instant. Otherwise this process would be rescheduled
-		// and immediately re-dispatched — skip the two coroutine switches
-		// and keep running.
-		if !k.pendingNow() {
-			return
-		}
-		k.schedule(k.now, e.p)
-		k.park(e.p)
-		return
-	}
-	k.scheduleAfter(d, e.p)
-	k.park(e.p)
-}
-
-// Yield reschedules the process at the current time behind already-queued
-// same-time events. Useful to let other runnable processes make progress.
-func (e *Env) Yield() { e.Sleep(0) }
-
-// Spawn starts a new blocking process at the current virtual time.
-func (e *Env) Spawn(name string, fn func(*Env)) { e.k.Spawn(name, fn) }
-
-// SpawnStep starts a new continuation process at the current virtual time.
+// SpawnStep starts a new process at the current virtual time.
 func (e *Env) SpawnStep(name string, step Step) { e.k.SpawnStep(name, step) }

@@ -9,16 +9,71 @@ import (
 	"testing/quick"
 )
 
+// op is one operation of a test script: it does its work and runs next,
+// or arms next on a wait.
+type op func(e *Env, next Step) Cont
+
+// then returns the step running ops in order and then next.
+func then(ops []op, next Step) Step {
+	if len(ops) == 0 {
+		return next
+	}
+	return func(e *Env) Cont { return ops[0](e, then(ops[1:], next)) }
+}
+
+// script returns a process running ops in order.
+func script(ops ...op) Step { return then(ops, DoneStep) }
+
+// sleep waits d of virtual time.
+func sleep(d Time) op { return func(e *Env, next Step) Cont { return After(d, next) } }
+
+// do runs f without waiting.
+func do(f func(e *Env)) op { return func(e *Env, next Step) Cont { f(e); return next(e) } }
+
+// loop runs body for as long as cond holds at the top of an iteration.
+func loop(cond func() bool, body ...op) op {
+	return func(e *Env, next Step) Cont {
+		var again Step
+		again = func(e *Env) Cont {
+			if !cond() {
+				return next(e)
+			}
+			return then(body, again)(e)
+		}
+		return again(e)
+	}
+}
+
+// repeat runs body n times.
+func repeat(n int, body ...op) op {
+	return func(e *Env, next Step) Cont {
+		i := 0
+		return loop(func() bool { i++; return i <= n }, body...)(e, next)
+	}
+}
+
+func put[T any](c *Chan[T], v T) op {
+	return func(e *Env, next Step) Cont { return c.PutThen(e, v, next) }
+}
+
+// get receives from c and hands the value to f.
+func get[T any](c *Chan[T], f func(e *Env, v T, ok bool)) op {
+	return func(e *Env, next Step) Cont {
+		return c.GetThen(e, func(e *Env, v T, ok bool) Cont { f(e, v, ok); return next(e) })
+	}
+}
+
+func acquire(r *Resource) op {
+	return func(e *Env, next Step) Cont { return r.AcquireThen(e, next) }
+}
+
+func release(r *Resource) op { return do(func(*Env) { r.Release() }) }
+
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	k := NewKernel(1)
 	var at []Time
-	k.Spawn("sleeper", func(e *Env) {
-		at = append(at, e.Now())
-		e.Sleep(1.5)
-		at = append(at, e.Now())
-		e.Sleep(0.25)
-		at = append(at, e.Now())
-	})
+	mark := do(func(e *Env) { at = append(at, e.Now()) })
+	k.SpawnStep("sleeper", script(mark, sleep(1.5), mark, sleep(0.25), mark))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +88,7 @@ func TestSameTimeEventsRunFIFO(t *testing.T) {
 	var order []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
-		k.Spawn(name, func(e *Env) {
-			e.Sleep(1)
-			order = append(order, name)
-		})
+		k.SpawnStep(name, script(sleep(1), do(func(*Env) { order = append(order, name) })))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -48,12 +100,11 @@ func TestSameTimeEventsRunFIFO(t *testing.T) {
 
 func TestNegativeSleepIsZero(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("p", func(e *Env) {
-		e.Sleep(-5)
+	k.SpawnStep("p", script(sleep(-5), do(func(e *Env) {
 		if e.Now() != 0 {
 			t.Errorf("now = %v after negative sleep", e.Now())
 		}
-	})
+	})))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +113,13 @@ func TestNegativeSleepIsZero(t *testing.T) {
 func TestSpawnFromProcess(t *testing.T) {
 	k := NewKernel(1)
 	var childRan bool
-	k.Spawn("parent", func(e *Env) {
-		e.Sleep(2)
-		e.Spawn("child", func(e *Env) {
-			e.Sleep(3)
-			childRan = true
-			if e.Now() != 5 {
-				t.Errorf("child finished at %v, want 5", e.Now())
-			}
-		})
-	})
+	child := script(sleep(3), do(func(e *Env) {
+		childRan = true
+		if e.Now() != 5 {
+			t.Errorf("child finished at %v, want 5", e.Now())
+		}
+	}))
+	k.SpawnStep("parent", script(sleep(2), do(func(e *Env) { e.SpawnStep("child", child) })))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +130,7 @@ func TestSpawnFromProcess(t *testing.T) {
 
 func TestProcessPanicPropagates(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("boom", func(e *Env) {
+	k.SpawnStep("boom", func(e *Env) Cont {
 		panic("kaboom")
 	})
 	err := k.Run()
@@ -94,12 +142,7 @@ func TestProcessPanicPropagates(t *testing.T) {
 func TestRunUntilHorizon(t *testing.T) {
 	k := NewKernel(1)
 	ticks := 0
-	k.Spawn("ticker", func(e *Env) {
-		for i := 0; i < 100; i++ {
-			e.Sleep(1)
-			ticks++
-		}
-	})
+	k.SpawnStep("ticker", script(repeat(100, sleep(1), do(func(*Env) { ticks++ }))))
 	if err := k.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
@@ -108,19 +151,22 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
+// TestBlockedProcessesKilledCleanly: a process still waiting when the
+// queue drains is dropped: Run succeeds, its continuation never runs, and
+// its record ends done with no step left to run.
 func TestBlockedProcessesKilledCleanly(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan[int](k, 0)
-	cleaned := false
-	k.Spawn("stuck", func(e *Env) {
-		defer func() { cleaned = true }()
-		ch.Get(e) // never satisfied
-	})
+	resumed := false
+	k.SpawnStep("stuck", script(get(ch, func(*Env, int, bool) { resumed = true }))) // never satisfied
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cleaned {
-		t.Fatal("deferred cleanup did not run for killed process")
+	if resumed {
+		t.Fatal("the dropped process resumed")
+	}
+	if p := k.procs[0]; p.state != stateDone || p.step != nil {
+		t.Fatalf("dropped process left in state %d with a step", p.state)
 	}
 }
 
@@ -128,22 +174,18 @@ func TestChanBufferedFIFO(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan[int](k, 3)
 	var got []int
-	k.Spawn("producer", func(e *Env) {
-		for i := 1; i <= 6; i++ {
-			ch.Put(e, i)
-		}
-		ch.Close(e)
-	})
-	k.Spawn("consumer", func(e *Env) {
-		for {
-			v, ok := ch.Get(e)
-			if !ok {
-				return
+	i := 0
+	k.SpawnStep("producer", script(
+		repeat(6, func(e *Env, next Step) Cont { i++; return ch.PutThen(e, i, next) }),
+		do(ch.Close)))
+	open := true
+	k.SpawnStep("consumer", script(loop(func() bool { return open },
+		get(ch, func(_ *Env, v int, ok bool) {
+			if open = ok; ok {
+				got = append(got, v)
 			}
-			got = append(got, v)
-			e.Sleep(1)
-		}
-	})
+		}),
+		sleep(1))))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +198,12 @@ func TestChanRendezvousBlocksPutter(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan[string](k, 0)
 	var putDone Time = -1
-	k.Spawn("putter", func(e *Env) {
-		ch.Put(e, "x")
-		putDone = e.Now()
-	})
-	k.Spawn("getter", func(e *Env) {
-		e.Sleep(7)
-		v, ok := ch.Get(e)
+	k.SpawnStep("putter", script(put(ch, "x"), do(func(e *Env) { putDone = e.Now() })))
+	k.SpawnStep("getter", script(sleep(7), get(ch, func(_ *Env, v string, ok bool) {
 		if !ok || v != "x" {
 			t.Errorf("get = %q, %v", v, ok)
 		}
-	})
+	})))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +218,9 @@ func TestChanCloseWakesGetters(t *testing.T) {
 	results := map[string]bool{}
 	for _, name := range []string{"g1", "g2"} {
 		name := name
-		k.Spawn(name, func(e *Env) {
-			_, ok := ch.Get(e)
-			results[name] = ok
-		})
+		k.SpawnStep(name, script(get(ch, func(_ *Env, _ int, ok bool) { results[name] = ok })))
 	}
-	k.Spawn("closer", func(e *Env) {
-		e.Sleep(1)
-		ch.Close(e)
-	})
+	k.SpawnStep("closer", script(sleep(1), do(ch.Close)))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,16 +232,19 @@ func TestChanCloseWakesGetters(t *testing.T) {
 func TestChanTryGet(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan[int](k, 2)
-	k.Spawn("p", func(e *Env) {
-		if _, ok := ch.TryGet(); ok {
-			t.Error("TryGet on empty channel returned ok")
-		}
-		ch.Put(e, 42)
-		v, ok := ch.TryGet()
-		if !ok || v != 42 {
-			t.Errorf("TryGet = %v, %v", v, ok)
-		}
-	})
+	k.SpawnStep("p", script(
+		do(func(*Env) {
+			if _, ok := ch.TryGet(); ok {
+				t.Error("TryGet on empty channel returned ok")
+			}
+		}),
+		put(ch, 42),
+		do(func(*Env) {
+			v, ok := ch.TryGet()
+			if !ok || v != 42 {
+				t.Errorf("TryGet = %v, %v", v, ok)
+			}
+		})))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +255,8 @@ func TestResourceSerializes(t *testing.T) {
 	res := NewResource(k, 1)
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		k.Spawn(fmt.Sprintf("user%d", i), func(e *Env) {
-			res.Acquire(e)
-			e.Sleep(10)
-			res.Release()
-			finish = append(finish, e.Now())
-		})
+		k.SpawnStep(fmt.Sprintf("user%d", i), script(acquire(res), sleep(10), release(res),
+			do(func(e *Env) { finish = append(finish, e.Now()) })))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -242,12 +272,8 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	res := NewResource(k, 2)
 	var finish []Time
 	for i := 0; i < 4; i++ {
-		k.Spawn(fmt.Sprintf("user%d", i), func(e *Env) {
-			res.Acquire(e)
-			e.Sleep(10)
-			res.Release()
-			finish = append(finish, e.Now())
-		})
+		k.SpawnStep(fmt.Sprintf("user%d", i), script(acquire(res), sleep(10), release(res),
+			do(func(e *Env) { finish = append(finish, e.Now()) })))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -262,21 +288,13 @@ func TestSignalBroadcastAndLateWait(t *testing.T) {
 	k := NewKernel(1)
 	sig := NewSignal(k)
 	var woke []Time
+	wait := func(e *Env, next Step) Cont { return sig.WaitThen(e, next) }
+	mark := do(func(e *Env) { woke = append(woke, e.Now()) })
 	for i := 0; i < 2; i++ {
-		k.Spawn("waiter", func(e *Env) {
-			sig.Wait(e)
-			woke = append(woke, e.Now())
-		})
+		k.SpawnStep("waiter", script(wait, mark))
 	}
-	k.Spawn("firer", func(e *Env) {
-		e.Sleep(5)
-		sig.Fire()
-	})
-	k.Spawn("late", func(e *Env) {
-		e.Sleep(9)
-		sig.Wait(e) // already fired: returns immediately
-		woke = append(woke, e.Now())
-	})
+	k.SpawnStep("firer", script(sleep(5), do(func(*Env) { sig.Fire() })))
+	k.SpawnStep("late", script(sleep(9), wait, mark)) // already fired: goes on at once
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,18 +310,14 @@ func TestCondNotifyAll(t *testing.T) {
 	ready := false
 	served := 0
 	for i := 0; i < 3; i++ {
-		k.Spawn("w", func(e *Env) {
-			for !ready {
-				cond.Wait(e)
-			}
-			served++
-		})
+		k.SpawnStep("w", script(
+			loop(func() bool { return !ready }, func(e *Env, next Step) Cont { return cond.WaitThen(e, next) }),
+			do(func(*Env) { served++ })))
 	}
-	k.Spawn("n", func(e *Env) {
-		e.Sleep(1)
+	k.SpawnStep("n", script(sleep(1), do(func(*Env) {
 		ready = true
 		cond.NotifyAll()
-	})
+	})))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,17 +331,12 @@ func TestWaitGroup(t *testing.T) {
 	wg := NewWaitGroup(k)
 	wg.Add(3)
 	for i := 1; i <= 3; i++ {
-		d := Time(i)
-		k.Spawn("worker", func(e *Env) {
-			e.Sleep(d)
-			wg.Done()
-		})
+		k.SpawnStep("worker", script(sleep(Time(i)), do(func(*Env) { wg.Done() })))
 	}
 	var joined Time = -1
-	k.Spawn("joiner", func(e *Env) {
-		wg.Wait(e)
-		joined = e.Now()
-	})
+	k.SpawnStep("joiner", script(
+		func(e *Env, next Step) Cont { return wg.WaitThen(e, next) },
+		do(func(e *Env) { joined = e.Now() })))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -346,29 +355,32 @@ func traceRun(seed int64, nProducers, nItems int) []string {
 	wg := NewWaitGroup(k)
 	wg.Add(nProducers)
 	for p := 0; p < nProducers; p++ {
-		p := p
-		k.Spawn(fmt.Sprintf("prod%d", p), func(e *Env) {
-			defer wg.Done()
-			for i := 0; i < nItems; i++ {
-				e.Sleep(Time(e.Rand().Float64()))
-				ch.Put(e, fmt.Sprintf("p%d-i%d", p, i))
-			}
-		})
+		i := 0
+		k.SpawnStep(fmt.Sprintf("prod%d", p), script(
+			repeat(nItems,
+				func(e *Env, next Step) Cont { return After(Time(e.Rand().Float64()), next) },
+				func(e *Env, next Step) Cont {
+					i++
+					return ch.PutThen(e, fmt.Sprintf("p%d-i%d", p, i-1), next)
+				}),
+			do(func(*Env) { wg.Done() })))
 	}
-	k.Spawn("cons", func(e *Env) {
-		for {
-			v, ok := ch.Get(e)
-			if !ok {
-				return
+	open := true
+	k.SpawnStep("cons", script(loop(func() bool { return open },
+		get(ch, func(e *Env, v string, ok bool) {
+			if open = ok; ok {
+				trace = append(trace, fmt.Sprintf("%.6f:%s", float64(e.Now()), v))
 			}
-			trace = append(trace, fmt.Sprintf("%.6f:%s", float64(e.Now()), v))
-			e.Sleep(Time(e.Rand().Float64() * 0.1))
-		}
-	})
-	k.Spawn("closer", func(e *Env) {
-		wg.Wait(e)
-		ch.Close(e)
-	})
+		}),
+		func(e *Env, next Step) Cont {
+			if !open {
+				return next(e)
+			}
+			return After(Time(e.Rand().Float64()*0.1), next)
+		})))
+	k.SpawnStep("closer", script(
+		func(e *Env, next Step) Cont { return wg.WaitThen(e, next) },
+		do(ch.Close)))
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
@@ -401,10 +413,7 @@ func TestEventOrderingProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			i := i
 			d := Time(rng.Intn(5)) // coarse durations force ties
-			k.Spawn("p", func(e *Env) {
-				e.Sleep(d)
-				fins = append(fins, fin{i, e.Now()})
-			})
+			k.SpawnStep("p", script(sleep(d), do(func(e *Env) { fins = append(fins, fin{i, e.Now()}) })))
 		}
 		if err := k.Run(); err != nil {
 			return false
@@ -435,28 +444,26 @@ func TestChanConservationProperty(t *testing.T) {
 		wg.Add(producers)
 		got := make([][]int, producers)
 		for p := 0; p < producers; p++ {
-			p := p
-			k.Spawn("prod", func(e *Env) {
-				defer wg.Done()
-				for i := 0; i < items; i++ {
-					e.Sleep(Time(e.Rand().Float64()))
-					ch.Put(e, [2]int{p, i})
-				}
-			})
+			i := 0
+			k.SpawnStep("prod", script(
+				repeat(items,
+					func(e *Env, next Step) Cont { return After(Time(e.Rand().Float64()), next) },
+					func(e *Env, next Step) Cont {
+						i++
+						return ch.PutThen(e, [2]int{p, i - 1}, next)
+					}),
+				do(func(*Env) { wg.Done() })))
 		}
-		k.Spawn("cons", func(e *Env) {
-			for {
-				v, ok := ch.Get(e)
-				if !ok {
-					return
+		open := true
+		k.SpawnStep("cons", script(loop(func() bool { return open },
+			get(ch, func(_ *Env, v [2]int, ok bool) {
+				if open = ok; ok {
+					got[v[0]] = append(got[v[0]], v[1])
 				}
-				got[v[0]] = append(got[v[0]], v[1])
-			}
-		})
-		k.Spawn("closer", func(e *Env) {
-			wg.Wait(e)
-			ch.Close(e)
-		})
+			}))))
+		k.SpawnStep("closer", script(
+			func(e *Env, next Step) Cont { return wg.WaitThen(e, next) },
+			do(ch.Close)))
 		if err := k.Run(); err != nil {
 			return false
 		}
@@ -479,7 +486,7 @@ func TestChanConservationProperty(t *testing.T) {
 
 func TestRunTwiceFails(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("p", func(e *Env) { e.Sleep(1) })
+	k.SpawnStep("p", script(sleep(1)))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +498,7 @@ func TestRunTwiceFails(t *testing.T) {
 func TestChanCloseTwicePanics(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan[int](k, 1)
-	k.Spawn("p", func(e *Env) {
+	k.SpawnStep("p", func(e *Env) Cont {
 		ch.Close(e)
 		defer func() {
 			if recover() == nil {
@@ -499,6 +506,7 @@ func TestChanCloseTwicePanics(t *testing.T) {
 			}
 		}()
 		ch.Close(e)
+		return Done()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -508,14 +516,14 @@ func TestChanCloseTwicePanics(t *testing.T) {
 func TestChanPutOnClosedPanics(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan[int](k, 1)
-	k.Spawn("p", func(e *Env) {
+	k.SpawnStep("p", func(e *Env) Cont {
 		ch.Close(e)
 		defer func() {
 			if recover() == nil {
 				t.Error("put on closed did not panic")
 			}
 		}()
-		ch.Put(e, 1)
+		return ch.PutThen(e, 1, DoneStep)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -525,39 +533,17 @@ func TestChanPutOnClosedPanics(t *testing.T) {
 func TestResourceReleaseIdlePanics(t *testing.T) {
 	k := NewKernel(1)
 	r := NewResource(k, 1)
-	k.Spawn("p", func(e *Env) {
+	k.SpawnStep("p", func(e *Env) Cont {
 		defer func() {
 			if recover() == nil {
 				t.Error("release of idle resource did not panic")
 			}
 		}()
 		r.Release()
+		return Done()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResourceUseHelper(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, 1)
-	ran := false
-	k.Spawn("p", func(e *Env) {
-		r.Use(e, func() {
-			if r.InUse() != 1 {
-				t.Error("resource not held inside Use")
-			}
-			ran = true
-		})
-		if r.InUse() != 0 {
-			t.Error("resource not released after Use")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("Use body did not run")
 	}
 }
 
@@ -566,20 +552,18 @@ func TestCondNotifyOne(t *testing.T) {
 	cond := NewCond(k)
 	woken := 0
 	for i := 0; i < 3; i++ {
-		k.Spawn("w", func(e *Env) {
-			cond.Wait(e)
-			woken++
-		})
+		k.SpawnStep("w", script(
+			func(e *Env, next Step) Cont { return cond.WaitThen(e, next) },
+			do(func(*Env) { woken++ })))
 	}
-	k.Spawn("n", func(e *Env) {
-		e.Sleep(1)
-		cond.NotifyOne()
-		e.Sleep(1)
-		if woken != 1 {
-			t.Errorf("after NotifyOne: woken = %d", woken)
-		}
-		cond.NotifyAll()
-	})
+	k.SpawnStep("n", script(
+		sleep(1), do(func(*Env) { cond.NotifyOne() }),
+		sleep(1), do(func(*Env) {
+			if woken != 1 {
+				t.Errorf("after NotifyOne: woken = %d", woken)
+			}
+			cond.NotifyAll()
+		})))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -595,29 +579,6 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func BenchmarkKernelHandoff(b *testing.B) {
-	// Throughput of the core scheduling primitive: one sleep event per
-	// iteration, including the goroutine handoff both ways.
-	k := NewKernel(1)
-	stop := false
-	k.Spawn("ticker", func(e *Env) {
-		for !stop {
-			e.Sleep(1)
-		}
-	})
-	k.Spawn("driver", func(e *Env) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Sleep(1)
-		}
-		b.StopTimer()
-		stop = true
-	})
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func TestChanMixedBufferedContention(t *testing.T) {
 	// Property: with capacity 1 and many blocked putters, values still
 	// arrive in put order, and no value is lost or duplicated.
@@ -626,22 +587,12 @@ func TestChanMixedBufferedContention(t *testing.T) {
 		ch := NewChan[int](k, 1)
 		const n = 12
 		for i := 0; i < n; i++ {
-			i := i
-			k.Spawn("p", func(e *Env) {
-				ch.Put(e, i)
-			})
+			k.SpawnStep("p", script(put(ch, i)))
 		}
 		var got []int
-		k.Spawn("c", func(e *Env) {
-			for len(got) < n {
-				v, ok := ch.Get(e)
-				if !ok {
-					return
-				}
-				got = append(got, v)
-				e.Sleep(Time(e.Rand().Float64() * 0.01))
-			}
-		})
+		k.SpawnStep("c", script(loop(func() bool { return len(got) < n },
+			get(ch, func(_ *Env, v int, _ bool) { got = append(got, v) }),
+			func(e *Env, next Step) Cont { return After(Time(e.Rand().Float64()*0.01), next) })))
 		if err := k.Run(); err != nil {
 			return false
 		}
@@ -665,10 +616,7 @@ func TestSpawnOrderAtSameInstant(t *testing.T) {
 	k := NewKernel(1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		k.Spawn("p", func(e *Env) {
-			order = append(order, i)
-		})
+		k.SpawnStep("p", script(do(func(*Env) { order = append(order, i) })))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -692,21 +640,41 @@ func TestAccessorsAndValidation(t *testing.T) {
 	if ch.Len() != 0 || ch.Closed() {
 		t.Fatal("fresh channel state wrong")
 	}
-	k.Spawn("p", func(e *Env) {
-		if e.Name() != "p" || e.Kernel() != k || e.Rand() == nil {
-			t.Error("env accessors wrong")
-		}
-		ch.Put(e, 1)
-		if ch.Len() != 1 {
-			t.Error("len after put")
-		}
-		v, _ := ch.Get(e)
-		_ = v
-		ch.Close(e)
-		if !ch.Closed() {
-			t.Error("Closed() false after close")
-		}
-	})
+	r := NewResource(k, 2)
+	if r.Capacity() != 2 || r.InUse() != 0 {
+		t.Fatal("fresh resource state wrong")
+	}
+	k.SpawnStep("p", script(
+		do(func(e *Env) {
+			if e.Name() != "p" || e.Kernel() != k || e.Rand() == nil {
+				t.Error("env accessors wrong")
+			}
+		}),
+		put(ch, 1),
+		do(func(*Env) {
+			if ch.Len() != 1 {
+				t.Error("len after put")
+			}
+		}),
+		get(ch, func(*Env, int, bool) {}),
+		do(func(e *Env) {
+			ch.Close(e)
+			if !ch.Closed() {
+				t.Error("Closed() false after close")
+			}
+		}),
+		acquire(r),
+		do(func(*Env) {
+			if r.InUse() != 1 {
+				t.Error("resource not held after acquire")
+			}
+		}),
+		release(r),
+		do(func(*Env) {
+			if r.InUse() != 0 {
+				t.Error("resource held after release")
+			}
+		})))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -746,19 +714,15 @@ func TestMM1QueueMatchesTheory(t *testing.T) {
 		lastChange = now
 		inSystem += delta
 	}
-	k.Spawn("arrivals", func(e *Env) {
-		for e.Now() < horiz {
-			e.Sleep(Time(e.Rand().ExpFloat64() / lambda))
+	arrivals := loop(func() bool { return k.Now() < horiz },
+		func(e *Env, next Step) Cont { return After(Time(e.Rand().ExpFloat64()/lambda), next) },
+		do(func(e *Env) {
 			account(e.Now(), +1)
 			service := Time(e.Rand().ExpFloat64() / mu)
-			e.Spawn("job", func(je *Env) {
-				server.Acquire(je)
-				je.Sleep(service)
-				server.Release()
-				account(je.Now(), -1)
-			})
-		}
-	})
+			e.SpawnStep("job", script(acquire(server), sleep(service), release(server),
+				do(func(e *Env) { account(e.Now(), -1) })))
+		}))
+	k.SpawnStep("arrivals", script(arrivals))
 	if err := k.RunUntil(horiz); err != nil {
 		t.Fatal(err)
 	}
@@ -810,10 +774,9 @@ func TestBadHorizonRejected(t *testing.T) {
 	}
 }
 
-// TestChanPooledWaitersFIFO: blocking and step getters on one channel, each
-// waiting again as soon as it receives, take the values strictly round
-// robin in the order they first queued, and so do blocking and step
-// putters on a rendezvous channel. Every wait after the first reuses a
+// TestChanPooledWaitersFIFO: getters on one channel, each waiting again as
+// soon as it receives, take the values strictly round robin in the order
+// they first queued, and so do putters on a rendezvous channel. Every wait after the first reuses a
 // pooled waiter record: the channel never makes more records than it has
 // waiters at once, and all of them are back on its free list at the end.
 func TestChanPooledWaitersFIFO(t *testing.T) {
@@ -824,18 +787,6 @@ func TestChanPooledWaitersFIFO(t *testing.T) {
 		var got []string
 		for i := 0; i < waiters; i++ {
 			name := fmt.Sprintf("g%d", i)
-			if i%2 == 0 {
-				k.Spawn(name, func(e *Env) {
-					for {
-						v, ok := ch.Get(e)
-						if !ok {
-							return
-						}
-						got = append(got, fmt.Sprintf("%s:%d", name, v))
-					}
-				})
-				continue
-			}
 			var recv func(e *Env, v int, ok bool) Cont
 			recv = func(e *Env, v int, ok bool) Cont {
 				if !ok {
@@ -846,14 +797,13 @@ func TestChanPooledWaitersFIFO(t *testing.T) {
 			}
 			k.SpawnStep(name, func(e *Env) Cont { return ch.GetThen(e, recv) })
 		}
-		k.Spawn("producer", func(e *Env) {
-			for v := 0; v < waiters*rounds; v++ {
-				e.Sleep(1)
-				ch.Put(e, v)
-			}
-			e.Sleep(1)
-			ch.Close(e)
-		})
+		v := 0
+		k.SpawnStep("producer", script(
+			repeat(waiters*rounds, sleep(1), func(e *Env, next Step) Cont {
+				v++
+				return ch.PutThen(e, v-1, next)
+			}),
+			sleep(1), do(ch.Close)))
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -874,14 +824,6 @@ func TestChanPooledWaitersFIFO(t *testing.T) {
 		ch := NewChan[string](k, 0)
 		for i := 0; i < waiters; i++ {
 			name := fmt.Sprintf("p%d", i)
-			if i%2 == 0 {
-				k.Spawn(name, func(e *Env) {
-					for r := 0; r < rounds; r++ {
-						ch.Put(e, fmt.Sprintf("%s:%d", name, r))
-					}
-				})
-				continue
-			}
 			r := 0
 			var put Step
 			put = func(e *Env) Cont {
@@ -894,13 +836,8 @@ func TestChanPooledWaitersFIFO(t *testing.T) {
 			k.SpawnStep(name, put)
 		}
 		var got []string
-		k.Spawn("consumer", func(e *Env) {
-			for len(got) < waiters*rounds {
-				e.Sleep(1)
-				v, _ := ch.Get(e)
-				got = append(got, v)
-			}
-		})
+		k.SpawnStep("consumer", script(loop(func() bool { return len(got) < waiters*rounds },
+			sleep(1), get(ch, func(_ *Env, v string, _ bool) { got = append(got, v) }))))
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -939,14 +876,13 @@ func TestChanCloseWakesPooledStepGetters(t *testing.T) {
 		}
 		k.SpawnStep(name, func(e *Env) Cont { return ch.GetThen(e, recv) })
 	}
-	k.Spawn("producer", func(e *Env) {
-		for v := 0; v < 9; v++ {
-			e.Sleep(1)
-			ch.Put(e, v)
-		}
-		e.Sleep(1)
-		ch.Close(e)
-	})
+	v := 0
+	k.SpawnStep("producer", script(
+		repeat(9, sleep(1), func(e *Env, next Step) Cont {
+			v++
+			return ch.PutThen(e, v-1, next)
+		}),
+		sleep(1), do(ch.Close)))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -967,19 +903,12 @@ func TestSignalReset(t *testing.T) {
 	sig := NewSignal(k)
 	sig.Reset()
 	var woke []Time
-	k.Spawn("waiter", func(e *Env) {
-		sig.Wait(e)
-		woke = append(woke, e.Now())
-		sig.Reset()
-		sig.Wait(e)
-		woke = append(woke, e.Now())
-	})
-	k.Spawn("firer", func(e *Env) {
-		e.Sleep(2)
-		sig.Fire()
-		e.Sleep(3)
-		sig.Fire()
-	})
+	wait := func(e *Env, next Step) Cont { return sig.WaitThen(e, next) }
+	k.SpawnStep("waiter", script(
+		wait, do(func(e *Env) { woke = append(woke, e.Now()); sig.Reset() }),
+		wait, do(func(e *Env) { woke = append(woke, e.Now()) })))
+	fire := do(func(*Env) { sig.Fire() })
+	k.SpawnStep("firer", script(sleep(2), fire, sleep(3), fire))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

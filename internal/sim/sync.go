@@ -1,9 +1,9 @@
 package sim
 
-// Synchronization primitives over virtual time. Wait queues are
-// continuation-aware: blocking processes (Acquire/Wait) and continuation
-// processes (AcquireThen/WaitThen) share the same FIFO queues, so admission
-// and wakeup order is one discipline across process flavours.
+// Synchronization primitives over virtual time. A process waits by arming
+// its next step with AcquireThen or WaitThen; wait queues are FIFO, so
+// admission and wakeup order follow arrival order. A wait that is already
+// satisfied runs the next step inline.
 
 // Resource is a counting semaphore over virtual time with FIFO admission.
 // It models exclusive or bounded-concurrency hardware such as a bus, a DMA
@@ -29,20 +29,8 @@ func (r *Resource) InUse() int { return r.inUse }
 // Capacity reports the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// Acquire obtains one unit, blocking in FIFO order while none is free.
-func (r *Resource) Acquire(e *Env) {
-	if r.inUse < r.capacity && len(r.waitQ) == 0 {
-		r.inUse++
-		return
-	}
-	r.waitQ = append(r.waitQ, e.p)
-	r.k.park(e.p)
-	// The releaser transferred its unit to us; inUse stays constant.
-}
-
-// AcquireThen is the continuation form of Acquire: it obtains one unit
-// (immediately when free, otherwise after waiting in the same FIFO queue)
-// and then runs the next step. Steps must return the directive AcquireThen
+// AcquireThen obtains one unit and then runs the next step: inline when a
+// unit is free and nobody waits, otherwise after waiting in FIFO order. Steps must return the directive AcquireThen
 // returns.
 func (r *Resource) AcquireThen(e *Env, next Step) Cont {
 	if r.inUse < r.capacity && len(r.waitQ) == 0 {
@@ -66,15 +54,8 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// Use runs fn while holding one unit of the resource.
-func (r *Resource) Use(e *Env, fn func()) {
-	r.Acquire(e)
-	defer r.Release()
-	fn()
-}
-
-// Signal is a one-shot broadcast event: every process that Waits before Fire
-// blocks; Fire releases them all, and later Waits return immediately. Reset
+// Signal is a one-shot broadcast event: every process that waits before
+// Fire blocks; Fire releases them all, and later waits go on at once. Reset
 // re-arms a fired signal for reuse. The waiter array is kept across Fire, so
 // a reused signal queues its waiters without allocating.
 type Signal struct {
@@ -89,17 +70,7 @@ func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Wait blocks until the signal fires (returns immediately if it already has).
-func (s *Signal) Wait(e *Env) {
-	if s.fired {
-		return
-	}
-	s.waiters = append(s.waiters, e.p)
-	s.k.park(e.p)
-}
-
-// WaitThen is the continuation form of Wait: it runs next once the signal
-// has fired (immediately if it already has). Steps must return the
+// WaitThen runs next once the signal has fired: inline if it already has. Steps must return the
 // directive WaitThen returns.
 func (s *Signal) WaitThen(e *Env, next Step) Cont {
 	if s.fired {
@@ -123,16 +94,15 @@ func (s *Signal) Fire() {
 	s.waiters = s.waiters[:0]
 }
 
-// Reset re-arms the signal, so later Waits block until the next Fire. A
+// Reset re-arms the signal, so later waits block until the next Fire. A
 // fired signal has no waiters, so nothing is lost; resetting an unfired
 // signal is a no-op.
 func (s *Signal) Reset() { s.fired = false }
 
 // Cond is a condition variable for the cooperative kernel: because only one
 // process runs at a time no mutex is needed, but waiters must re-check their
-// predicate after waking (NotifyAll wakes every waiter). Continuation
-// waiters likewise re-check in their continuation and re-register with
-// WaitThen when the predicate still does not hold.
+// predicate in their continuation after waking (NotifyAll wakes every
+// waiter) and re-register with WaitThen when it still does not hold.
 type Cond struct {
 	k       *Kernel
 	waiters []*proc
@@ -141,14 +111,7 @@ type Cond struct {
 // NewCond creates a condition variable.
 func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 
-// Wait parks the calling process until a notify.
-func (c *Cond) Wait(e *Env) {
-	c.waiters = append(c.waiters, e.p)
-	c.k.park(e.p)
-}
-
-// WaitThen is the continuation form of Wait: it runs next after the next
-// notify. Steps must return the directive WaitThen returns.
+// WaitThen runs next after the next notify. Steps must return the directive WaitThen returns.
 func (c *Cond) WaitThen(e *Env, next Step) Cont {
 	c.waiters = append(c.waiters, e.p)
 	e.p.step = next
@@ -205,17 +168,7 @@ func (w *WaitGroup) Done() {
 	}
 }
 
-// Wait blocks until the counter is zero.
-func (w *WaitGroup) Wait(e *Env) {
-	if w.count == 0 {
-		return
-	}
-	w.done = append(w.done, e.p)
-	w.k.park(e.p)
-}
-
-// WaitThen is the continuation form of Wait: it runs next once the counter
-// is zero (immediately if it already is). Steps must return the directive
+// WaitThen runs next once the counter is zero: inline if it already is. Steps must return the directive
 // WaitThen returns.
 func (w *WaitGroup) WaitThen(e *Env, next Step) Cont {
 	if w.count == 0 {

@@ -70,8 +70,8 @@ func (r *Recorder) Count(kind string) int {
 }
 
 // SameTimes asserts two completion-time vectors agree element for element —
-// the comparison every hardware-model equivalence test makes between a
-// blocking reference run and a continuation-flavoured run.
+// the comparison the hardware-model tests make between a run and its
+// pinned reference times.
 func SameTimes(t testing.TB, label string, got, ref []sim.Time) {
 	t.Helper()
 	if len(got) != len(ref) {

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -57,29 +56,6 @@ func (c *Collector) WriteProcsCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// jsonProc is the JSON shape of one processing record.
-type jsonProc struct {
-	TaskID uint64  `json:"task_id"`
-	Filter string  `json:"filter"`
-	Node   int     `json:"node"`
-	Device string  `json:"device"`
-	Start  float64 `json:"start"`
-	End    float64 `json:"end"`
-}
-
-// WriteProcsJSON exports processing records as a JSON array.
-func (c *Collector) WriteProcsJSON(w io.Writer) error {
-	out := make([]jsonProc, len(c.Procs))
-	for i, r := range c.Procs {
-		out[i] = jsonProc{
-			TaskID: r.TaskID, Filter: r.Filter, Node: r.NodeID,
-			Device: r.Kind.String(), Start: float64(r.Start), End: float64(r.End),
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }
 
 // Gantt renders device busy intervals as a fixed-width ASCII chart over

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -94,24 +93,6 @@ func TestWriteProcsCSV(t *testing.T) {
 	}
 }
 
-func TestWriteProcsJSON(t *testing.T) {
-	col, _, _ := runTraced(t)
-	var buf bytes.Buffer
-	if err := col.WriteProcsJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 20 {
-		t.Fatalf("json rows = %d", len(out))
-	}
-	if out[0]["device"] != "CPU" {
-		t.Fatalf("device = %v", out[0]["device"])
-	}
-}
-
 func TestGanttShape(t *testing.T) {
 	_, c, makespan := runTraced(t)
 	out := Gantt(c.Devices(), makespan, 40)
@@ -148,9 +129,10 @@ func TestSummary(t *testing.T) {
 func TestGanttPartialCells(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := hw.NewDevice(k, hw.CPU, 0)
-	k.Spawn("u", func(e *sim.Env) {
-		e.Sleep(0.9) // idle most of cell 0
-		d.Run(e, 0.2)
+	k.SpawnStep("u", func(e *sim.Env) sim.Cont {
+		return sim.After(0.9, func(e *sim.Env) sim.Cont { // idle most of cell 0
+			return d.RunThen(e, 0.2, sim.DoneStep)
+		})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ type Executor struct {
 	// copy — with the span's virtual-time bounds. Nil costs nothing.
 	OnSpan func(Span)
 
-	free []*asyncRun // idle asynchronous-batch state, reused by runAsync
+	free []*batchRun // idle batch state, reused by RunBatchThen
 }
 
 // SpanKind classifies a transfer-pipeline span.
@@ -77,77 +77,146 @@ func NewExecutor(dev *hw.Device, link *hw.Link, async bool) *Executor {
 	return &Executor{Dev: dev, Link: link, Async: async}
 }
 
-// RunBatch executes the batch and returns its wall (virtual) duration. The
-// caller forwards results afterwards; RunBatch covers input copies, kernel
-// executions and output copies only.
-func (x *Executor) RunBatch(e *sim.Env, batch []*task.Task) sim.Time {
+// RunBatchThen executes the batch — input copies, kernel executions and
+// output copies — and then runs next; the caller forwards results there.
+// The batch's duration is the virtual time from the call to next. An empty
+// batch runs next inline. Steps must return the directive RunBatchThen
+// returns. The batch's state is a pooled record with steps bound once, so
+// a batch allocates nothing in steady state.
+func (x *Executor) RunBatchThen(e *sim.Env, batch []*task.Task, next sim.Step) sim.Cont {
 	if len(batch) == 0 {
-		return 0
+		return next(e)
 	}
-	start := e.Now()
-	if x.Async {
-		x.runAsync(e, batch)
-	} else {
-		x.runSync(e, batch)
+	r := x.takeRun(e.Kernel())
+	r.batch, r.i, r.next = batch, 0, next
+	if !x.Async {
+		return r.syncSlot(e)
 	}
-	return e.Now() - start
-}
-
-func (x *Executor) runSync(e *sim.Env, batch []*task.Task) {
-	// Synchronous copies: the host thread drives each transfer to
-	// completion before launching the kernel, and the GPU sits idle during
-	// both copies.
-	for _, t := range batch {
-		t0 := e.Now()
-		x.Link.Copy(e, t.Size, hw.HostToDevice)
-		t1 := e.Now()
-		x.span(SpanH2D, t0, t1, t.Size, t.ID)
-		x.Dev.Run(e, t.Cost(t, hw.GPU))
-		t2 := e.Now()
-		x.span(SpanKernel, t1, t2, 0, t.ID)
-		x.Link.Copy(e, t.OutSize, hw.DeviceToHost)
-		x.span(SpanD2H, t2, e.Now(), t.OutSize, t.ID)
-	}
-}
-
-func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
-	r := x.takeRun(e.Kernel(), len(batch))
-	// Phase 1: issue every host-to-device copy on its own CUDA stream. The
-	// per-transfer processes are stackless step chains — a copy is a
-	// link-queue hop plus a timed wait, no coroutine stack needed.
+	// Phase 1: issue every host-to-device copy on its own CUDA stream, each
+	// a step chain of its own.
+	r.grow(e.Kernel(), len(batch))
 	for i, t := range batch {
 		c := r.in[i]
 		c.size, c.id = t.Size, t.ID
 		c.sig.Reset()
 		e.SpawnStep("h2d", c.startStep)
 	}
-	// Phase 2: process events in order as their inputs arrive; the copy of
-	// event i+1 overlaps the kernel of event i.
-	for i, t := range batch {
-		r.in[i].sig.Wait(e)
-		t0 := e.Now()
-		x.Dev.Run(e, t.Cost(t, hw.GPU))
-		x.span(SpanKernel, t0, e.Now(), 0, t.ID)
+	return r.kernelWait(e)
+}
+
+// batchRun is the reusable state of one RunBatchThen: the batch, the slot
+// in service and its span start times, and, for the asynchronous
+// pipeline, a copy record per slot and direction and the wait group of
+// phase 3. Every copy has finished by the time the batch's next runs, so
+// the run goes back to the executor's free list then; a batch running
+// concurrently on the same executor takes a run of its own.
+type batchRun struct {
+	x      *Executor
+	batch  []*task.Task
+	i      int      // the slot in service
+	t0, t1 sim.Time // start of the slot's current span, and of the one before
+	next   sim.Step
+	in     []*copyRec
+	out    []*copyRec
+	wg     *sim.WaitGroup
+	// Bound once in takeRun.
+	syncKernelStep, syncOutStep, syncDoneStep sim.Step
+	kernelStep, kernelDoneStep, finishStep    sim.Step
+}
+
+// takeRun returns a free batchRun.
+func (x *Executor) takeRun(k *sim.Kernel) *batchRun {
+	if m := len(x.free); m > 0 {
+		r := x.free[m-1]
+		x.free[m-1] = nil
+		x.free = x.free[:m-1]
+		return r
 	}
-	// Phase 3: issue every device-to-host copy, then wait for all of them.
-	r.wg.Add(len(batch))
-	for i, t := range batch {
+	r := &batchRun{x: x, wg: sim.NewWaitGroup(k)}
+	r.syncKernelStep, r.syncOutStep, r.syncDoneStep = r.syncKernel, r.syncOut, r.syncDone
+	r.kernelStep, r.kernelDoneStep, r.finishStep = r.kernel, r.kernelDone, r.finish
+	return r
+}
+
+// grow makes sure the run has copy records for n slots.
+func (r *batchRun) grow(k *sim.Kernel, n int) {
+	for len(r.in) < n {
+		r.in = append(r.in, r.x.newCopy(SpanH2D, sim.NewSignal(k), nil))
+		r.out = append(r.out, r.x.newCopy(SpanD2H, nil, r.wg))
+	}
+}
+
+// finish returns the run to the free list and runs the batch's next.
+func (r *batchRun) finish(e *sim.Env) sim.Cont {
+	x, next := r.x, r.next
+	r.batch, r.next = nil, nil
+	x.free = append(x.free, r)
+	return next(e)
+}
+
+// The synchronous path: the host thread drives each transfer to completion
+// before launching the kernel, and the GPU sits idle during both copies.
+// Per slot: syncSlot copies the input in, syncKernel runs the kernel,
+// syncOut copies the output back and syncDone moves to the next slot.
+
+func (r *batchRun) syncSlot(e *sim.Env) sim.Cont {
+	if r.i == len(r.batch) {
+		return r.finish(e)
+	}
+	t := r.batch[r.i]
+	r.t0 = e.Now()
+	return r.x.Link.CopyThen(e, t.Size, hw.HostToDevice, r.syncKernelStep)
+}
+
+func (r *batchRun) syncKernel(e *sim.Env) sim.Cont {
+	t := r.batch[r.i]
+	r.t1 = e.Now()
+	r.x.span(SpanH2D, r.t0, r.t1, t.Size, t.ID)
+	return r.x.Dev.RunThen(e, t.Cost(t, hw.GPU), r.syncOutStep)
+}
+
+func (r *batchRun) syncOut(e *sim.Env) sim.Cont {
+	t := r.batch[r.i]
+	r.t0 = e.Now()
+	r.x.span(SpanKernel, r.t1, r.t0, 0, t.ID)
+	return r.x.Link.CopyThen(e, t.OutSize, hw.DeviceToHost, r.syncDoneStep)
+}
+
+func (r *batchRun) syncDone(e *sim.Env) sim.Cont {
+	t := r.batch[r.i]
+	r.x.span(SpanD2H, r.t0, e.Now(), t.OutSize, t.ID)
+	r.i++
+	return r.syncSlot(e)
+}
+
+// kernelWait is phase 2 of the asynchronous pipeline: process events in
+// order as their inputs arrive, so the copy of event i+1 overlaps the
+// kernel of event i. After the last kernel, phase 3 issues every
+// device-to-host copy and waits for all of them.
+func (r *batchRun) kernelWait(e *sim.Env) sim.Cont {
+	if r.i < len(r.batch) {
+		return r.in[r.i].sig.WaitThen(e, r.kernelStep)
+	}
+	r.wg.Add(len(r.batch))
+	for i, t := range r.batch {
 		c := r.out[i]
 		c.size, c.id = t.OutSize, t.ID
 		e.SpawnStep("d2h", c.startStep)
 	}
-	r.wg.Wait(e)
-	x.free = append(x.free, r)
+	return r.wg.WaitThen(e, r.finishStep)
 }
 
-// asyncRun is the reusable state of one asynchronous RunBatch: a copy
-// record per batch slot and direction, and the wait group of phase 3. Every
-// copy has finished by the time RunBatch returns, so the run goes back to
-// the executor's free list then; a RunBatch running concurrently on the
-// same executor takes a run of its own.
-type asyncRun struct {
-	in, out []*copyRec
-	wg      *sim.WaitGroup
+func (r *batchRun) kernel(e *sim.Env) sim.Cont {
+	t := r.batch[r.i]
+	r.t0 = e.Now()
+	return r.x.Dev.RunThen(e, t.Cost(t, hw.GPU), r.kernelDoneStep)
+}
+
+func (r *batchRun) kernelDone(e *sim.Env) sim.Cont {
+	t := r.batch[r.i]
+	r.x.span(SpanKernel, r.t0, e.Now(), 0, t.ID)
+	r.i++
+	return r.kernelWait(e)
 }
 
 // copyRec is one host-to-device or device-to-host copy of a batch. Its
@@ -164,23 +233,6 @@ type copyRec struct {
 	wg *sim.WaitGroup
 
 	startStep, doneStep sim.Step
-}
-
-// takeRun returns a free asyncRun with records for n events.
-func (x *Executor) takeRun(k *sim.Kernel, n int) *asyncRun {
-	var r *asyncRun
-	if m := len(x.free); m > 0 {
-		r = x.free[m-1]
-		x.free[m-1] = nil
-		x.free = x.free[:m-1]
-	} else {
-		r = &asyncRun{wg: sim.NewWaitGroup(k)}
-	}
-	for len(r.in) < n {
-		r.in = append(r.in, x.newCopy(SpanH2D, sim.NewSignal(k), nil))
-		r.out = append(r.out, x.newCopy(SpanD2H, nil, r.wg))
-	}
-	return r
 }
 
 func (x *Executor) newCopy(kind SpanKind, sig *sim.Signal, wg *sim.WaitGroup) *copyRec {

@@ -91,6 +91,18 @@ func mkXferTask(size, out int64, gpuCost sim.Time) *task.Task {
 	return tk
 }
 
+// spawnBatch spawns a process that runs batch on ex and stores the batch's
+// duration in *dur.
+func spawnBatch(k *sim.Kernel, ex *Executor, batch []*task.Task, dur *sim.Time) {
+	k.SpawnStep("gpu", func(e *sim.Env) sim.Cont {
+		start := e.Now()
+		return ex.RunBatchThen(e, batch, func(e *sim.Env) sim.Cont {
+			*dur = e.Now() - start
+			return sim.Done()
+		})
+	})
+}
+
 func runBatchOn(t *testing.T, async bool, n int, size int64, gpuCost sim.Time, cfg hw.LinkConfig) sim.Time {
 	t.Helper()
 	k := sim.NewKernel(1)
@@ -102,9 +114,7 @@ func runBatchOn(t *testing.T, async bool, n int, size int64, gpuCost sim.Time, c
 		batch[i] = mkXferTask(size, size, gpuCost)
 	}
 	var dur sim.Time
-	k.Spawn("gpu", func(e *sim.Env) {
-		dur = ex.RunBatch(e, batch)
-	})
+	spawnBatch(k, ex, batch, &dur)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +176,13 @@ func TestEmptyBatchIsFree(t *testing.T) {
 	dev := hw.NewDevice(k, hw.GPU, 0)
 	link := hw.NewLink(k, hw.DefaultLink)
 	ex := NewExecutor(dev, link, true)
-	k.Spawn("gpu", func(e *sim.Env) {
-		if d := ex.RunBatch(e, nil); d != 0 {
-			t.Errorf("empty batch took %v", d)
-		}
-	})
+	d := sim.Time(-1)
+	spawnBatch(k, ex, nil, &d)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if d != 0 {
+		t.Errorf("empty batch took %v", d)
 	}
 }
 
@@ -236,9 +246,7 @@ func runSpecBatch(t *testing.T, async bool, specs [][3]int64, cfg hw.LinkConfig)
 		batch[i] = tk
 	}
 	var dur sim.Time
-	k.Spawn("gpu", func(e *sim.Env) {
-		dur = ex.RunBatch(e, batch)
-	})
+	spawnBatch(k, ex, batch, &dur)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,22 +327,28 @@ func batchSpans(t *testing.T, sizes []int, procs int, shared bool) []Span {
 	one.OnSpan = record
 	id := uint64(0)
 	for p := 0; p < procs; p++ {
-		k.Spawn("gpu", func(e *sim.Env) {
-			for _, n := range sizes {
-				ex := one
-				if !shared {
-					ex = NewExecutor(dev, link, true)
-					ex.OnSpan = record
-				}
-				batch := make([]*task.Task, n)
-				for i := range batch {
-					id++
-					batch[i] = mkXferTask(int64(1000*(1+i%3)), 500, sim.Time(i%4)*sim.Microsecond)
-					batch[i].ID = id
-				}
-				ex.RunBatch(e, batch)
+		next := 0
+		var run sim.Step
+		run = func(e *sim.Env) sim.Cont {
+			if next == len(sizes) {
+				return sim.Done()
 			}
-		})
+			n := sizes[next]
+			next++
+			ex := one
+			if !shared {
+				ex = NewExecutor(dev, link, true)
+				ex.OnSpan = record
+			}
+			batch := make([]*task.Task, n)
+			for i := range batch {
+				id++
+				batch[i] = mkXferTask(int64(1000*(1+i%3)), 500, sim.Time(i%4)*sim.Microsecond)
+				batch[i].ID = id
+			}
+			return ex.RunBatchThen(e, batch, run)
+		}
+		k.SpawnStep("gpu", run)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
