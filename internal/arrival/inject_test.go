@@ -13,6 +13,67 @@ import (
 	"repro/internal/task"
 )
 
+// TestPaceManualClock drives Drive's pacer from outside on a hand-advanced
+// clock, the way a live server advances the kernel tick by tick: at every
+// hand position exactly the arrivals due by then have been built, in order,
+// each at its own instant. A tick of 2^-10 s keeps the hand's sums exact.
+func TestPaceManualClock(t *testing.T) {
+	tick := sim.Time(1.0 / 1024)
+	times := []sim.Time{0, tick, tick, 4 * tick}
+	k := sim.NewKernel(1)
+	rt := core.New(hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 1}}, nil), nil)
+	gw := rt.AddFilter(core.FilterSpec{Name: "gateway", Placement: []int{0}, Open: true})
+	srv := rt.AddFilter(core.FilterSpec{
+		Name: "serve", Placement: []int{0}, CPUWorkers: 1,
+		Handler: func(*core.Ctx, *task.Task) core.Action { return core.Action{} },
+	})
+	rt.Connect(gw, srv, policy.DDFCFS(2))
+	var ks []int
+	var ats []sim.Time
+	st := arrival.Drive(rt, gw, times, func(i int) *task.Task {
+		ks = append(ks, i)
+		ats = append(ats, k.Now())
+		return &task.Task{Size: 1 << 10, OutSize: 64, Cost: func(*task.Task, hw.Kind) sim.Time { return tick / 4 }}
+	})
+
+	c := &sim.ManualClock{}
+	rt.Start()
+	for n := 0; ; n++ {
+		done, err := k.AdvanceTo(c.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		due := 0
+		for _, at := range times {
+			if at <= c.Now() {
+				due++
+			}
+		}
+		if len(ks) != due {
+			t.Fatalf("hand at %v: %d arrivals built, want the %d due", c.Now(), len(ks), due)
+		}
+		if done {
+			break
+		}
+		if n == 100 {
+			t.Fatal("run not drained after 100 ticks")
+		}
+		c.Sleep(tick)
+	}
+	if _, err := rt.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ks, []int{0, 1, 2, 3}) {
+		t.Fatalf("arrivals built as %v", ks)
+	}
+	if !reflect.DeepEqual(ats, times) {
+		t.Fatalf("arrivals built at %v, want %v", ats, times)
+	}
+	if st.Offered != len(times) {
+		t.Fatalf("%d arrivals offered, want %d", st.Offered, len(times))
+	}
+}
+
 // TestDriveInjectsAtInstants: Drive's pacer injects every arrival exactly at
 // its instant, the first at 0, and injects arrivals with equal instants in
 // one dispatch, without yielding between them: a process that yields at

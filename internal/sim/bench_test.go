@@ -116,6 +116,127 @@ func zeroAfterStepWorkload(n int) {
 	}
 }
 
+// The workloads below run the same event patterns with each process in the
+// record form the runtime's long-lived processes take (the worker, the
+// pacer, the requester): its state in a struct and its steps bound once to
+// method values, so a wait re-arms a step that already exists.
+
+// sleeper waits d, left times over.
+type sleeper struct {
+	left int
+	d    Time
+	step Step // run, bound once
+}
+
+func newSleeper(left int, d Time) *sleeper {
+	s := &sleeper{left: left, d: d}
+	s.step = s.run
+	return s
+}
+
+func (s *sleeper) run(e *Env) Cont {
+	if s.left == 0 {
+		return Done()
+	}
+	s.left--
+	return After(s.d, s.step)
+}
+
+// eventLoopWorkload is eventLoopStepWorkload with record processes.
+func eventLoopWorkload(procs, sleeps int) {
+	k := NewKernel(1)
+	for p := 0; p < procs; p++ {
+		k.SpawnStep("worker", newSleeper(sleeps, Millisecond).step)
+	}
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// zeroSleepWorkload is zeroAfterStepWorkload with a record process.
+func zeroSleepWorkload(n int) {
+	k := NewKernel(1)
+	k.SpawnStep("spinner", newSleeper(n, 0).step)
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// churner spawns a short-lived process every millisecond, left times
+// over; both steps are bound once.
+type churner struct {
+	left        int
+	step, short Step
+}
+
+func (c *churner) run(e *Env) Cont {
+	if c.left == 0 {
+		return Done()
+	}
+	c.left--
+	e.SpawnStep("short", c.short)
+	return After(Millisecond, c.step)
+}
+
+func shortLived(e *Env) Cont { return After(Microsecond, DoneStep) }
+
+// spawnChurnWorkload is spawnChurnStepWorkload with a record driver.
+func spawnChurnWorkload(n int) {
+	k := NewKernel(1)
+	c := &churner{left: n, short: shortLived}
+	c.step = c.run
+	k.SpawnStep("driver", c.step)
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// msgPath is messagePathStepWorkload's state as one record, every step of
+// the driver and of the per-message send chain bound once.
+type msgPath struct {
+	nic                        *Resource
+	replies                    *Chan[int]
+	left                       int
+	send, hold, finish, driver Step
+	onReply                    func(e *Env, v int, ok bool) Cont
+}
+
+func (m *msgPath) sendStep(e *Env) Cont { return m.nic.AcquireThen(e, m.hold) }
+
+func (m *msgPath) holdStep(e *Env) Cont { return After(10*Microsecond, m.finish) }
+
+func (m *msgPath) finishStep(e *Env) Cont {
+	m.nic.Release()
+	return m.replies.PutThen(e, 1, DoneStep)
+}
+
+func (m *msgPath) driverStep(e *Env) Cont {
+	if m.left == 0 {
+		return Done()
+	}
+	m.left--
+	e.SpawnStep("send", m.send)
+	return m.replies.GetThen(e, m.onReply)
+}
+
+func (m *msgPath) reply(e *Env, v int, ok bool) Cont {
+	if !ok {
+		panic("sim: reply channel closed early")
+	}
+	return m.driverStep(e)
+}
+
+// messagePathWorkload is messagePathStepWorkload with record processes.
+func messagePathWorkload(n int) {
+	k := NewKernel(1)
+	m := &msgPath{nic: NewResource(k, 1), replies: NewChan[int](k, 1), left: n}
+	m.send, m.hold, m.finish, m.driver, m.onReply = m.sendStep, m.holdStep, m.finishStep, m.driverStep, m.reply
+	k.SpawnStep("driver", m.driver)
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+}
+
 // delayMixWorkload keeps procs processes cycling through rounds wakeups
 // each; process i's n-th wakeup is delay(i, n) after the last, n starting
 // at i.
@@ -244,6 +365,14 @@ func allocCeiling(t *testing.T, name string, limit float64, events int, fn func(
 	}
 }
 
+// TestEventLoopAllocs pins the cost of 4000 scheduled events when each
+// process is a record: setup only, with no allocation per wait.
+func TestEventLoopAllocs(t *testing.T) {
+	allocCeiling(t, "event loop (4 record procs x 1000 sleeps)", 50, 4000, func() {
+		eventLoopWorkload(4, 1000)
+	})
+}
+
 // TestEventLoopStepAllocs pins the cost of 4000 scheduled events. The
 // budget covers kernel setup (records, closures, queue growth) only; the
 // container/heap implementation the queue replaced boxed one interface
@@ -293,12 +422,29 @@ func TestEventLoopFixedDelaysAllocs(t *testing.T) {
 	}
 }
 
+// TestSpawnPoolingAllocs pins 1000 sequential short-lived spawns of one
+// bound step from a record driver: the whole run reuses one pooled record.
+func TestSpawnPoolingAllocs(t *testing.T) {
+	allocCeiling(t, "spawn churn (1000 short-lived procs)", 40, 3000, func() {
+		spawnChurnWorkload(1000)
+	})
+}
+
 // TestSpawnPoolingStepAllocs pins record pooling: 1000 spawned-and-finished
 // processes reuse one pooled record; without pooling each spawn would
 // allocate a record.
 func TestSpawnPoolingStepAllocs(t *testing.T) {
 	allocCeiling(t, "step spawn churn (1000 short-lived procs)", 40, 3000, func() {
 		spawnChurnStepWorkload(1000)
+	})
+}
+
+// TestMessagePathAllocs pins the message path with record processes: 1000
+// spawn → acquire → hold → release → reply rounds whose steps were all
+// bound before the first, so the budget is setup only.
+func TestMessagePathAllocs(t *testing.T) {
+	allocCeiling(t, "message path (1000 record rounds)", 100, 3000, func() {
+		messagePathWorkload(1000)
 	})
 }
 
@@ -312,6 +458,14 @@ func TestSpawnPoolingStepAllocs(t *testing.T) {
 func TestMessagePathStepAllocs(t *testing.T) {
 	allocCeiling(t, "step message path (1000 rounds)", 100, 3000, func() {
 		messagePathStepWorkload(1000)
+	})
+}
+
+// TestZeroSleepAllocs pins the zero-delay path for a record process: 10000
+// yields with an empty event queue must not touch the queue at all.
+func TestZeroSleepAllocs(t *testing.T) {
+	allocCeiling(t, "zero-delay wait, record proc (10000 yields)", 25, 10000, func() {
+		zeroSleepWorkload(10000)
 	})
 }
 

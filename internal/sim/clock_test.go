@@ -5,6 +5,39 @@ import (
 	"time"
 )
 
+// TestVirtualClockPacing runs a pacing loop against the kernel's virtual
+// clock: each After must land the process exactly at the requested instant,
+// a deadline already reached fires without waiting, and no wall-clock time
+// is involved.
+func TestVirtualClockPacing(t *testing.T) {
+	k := NewKernel(1)
+	deadlines := []Time{0, 250 * Microsecond, Millisecond, Millisecond, 5 * Millisecond}
+	var seen []Time
+	i := 0
+	var pace Step
+	pace = func(e *Env) Cont {
+		for ; i < len(deadlines); i++ {
+			if d := deadlines[i] - e.Now(); d > 0 {
+				return After(d, pace)
+			}
+			seen = append(seen, e.Now())
+		}
+		return Done()
+	}
+	k.SpawnStep("pacer", pace)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(deadlines) {
+		t.Fatalf("pacer fired %d times, want %d", len(seen), len(deadlines))
+	}
+	for i, at := range deadlines {
+		if seen[i] != at {
+			t.Errorf("firing %d at %v, want %v", i, seen[i], at)
+		}
+	}
+}
+
 // TestManualClockPacing: the hand-advanced clock moves by exactly a
 // positive Sleep and not at all for a non-positive one.
 func TestManualClockPacing(t *testing.T) {

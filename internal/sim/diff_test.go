@@ -10,7 +10,9 @@ package sim_test
 // each process killed at shutdown, which a blocking process logged as it
 // unwound; a process now holds no stack and is dropped without running
 // anything, so those lines are filtered from the golden side before
-// comparing.
+// comparing. The flavour tests require a process written as a record with
+// steps bound once to produce the same trace as one written as a chain of
+// closures.
 
 import (
 	"fmt"
@@ -58,6 +60,34 @@ func TestDiffRandomPrograms(t *testing.T) {
 		lines = append(lines, runProg(decodeProgram(data))...)
 	}
 	checkGolden(t, "testdata/random_programs.trace", lines)
+}
+
+// checkFlavours runs p with every process a record, and with closure
+// chains and records alternating, and fails on any divergence from the
+// all-closure trace.
+func checkFlavours(t *testing.T, p prog) {
+	t.Helper()
+	base := runProg(p)
+	for _, fl := range []struct {
+		name string
+		fl   flavor
+	}{{"record", allRecord}, {"mixed", alternating}} {
+		got := runProgAs(p, fl.fl)
+		if i := firstDiff(base, got); i >= 0 {
+			t.Fatal(diffReport(p, "closure chains vs "+fl.name, base, got, i))
+		}
+	}
+}
+
+// TestDiffRandomProgramsStep runs a second seeded random corpus in the
+// record and mixed flavours against the closure-chain flavour.
+func TestDiffRandomProgramsStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260808))
+	for i := 0; i < 200; i++ {
+		data := make([]byte, rng.Intn(200))
+		rng.Read(data)
+		checkFlavours(t, decodeProgram(data))
+	}
 }
 
 // fixedCorpus returns hand-written regression scenarios, each pinning one
@@ -209,6 +239,13 @@ func TestDiffFixedCorpus(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			checkGolden(t, "testdata/fixed/"+name+".trace", runProg(p))
 		})
+	}
+}
+
+// TestDiffFixedCorpusStep pins the same scenarios across process forms.
+func TestDiffFixedCorpusStep(t *testing.T) {
+	for name, p := range fixedCorpus() {
+		t.Run(name, func(t *testing.T) { checkFlavours(t, p) })
 	}
 }
 

@@ -10,8 +10,11 @@ package sim_test
 // compact byte string — the same decoder serves the seeded random golden
 // corpus (TestDiffRandomPrograms), the checked-in fuzz corpus and
 // FuzzKernelScenario — so every program the fuzzer can invent is also a
-// program the golden suite can replay. The interpreter turns each script
-// into a chain of steps, each waiting operation its *Then form.
+// program the golden suite can replay. The interpreter runs each script
+// either as a chain of step closures or as a record with a program counter
+// and steps bound once, chosen per process, each waiting operation its
+// *Then form; the flavour tests require both forms, alone and interleaved,
+// to produce the same trace.
 
 import (
 	"fmt"
@@ -297,6 +300,15 @@ func stripKills(lines []string) []string {
 // ---------------------------------------------------------------------------
 // Interpreter
 
+// flavor decides, per spawned process index, which form the process
+// takes, so one program can run both forms interleaved on the same kernel
+// and the same wait queues.
+type flavor func(spawnIdx int) bool // true: record process
+
+func allChain(int) bool      { return false }
+func allRecord(int) bool     { return true }
+func alternating(i int) bool { return i%2 == 0 }
+
 type runner struct {
 	p      prog
 	k      *sim.Kernel
@@ -307,14 +319,19 @@ type runner struct {
 	conds  []*sim.Cond
 	wgs    []*sim.WaitGroup
 	spawnN int
+	fl     flavor
 }
 
-// runProg executes p on a kernel seeded with kernelSeed and returns the
-// trace. The final line records the kernel's end time and error, so those
-// are compared too.
-func runProg(p prog) []string {
+// runProg executes p on a kernel seeded with kernelSeed, every process a
+// closure chain, and returns the trace.
+func runProg(p prog) []string { return runProgAs(p, allChain) }
+
+// runProgAs executes p with each process's form chosen by fl and returns
+// the trace. The final line records the kernel's end time and error, so
+// those are compared too.
+func runProgAs(p prog, fl flavor) []string {
 	k := sim.NewKernel(kernelSeed)
-	r := &runner{p: p, k: k, rec: &recorder{}}
+	r := &runner{p: p, k: k, rec: &recorder{}, fl: fl}
 	for _, c := range p.chanCaps {
 		r.chans = append(r.chans, sim.NewChan[int](k, c))
 	}
@@ -342,8 +359,15 @@ func runProg(p prog) []string {
 
 func (r *runner) spawn(si int) string {
 	name := fmt.Sprintf("p%d.s%d", r.spawnN, si)
+	record := r.fl(r.spawnN)
 	r.spawnN++
-	r.k.SpawnStep(name, r.stepAt(si, 0, name))
+	if record {
+		rp := &recProc{r: r, si: si, name: name}
+		rp.resume, rp.got = rp.resumeStep, rp.gotStep
+		r.k.SpawnStep(name, rp.run)
+	} else {
+		r.k.SpawnStep(name, r.stepAt(si, 0, name))
+	}
 	return name
 }
 
@@ -441,6 +465,135 @@ func (r *runner) stepAt(si, i int, name string) sim.Step {
 		default:
 			return next(e)
 		}
+	}
+}
+
+// recProc runs a script in the form the runtime's long-lived processes
+// take: its state is a record with a program counter, and its steps are
+// bound once, so every wait re-arms the same step.
+type recProc struct {
+	r      *runner
+	si, i  int
+	name   string
+	resume sim.Step                                  // resumeStep, bound once
+	got    func(e *sim.Env, v int, ok bool) sim.Cont // gotStep, bound once
+}
+
+// run executes instructions from the program counter on until one waits.
+func (p *recProc) run(e *sim.Env) sim.Cont {
+	r, sc := p.r, p.r.p.scripts[p.si]
+	for ; p.i < len(sc); p.i++ {
+		in := sc[p.i]
+		switch {
+		case in.op == opGet:
+			return r.chans[in.a].GetThen(e, p.got)
+		case waits(in.op):
+			return r.wait(e, in, p.resume)
+		default:
+			r.exec(e, in, p.name)
+		}
+	}
+	logEnd(r.rec, p.name, float64(e.Now()))
+	return sim.Done()
+}
+
+// resumeStep logs the wait of the current instruction and goes on.
+func (p *recProc) resumeStep(e *sim.Env) sim.Cont {
+	p.r.logWaited(p.r.p.scripts[p.si][p.i], p.name, e)
+	p.i++
+	return p.run(e)
+}
+
+// gotStep logs the receive of the current instruction and goes on.
+func (p *recProc) gotStep(e *sim.Env, v int, ok bool) sim.Cont {
+	logGot(p.r.rec, p.name, p.r.p.scripts[p.si][p.i].a, v, ok, float64(e.Now()))
+	p.i++
+	return p.run(e)
+}
+
+// waits reports whether op may wait, other than a channel receive.
+func waits(op opcode) bool {
+	switch op {
+	case opSleep, opYield, opPut, opAcquire, opSigWait, opCondWait, opWGWait:
+		return true
+	}
+	return false
+}
+
+// wait arms in's wait with resume as the step that runs after it.
+func (r *runner) wait(e *sim.Env, in instr, resume sim.Step) sim.Cont {
+	switch in.op {
+	case opSleep:
+		return sim.After(sim.Time(in.d), resume)
+	case opYield:
+		return sim.After(0, resume)
+	case opPut:
+		return r.chans[in.a].PutThen(e, in.b, resume)
+	case opAcquire:
+		return r.ress[in.a].AcquireThen(e, resume)
+	case opSigWait:
+		return r.sigs[in.a].WaitThen(e, resume)
+	case opCondWait:
+		return r.conds[in.a].WaitThen(e, resume)
+	default: // opWGWait
+		return r.wgs[in.a].WaitThen(e, resume)
+	}
+}
+
+// logWaited logs the completion of in's wait.
+func (r *runner) logWaited(in instr, name string, e *sim.Env) {
+	now := float64(e.Now())
+	switch in.op {
+	case opSleep:
+		logSlept(r.rec, name, in.d, now)
+	case opYield:
+		logYield(r.rec, name, now)
+	case opPut:
+		logPut(r.rec, name, in.a, in.b, now)
+	case opAcquire:
+		logAcq(r.rec, name, in.a, now)
+	case opSigWait:
+		logSigWait(r.rec, name, in.a, now)
+	case opCondWait:
+		logCondWait(r.rec, name, in.a, now)
+	case opWGWait:
+		logWGWait(r.rec, name, in.a, now)
+	}
+}
+
+// exec runs an instruction that never waits and logs it.
+func (r *runner) exec(e *sim.Env, in instr, name string) {
+	now := float64(e.Now())
+	switch in.op {
+	case opTryGet:
+		v, ok := r.chans[in.a].TryGet()
+		logTryGet(r.rec, name, in.a, v, ok, now)
+	case opClose:
+		r.chans[in.a].Close(e)
+		logClose(r.rec, name, in.a, now)
+	case opRelease:
+		r.ress[in.a].Release()
+		logRel(r.rec, name, in.a, now)
+	case opSigFire:
+		r.sigs[in.a].Fire()
+		logSigFire(r.rec, name, in.a, now)
+	case opNotifyOne:
+		r.conds[in.a].NotifyOne()
+		logNotify(r.rec, name, "notify1", in.a, now)
+	case opNotifyAll:
+		r.conds[in.a].NotifyAll()
+		logNotify(r.rec, name, "notifyN", in.a, now)
+	case opWGDone:
+		r.wgs[in.a].Done()
+		logWGDone(r.rec, name, in.a, now)
+	case opSpawn:
+		child := r.spawn(in.a)
+		logSpawn(r.rec, name, child, now)
+	case opRand:
+		v := e.Rand().Int63n(1 << 30)
+		logRand(r.rec, name, v, now)
+	case opPanic:
+		panic(fmt.Sprintf("boom from %s", name))
 	}
 }
 

@@ -69,6 +69,13 @@ func acquire(r *Resource) op {
 
 func release(r *Resource) op { return do(func(*Env) { r.Release() }) }
 
+// use runs body while holding one unit of r and releases it after.
+func use(r *Resource, body ...op) op {
+	return func(e *Env, next Step) Cont {
+		return r.AcquireThen(e, then(body, func(e *Env) Cont { r.Release(); return next(e) }))
+	}
+}
+
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	k := NewKernel(1)
 	var at []Time
@@ -544,6 +551,45 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResourceUseHelper: use holds the unit for the whole body, waits
+// included, and releases it after, straight to a second user waiting for
+// it, which releases it in turn.
+func TestResourceUseHelper(t *testing.T) {
+	k := NewKernel(1)
+	r := NewResource(k, 1)
+	ran := false
+	var second Time = -1
+	k.SpawnStep("p", script(
+		use(r,
+			do(func(*Env) {
+				if r.InUse() != 1 {
+					t.Error("resource not held inside use")
+				}
+			}),
+			sleep(5),
+			do(func(*Env) {
+				if r.InUse() != 1 {
+					t.Error("resource not held across a wait inside use")
+				}
+				ran = true
+			})),
+		do(func(*Env) {
+			if r.InUse() != 1 || second != -1 {
+				t.Error("unit not handed over to the waiting user on release")
+			}
+		})))
+	k.SpawnStep("q", script(use(r, do(func(e *Env) { second = e.Now() }))))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("use body did not run")
+	}
+	if second != 5 || r.InUse() != 0 {
+		t.Fatalf("second user got the unit at %v, %d in use after both; want 5 and 0", second, r.InUse())
 	}
 }
 
