@@ -32,13 +32,13 @@ test-race:
 # spec parser, the latency quantile-sketch decoder, and the windowed
 # sketch's cached fold against a from-scratch fold.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/fault
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadProfile$$' -fuzztime 10s ./internal/estimator
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/span
-	$(GO) test -run '^$$' -fuzz '^FuzzKernelScenario$$' -fuzztime 15s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzParseArrivals$$' -fuzztime 10s ./internal/arrival
-	$(GO) test -run '^$$' -fuzz '^FuzzSketchDecode$$' -fuzztime 10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzWindowedSketch$$' -fuzztime 10s ./internal/obs
+	GO=$(GO) ./scripts/gotest.sh fuzz '^FuzzParse$$' ./internal/fault 10s
+	GO=$(GO) ./scripts/gotest.sh fuzz '^FuzzLoadProfile$$' ./internal/estimator 10s
+	GO=$(GO) ./scripts/gotest.sh fuzz '^FuzzDecode$$' ./internal/span 10s
+	GO=$(GO) ./scripts/gotest.sh fuzz '^FuzzKernelScenario$$' ./internal/sim 15s
+	GO=$(GO) ./scripts/gotest.sh fuzz '^FuzzParseArrivals$$' ./internal/arrival 10s
+	GO=$(GO) ./scripts/gotest.sh fuzz '^FuzzSketchDecode$$' ./internal/obs 10s
+	GO=$(GO) ./scripts/gotest.sh fuzz '^FuzzWindowedSketch$$' ./internal/obs 10s
 
 # Regenerates BENCH_sweep.json: full-report wall time serial vs parallel,
 # points/sec, speedup, byte-identity, and kernel allocs/op.
@@ -50,14 +50,14 @@ bench-sweep:
 # (experiment, flags) rows for seeds 1-3 serially and on 4 workers and
 # requires every report and capture file to be byte-identical.
 determinism:
-	$(GO) test -race -run '^TestExplain|^TestServing|^TestPolicylab' -timeout 20m ./internal/experiments
+	GO=$(GO) ./scripts/gotest.sh run '^TestExplain|^TestServing|^TestPolicylab' ./internal/experiments -race -timeout 20m
 	./scripts/determinism.sh
 
 # End-to-end gate for the live demo server: build cmd/anthill-serve, start
 # it on a short schedule, poll /healthz, assert the /metrics families and an
 # SSE frame, then SIGTERM and require exit 0.
 serve-smoke:
-	$(GO) test -run '^TestServeSmoke$$' -count=1 -timeout 5m ./cmd/anthill-serve
+	GO=$(GO) ./scripts/gotest.sh run '^TestServeSmoke$$' ./cmd/anthill-serve -count=1 -timeout 5m
 
 # The seed-1 reports (-exp all, serving, policylab), the serving capture
 # artifacts and the live engine's golden replay must match the digests and

@@ -455,9 +455,6 @@ func sinkDrain(layers int) {
 		specs = append(specs, serve.Pool()...)
 	}
 	cl := hw.NewCluster(sim.NewKernel(1), specs, nil)
-	for _, d := range cl.Devices() {
-		d.SetRecordIntervals(false)
-	}
 	rt := core.New(cl, nil)
 	var col *span.Collector
 	if layers >= 2 {

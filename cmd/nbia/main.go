@@ -76,6 +76,11 @@ func main() {
 			}
 		}
 	}
+	if *gantt {
+		for _, d := range cl.Devices() {
+			d.SetRecordIntervals(true)
+		}
+	}
 	res, err := nbia.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nbia:", err)

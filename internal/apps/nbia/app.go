@@ -309,6 +309,7 @@ func Run(cfg Config) (*Result, error) {
 		CPUWorkers:          cfg.CPUWorkers,
 		AsyncCopy:           cfg.AsyncCopy,
 		MaxConcurrentCopies: cfg.MaxConcurrentCopies,
+		Release:             b.release,
 	}
 	classify := func(ref *TileRef) core.Action {
 		if ref.Level+1 < len(cfg.Levels) && recalcNeeded(ref.ID, ref.Level, cfg.RecalcRate) {

@@ -13,15 +13,18 @@ import (
 // and then, a slab chunk: the Task record and its TileRef payload come from
 // slabs, Params is one shared read-only slice per level, and the cost
 // function is one package-level function per pipeline stage that reads the
-// tile from the task.
+// tile from the task. Task records come back through release, the
+// processing filters' core.FilterSpec.Release, and are handed out again,
+// so a run needs about as many records as it has buffers alive at once.
 type births struct {
 	cfg *Config
 	// params[level] is {edge}, shared by every task of that level; the
 	// runtime and the estimator only read it.
 	params [][]float64
 	tasks  slab[task.Task]
-	// Payloads have their own slab: a ProcRecord keeps its *TileRef
-	// alive, and that pins 16 B per task rather than a chunk of tasks.
+	// Payloads have their own slab and are never reused: a ProcRecord
+	// keeps its *TileRef alive, and that pins 16 B per task rather than a
+	// chunk of tasks.
 	refs slab[TileRef]
 	// one backs the one-element Forward/Resubmit slices handlers return;
 	// the runtime reads them before the worker runs anything else.
@@ -40,12 +43,21 @@ func newBirths(cfg *Config) *births {
 // allocator takes its large-object path, whose zeroing showed in profiles.
 const slabChunkBytes = 16 << 10
 
-// slab hands out zeroed records of one type from chunks it allocates
-// lazily, slabChunkBytes at a time. Records are never reused: a chunk is
-// freed by the garbage collector once none of its records is reachable.
-type slab[T any] struct{ free []T }
+// slab hands out zeroed records of one type: records given back with put
+// first, then fresh ones from chunks it allocates lazily, slabChunkBytes
+// at a time. A chunk is freed by the garbage collector once none of its
+// records is reachable.
+type slab[T any] struct {
+	free []T  // the unused tail of the current chunk
+	back []*T // records given back, zeroed
+}
 
 func (s *slab[T]) next() *T {
+	if n := len(s.back); n > 0 {
+		r := s.back[n-1]
+		s.back = s.back[:n-1]
+		return r
+	}
 	if len(s.free) == 0 {
 		var zero T
 		s.free = make([]T, slabChunkBytes/unsafe.Sizeof(zero))
@@ -53,6 +65,14 @@ func (s *slab[T]) next() *T {
 	r := &s.free[0]
 	s.free = s.free[1:]
 	return r
+}
+
+// put zeroes r, which nothing may reference any more, and keeps it for
+// next.
+func (s *slab[T]) put(r *T) {
+	var zero T
+	*r = zero
+	s.back = append(s.back, r)
 }
 
 // tile builds one task for tile id at a level from the slabs.
@@ -67,6 +87,10 @@ func (b *births) tile(id uint64, level int, size, outSize int64, cost task.CostF
 	b.cfg.applyWeights(t, id, b.cfg.Levels[level], level)
 	return t
 }
+
+// release takes back a task the runtime is done with. Its TileRef stays
+// out of the slab: a ProcRecord may still hold it as its Payload.
+func (b *births) release(t *task.Task) { b.tasks.put(t) }
 
 // forward and resubmit wrap one task as a handler action without
 // allocating a slice.

@@ -82,6 +82,15 @@ type FilterSpec struct {
 	SourceBuffer int
 	// Handler processes events on non-source filters.
 	Handler Handler
+	// Release, when set on a processing filter, hands each input buffer
+	// back to the application at its last touch: once its handler ran,
+	// its lineage was retired and its ProcRecord was emitted. The runtime
+	// keeps no reference to a released buffer, so the application may
+	// reuse the record. It is called once per processing, except when the
+	// handler returned its input in its own Forward or Resubmit (the
+	// buffer lives on), and never for a buffer reclaimed upstream after a
+	// crash: that one is released where it is processed again.
+	Release func(*task.Task)
 	// Open marks an open-system source filter: it has no pre-declared
 	// workload — externally arriving requests enter through Runtime.Inject
 	// at run time (see internal/arrival). Open sources have no workers;
@@ -466,7 +475,7 @@ func (rt *Runtime) Start() {
 				panic(fmt.Sprintf("core: source filter %q instance %d has negative count", f.Name(), i))
 			}
 			snd.gen = &generator{count: n, make: f.spec.SourceMake, instance: i,
-				watermark: f.spec.SourceBuffer, fresh: make(map[uint64]bool)}
+				watermark: f.spec.SourceBuffer, fresh: make([]uint64, 0, f.spec.SourceBuffer)}
 			rt.track.adjust(0, int64(n))
 			snd.refill(0)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/policy"
@@ -63,8 +64,22 @@ type generator struct {
 	// fresh tracks which generated tasks are still in the send queue, so
 	// the watermark counts *fresh* buffers: a backlog of resubmitted work
 	// must not stall the reader (a real demand-driven reader keeps
-	// reading regardless of how much recalculation work is queued).
-	fresh map[uint64]bool
+	// reading regardless of how much recalculation work is queued). It
+	// holds their IDs in no particular order, at most watermark of them.
+	fresh []uint64
+}
+
+// taken drops id from the fresh set if it is there: swap-delete in a slice
+// no longer than the watermark.
+func (g *generator) taken(id uint64) {
+	for i, f := range g.fresh {
+		if f == id {
+			last := len(g.fresh) - 1
+			g.fresh[i] = g.fresh[last]
+			g.fresh = g.fresh[:last]
+			return
+		}
+	}
 }
 
 // push inserts a data buffer into the SendQueue (ThreadBufferQueuer). On a
@@ -104,7 +119,7 @@ func (s *sender) refill(now sim.Time) {
 		t := g.make(g.instance, g.next)
 		g.next++
 		s.inst.rt.prep(t, now)
-		g.fresh[t.ID] = true
+		g.fresh = append(g.fresh, t.ID)
 		s.push(t) // respects labeled-stream partitioning
 	}
 }
@@ -138,7 +153,7 @@ func (s *sender) popFor(req *request) *task.Task {
 // and the queue's depth changed.
 func (s *sender) took(t *task.Task, part int) {
 	if s.gen != nil {
-		delete(s.gen.fresh, t.ID)
+		s.gen.taken(t.ID)
 	}
 	s.noteDepth(part)
 }
@@ -815,7 +830,7 @@ func (w *worker) ran(e *sim.Env) sim.Cont {
 	}
 	dur := e.Now() - start
 	w.afterProcess(e, st, dur)
-	w.noteService(qi, t, dur)
+	w.noteService(qi, t, dur) // before finish, which may release t
 	w.finish(e, t, start)
 	return w.run(e)
 }
@@ -834,7 +849,7 @@ func (w *worker) batchRan(e *sim.Env) sim.Cont {
 	perEvent := dur / sim.Time(len(batch))
 	for i, t := range batch {
 		w.afterProcess(e, states[i], perEvent)
-		w.noteService(qis[i], t, perEvent)
+		w.noteService(qis[i], t, perEvent) // before finish, which may release t
 		w.finish(e, t, start)
 	}
 	if dur > 0 {
@@ -871,7 +886,9 @@ func (w *worker) afterProcess(e *sim.Env, st *reqState, timeToProcess sim.Time) 
 	}
 }
 
-// finish runs the application handler and applies its action.
+// finish runs the application handler and applies its action. It is the
+// input buffer's last touch: the filter's Release callback, if any, gets
+// t at its end.
 func (w *worker) finish(e *sim.Env, t *task.Task, start sim.Time) {
 	rt := w.inst.rt
 	act := w.inst.f.spec.Handler(&w.ctx, t)
@@ -908,6 +925,10 @@ func (w *worker) finish(e *sim.Env, t *task.Task, start sim.Time) {
 			Params:   t.Params,
 			Payload:  t.Payload,
 		})
+	}
+	if rel := w.inst.f.spec.Release; rel != nil &&
+		!slices.Contains(act.Forward, t) && !slices.Contains(act.Resubmit, t) {
+		rel(t)
 	}
 }
 

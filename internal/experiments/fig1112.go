@@ -89,7 +89,7 @@ func runFig12(cfg Config) *Report {
 	tiles := baseTiles(cfg)
 	res := nbiaCase{hetero: true, nodes: 2, tiles: tiles, rate: 0.10,
 		pol: policy.ODDS(), useGPU: true, cpuWorkers: -1,
-		records: true, targets: true, seed: cfg.Seed}.run()
+		records: true, targets: true, intervals: true, seed: cfg.Seed}.run()
 
 	const buckets = 10
 	// (a) CPU utilization of the CPU-only node's cores.

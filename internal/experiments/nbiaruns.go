@@ -22,6 +22,7 @@ type nbiaCase struct {
 	workers    []int
 	records    bool
 	targets    bool
+	intervals  bool // record device busy intervals (hw.Device.Intervals)
 	seed       int64
 }
 
@@ -60,6 +61,11 @@ func (c nbiaCase) run() *nbia.Result {
 	var cl = nbia.HomoCluster(k, c.nodes)
 	if c.hetero {
 		cl = nbia.HeteroCluster(k, c.nodes)
+	}
+	if c.intervals {
+		for _, d := range cl.Devices() {
+			d.SetRecordIntervals(true)
+		}
 	}
 	res, err := nbia.Run(nbia.Config{
 		Cluster:       cl,

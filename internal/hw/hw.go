@@ -73,15 +73,14 @@ type Device struct {
 }
 
 // NewDevice creates a device attached to no particular node; Cluster wiring
-// sets NodeID. Interval recording is enabled by default.
+// sets NodeID. It records no busy intervals until SetRecordIntervals(true).
 func NewDevice(k *sim.Kernel, kind Kind, index int) *Device {
 	return &Device{
-		Kind:           kind,
-		Index:          index,
-		k:              k,
-		res:            sim.NewResource(k, 1),
-		slow:           1,
-		recordInterval: true,
+		Kind:  kind,
+		Index: index,
+		k:     k,
+		res:   sim.NewResource(k, 1),
+		slow:  1,
 	}
 }
 
@@ -100,8 +99,10 @@ func (d *Device) ScaleCost(f float64) {
 // CostScale returns the current fault-injected cost multiplier.
 func (d *Device) CostScale() float64 { return d.slow }
 
-// SetRecordIntervals toggles collection of busy intervals (kept on by
-// default; turn off for very large runs if memory matters).
+// SetRecordIntervals toggles collection of busy intervals, off by default:
+// a run appends one Interval per RunThen, which only their readers
+// (Intervals: Gantt charts, trace device tracks, utilization over time)
+// need. Turn it on before the run whose intervals are to be read.
 func (d *Device) SetRecordIntervals(on bool) { d.recordInterval = on }
 
 // SetConcurrency allows up to slots concurrent tasks; each task's duration

@@ -23,6 +23,7 @@ func spawnThen(k *sim.Kernel, op func(e *sim.Env, next sim.Step) sim.Cont, after
 func TestDeviceRunSerializesAndAccounts(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := NewDevice(k, CPU, 0)
+	d.SetRecordIntervals(true)
 	var finish []sim.Time
 	for i := 0; i < 3; i++ {
 		spawnThen(k, func(e *sim.Env, next sim.Step) sim.Cont { return d.RunThen(e, 2, next) },
@@ -203,11 +204,43 @@ func TestLinkTransferTimeMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestDeviceIntervalsOptIn checks that busy intervals are recorded only
+// on request: the same runs leave a fresh device with no intervals and an
+// opted-in one with one interval per run, the same busy time on both.
+func TestDeviceIntervalsOptIn(t *testing.T) {
+	k := sim.NewKernel(1)
+	fresh, rec := NewDevice(k, CPU, 0), NewDevice(k, CPU, 1)
+	rec.SetRecordIntervals(true)
+	for _, d := range []*Device{fresh, rec} {
+		for _, run := range []struct{ at, dur sim.Time }{{0, 2}, {1, 1}, {5, 0.5}} {
+			k.SpawnStep("u", func(e *sim.Env) sim.Cont {
+				return sim.After(run.at, func(e *sim.Env) sim.Cont {
+					return d.RunThen(e, run.dur, sim.DoneStep)
+				})
+			})
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if iv := fresh.Intervals(); iv != nil {
+		t.Fatalf("fresh device recorded %v", iv)
+	}
+	want := []Interval{{Start: 0, End: 2}, {Start: 2, End: 3}, {Start: 5, End: 5.5}}
+	if got := rec.Intervals(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("intervals = %v, want %v", got, want)
+	}
+	if fresh.Busy() != 3.5 || rec.Busy() != 3.5 {
+		t.Fatalf("busy = %v and %v, want 3.5", fresh.Busy(), rec.Busy())
+	}
+}
+
 func TestDeviceIntervalsDisjointProperty(t *testing.T) {
 	// Property: busy intervals of a device never overlap and sum to Busy().
 	f := func(seed int64) bool {
 		k := sim.NewKernel(seed)
 		d := NewDevice(k, GPU, 0)
+		d.SetRecordIntervals(true)
 		for i := 0; i < 10; i++ {
 			k.SpawnStep("u", func(e *sim.Env) sim.Cont {
 				return sim.After(sim.Time(e.Rand().Float64()), func(e *sim.Env) sim.Cont {

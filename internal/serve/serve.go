@@ -197,9 +197,6 @@ func New(cfg Config) (*Engine, error) {
 		specs = append(specs, Pool()...)
 	}
 	cl := hw.NewCluster(e.k, specs, nil)
-	for _, d := range cl.Devices() {
-		d.SetRecordIntervals(false) // nothing here reads busy intervals
-	}
 	e.rt = core.New(cl, nil)
 	if !cfg.DisableSink {
 		e.col = span.NewCollector()

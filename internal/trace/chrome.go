@@ -48,8 +48,15 @@ type ChromeLog struct {
 func NewChromeLog() *ChromeLog { return &ChromeLog{} }
 
 // Attach subscribes the log to a runtime's hook bus, chaining subscribers
-// already installed. Call before rt.Run.
+// already installed, and turns on busy-interval recording on the
+// runtime's devices, which AddCluster renders as device tracks. Call
+// before rt.Run.
 func (l *ChromeLog) Attach(rt *core.Runtime) {
+	if rt.Cluster != nil {
+		for _, d := range rt.Cluster.Devices() {
+			d.SetRecordIntervals(true)
+		}
+	}
 	core.Subscribe(&rt.Hooks.Process, func(r core.ProcRecord) {
 		l.procs = append(l.procs, r)
 	})
@@ -69,6 +76,7 @@ func (l *ChromeLog) Attach(rt *core.Runtime) {
 
 // AddCluster registers every device of the cluster so its busy intervals
 // become device tracks. Call after rt.Run (intervals are complete then).
+// A device that recorded no intervals gets no track.
 func (l *ChromeLog) AddCluster(c *hw.Cluster) {
 	for _, n := range c.Nodes {
 		l.devs = append(l.devs, n.CPUs...)

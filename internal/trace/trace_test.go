@@ -18,6 +18,9 @@ func runTraced(t *testing.T) (*Collector, *hw.Cluster, sim.Time) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 2}}, nil)
+	for _, d := range c.Devices() {
+		d.SetRecordIntervals(true) // TestGanttShape reads them
+	}
 	rt := core.New(c, nil)
 	col := &Collector{}
 	col.Attach(rt)
@@ -129,6 +132,7 @@ func TestSummary(t *testing.T) {
 func TestGanttPartialCells(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := hw.NewDevice(k, hw.CPU, 0)
+	d.SetRecordIntervals(true)
 	k.SpawnStep("u", func(e *sim.Env) sim.Cont {
 		return sim.After(0.9, func(e *sim.Env) sim.Cont { // idle most of cell 0
 			return d.RunThen(e, 0.2, sim.DoneStep)

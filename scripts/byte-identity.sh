@@ -38,7 +38,7 @@ for sums in exp_all_seed1 exp_serving_seed1 exp_policylab_seed1 serving_capture_
     fi
 done
 cd "$root"
-go test -run '^TestGoldenReplay$' -count=1 ./internal/serve || status=1
+./scripts/gotest.sh run '^TestGoldenReplay$' ./internal/serve -count=1 || status=1
 if [ "$status" -ne 0 ]; then
     echo "byte-identity: FAILED. If the change is an intentional model update," >&2
     echo "regenerate the digests; if this is a refactor, it broke byte-for-byte" >&2
